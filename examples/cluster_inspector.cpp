@@ -1,11 +1,12 @@
 // Operator's view: a live cluster under random failure churn, inspected
 // through the DRS management plane (STATUS_REQUEST queries over the data
-// path) and the frame tracer.
+// path) and, with --trace, the daemons' control-plane trace events.
 //
 //   $ ./cluster_inspector [--nodes 8] [--churn-events 10] [--trace]
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "drs.hpp"
@@ -44,6 +45,33 @@ void print_health_report(core::DrsSystem& drs, sim::Simulator& simulator) {
               util::to_string(simulator.now()).c_str(), table.to_text().c_str());
 }
 
+/// Prints the relay-discovery, lease and detour events of the run, then how
+/// many events the ring evicted (those may include control-plane ones).
+void print_control_plane_trace(const obs::Tracer& tracer) {
+  using Kind = obs::TraceEventKind;
+  const std::vector<obs::TraceEvent> events = obs::filter_kinds(
+      tracer.events(),
+      {Kind::kDiscoveryStart, Kind::kRelaySelected, Kind::kLeaseGranted,
+       Kind::kLeaseExpired, Kind::kDetourInstall, Kind::kDetourSwitch,
+       Kind::kDetourTeardown});
+  std::printf("control-plane events (%zu):\n", events.size());
+  for (const obs::TraceEvent& event : events) {
+    const std::string at = util::to_string(util::SimTime::from_ns(event.at_ns));
+    std::printf("  t=%s node=%u %s", at.c_str(), event.node, obs::to_string(event.kind));
+    if (event.peer != obs::kNoPeer) std::printf(" peer=%u", event.peer);
+    if (event.network != obs::kNoNetwork) std::printf(" net=%u", event.network);
+    std::printf(" a=%lld b=%lld\n", static_cast<long long>(event.a),
+                static_cast<long long>(event.b));
+  }
+  std::printf("trace events emitted=%llu evicted=%llu\n",
+              static_cast<unsigned long long>(tracer.emitted()),
+              static_cast<unsigned long long>(tracer.evicted()));
+  if (tracer.evicted() > 0) {
+    std::printf("warning: the trace ring overflowed; the earliest events "
+                "above are missing\n");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,19 +81,18 @@ int main(int argc, char** argv) {
        {"churn-events", "random component flips to inject (default 10)"},
        {"script", "failure-script file (see src/net/script.hpp); replaces churn"},
        {"seed", "churn seed"},
-       {"trace", "dump recent control-plane frames at the end"}});
+       {"trace", "print the control-plane trace events at the end"}});
   if (!flags) return 1;
   if (flags->help_requested()) return 0;
   const auto nodes = static_cast<std::uint16_t>(flags->get_int("nodes", 8));
   const int churn = static_cast<int>(flags->get_int("churn-events", 10));
   util::Rng rng(static_cast<std::uint64_t>(flags->get_int("seed", 5)));
 
+  const bool trace = flags->get_bool("trace");
+  obs::Tracer tracer;
   sim::Simulator simulator;
+  if (trace) simulator.set_tracer(&tracer);
   net::ClusterNetwork network(simulator, {.node_count = nodes, .backplane = {}});
-  net::FrameTracer tracer(network, 64);
-  tracer.set_filter([](const net::TraceRecord& record) {
-    return record.protocol == net::Protocol::kDrsControl;
-  });
 
   core::DrsSystem drs(network, core::DrsConfig{});
   drs.start();
@@ -112,8 +139,6 @@ int main(int argc, char** argv) {
   std::printf("== healed ==\n");
   print_health_report(drs, simulator);
 
-  if (flags->get_bool("trace")) {
-    std::printf("last control-plane frames:\n%s", tracer.dump().c_str());
-  }
+  if (trace) print_control_plane_trace(tracer);
   return 0;
 }

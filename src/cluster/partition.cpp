@@ -518,7 +518,6 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
   options.trace_capacity = config.trace_capacity;
   options.check_windows = config.check_windows;
   options.ordering = config.ordering;
-  options.adaptive_windows = config.adaptive_windows;
   options.max_window_ns = config.max_window_ns;
   options.record_window_spans = config.record_window_spans;
   return options;

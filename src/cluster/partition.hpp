@@ -58,10 +58,9 @@ struct ShardedFleetConfig {
   /// counter-equal lane refuses lossy relays (frame_loss_rate > 0) because
   /// the loss RNG draw order is only certified under the journaled merge.
   sim::Ordering ordering = sim::Ordering::kCertified;
-  /// Adaptive earliest-output-time windows (sim::ShardedEngine::Options);
-  /// the fleet refines the engine bound with the relay oracle's state.
-  bool adaptive_windows = true;
-  /// Cap on adaptive window length, 0 = unlimited. The gateway probe cadence
+  /// Cap on adaptive window length (sim::ShardedEngine::Options), 0 =
+  /// unlimited; the fleet refines the engine's earliest-output-time bound
+  /// with the relay oracle's state. The gateway probe cadence
   /// (default 100 ms) bounds windows naturally; set this when shrinking
   /// trace_capacity below a cadence's worth of events.
   std::int64_t max_window_ns = 0;

@@ -103,7 +103,7 @@ void ProbeTimeoutSweeper::fire() {
 
 DrsDaemon::DrsDaemon(net::Host& host, proto::IcmpService& icmp,
                      std::uint16_t node_count, DrsConfig config,
-                     ProbeTimeoutSweeper* sweeper)
+                     ProbeTimeoutSweeper& sweeper)
     : host_(host),
       icmp_(icmp),
       node_count_(node_count),
@@ -113,7 +113,8 @@ DrsDaemon::DrsDaemon(net::Host& host, proto::IcmpService& icmp,
                         config.flap_threshold, config.flap_window,
                         config.flap_hold}),
       cycle_timer_(host.simulator(), config.probe_interval, [this] { on_cycle(); }),
-      table_(node_count) {
+      table_(node_count),
+      sweeper_(sweeper) {
   if (config_.monitored_peers) {
     for (NodeId peer : *config_.monitored_peers) {
       if (peer != self() && peer < node_count_) peers_[peer] = PeerState{};
@@ -133,14 +134,6 @@ DrsDaemon::DrsDaemon(net::Host& host, proto::IcmpService& icmp,
   probe_seq_.reserve(2u * table_.entry_count());
   icmp_.set_probe_reply_hook(
       [this](std::uint16_t seq) { return on_raw_probe_reply(seq); });
-  if (sweeper == nullptr) {
-    own_sweeper_ = std::make_unique<ProbeTimeoutSweeper>(host_.simulator());
-    // Records linger for about one timeout past their send; a private
-    // sweeper never covers more than this daemon's own probe fan-out.
-    own_sweeper_->reserve(2u * peers_.size() * net::kNetworksPerHost);
-    sweeper = own_sweeper_.get();
-  }
-  sweeper_ = sweeper;
   host_.register_handler(net::Protocol::kDrsControl,
                          [this](const net::Packet& p, NetworkId in_if) {
                            on_control(p, in_if);
@@ -164,10 +157,8 @@ void DrsDaemon::stop() {
   for (auto& handle : pending_probe_sends_) handle.cancel();
   pending_probe_sends_.clear();
   sweep_cursor_.cancel();
-  // A shared sweeper keeps scanning for its other daemons; with all of this
-  // daemon's probes cancelled below it simply finds nothing due here. The
-  // private fallback sweeper serves only this daemon, so stop it outright.
-  if (own_sweeper_) own_sweeper_->cancel();
+  // The shared sweeper keeps scanning for its other daemons; with all of
+  // this daemon's probes cancelled below it simply finds nothing due here.
   // Sweep probes are raw (no IcmpService state): dropping the correlation
   // map and deadlines is the whole cancellation.
   probe_seq_.clear();
@@ -363,7 +354,7 @@ void DrsDaemon::send_entry_probe(std::uint32_t entry) {
   // keeps no per-probe state.
   const std::int64_t now = host_.simulator().now().ns();
   const std::int64_t deadline = now + options.timeout.ns();
-  sweeper_->note_deadline(*this, entry, deadline);
+  sweeper_.note_deadline(*this, entry, deadline);
   const std::uint16_t seq =
       icmp_.send_echo(net::cluster_ip(network, peer), options);
   // drs-lint: hotpath-purity-ok(amortized: seq map holds at most the in-flight probe window, rehashes only while warming)

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -110,9 +109,9 @@ class DrsDaemon {
   /// one (the deployed daemons were "configured to monitor hosts on the
   /// networks" — in these clusters, all of them).
   /// `sweeper` is the shared probe-timeout scanner (DrsSystem passes its
-  /// own); when null the daemon creates a private single-daemon one.
+  /// own); it must outlive the daemon.
   DrsDaemon(net::Host& host, proto::IcmpService& icmp, std::uint16_t node_count,
-            DrsConfig config, ProbeTimeoutSweeper* sweeper = nullptr);
+            DrsConfig config, ProbeTimeoutSweeper& sweeper);
   ~DrsDaemon();
   DrsDaemon(const DrsDaemon&) = delete;
   DrsDaemon& operator=(const DrsDaemon&) = delete;
@@ -285,9 +284,7 @@ class DrsDaemon {
   /// every spread-offset re-push, so cursor firings tie-break against
   /// foreign same-instant events exactly like the legacy send events did.
   std::uint64_t sweep_rank_ = 0;
-  /// Private fallback when no shared sweeper was injected.
-  std::unique_ptr<ProbeTimeoutSweeper> own_sweeper_;
-  ProbeTimeoutSweeper* sweeper_ = nullptr;
+  ProbeTimeoutSweeper& sweeper_;
   /// Peers whose route mode != kDirect; lets the per-tick phase-2 walk over
   /// peers_ be skipped entirely in the healthy steady state.
   std::uint32_t nondirect_peers_ = 0;

@@ -46,7 +46,7 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
     // per-probe timeout events.
     daemons_.push_back(std::make_unique<DrsDaemon>(network_.host(i),
                                                    *icmp_.back(), n, config,
-                                                   &sweeper_));
+                                                   sweeper_));
   }
 }
 

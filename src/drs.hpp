@@ -48,7 +48,6 @@
 #include "net/failure.hpp"
 #include "net/network.hpp"
 #include "net/script.hpp"
-#include "net/trace.hpp"
 
 // Transport protocols the applications and daemons ride on.
 #include "proto/icmp.hpp"
@@ -69,8 +68,8 @@
 #include "policy/registry.hpp"
 #include "policy/shootout.hpp"
 
-// Reactive baselines for comparison (ProtocolKind here is a deprecated shim
-// over the registry; see docs/POLICIES.md).
+// The failure-scenario comparison harness that runs any registered policy
+// (see docs/POLICIES.md).
 #include "reactive/comparison.hpp"
 
 // Survivability models: exact (Equation 1), Monte-Carlo, packet-level.

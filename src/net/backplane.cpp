@@ -91,7 +91,6 @@ void Backplane::transmit_hub(const Nic& sender, const Frame& frame) {
   busy_seconds_ += ser.to_seconds();
   ++counters_.frames;
   counters_.bytes += frame.wire_bytes() + config_.per_frame_overhead_bytes;
-  if (transmit_hook_) transmit_hook_(frame, sim_.now());
 
   // Random corruption: a bad FCS is bad for every receiver on a hub, so the
   // whole broadcast is lost at once. The medium time was still consumed.
@@ -194,7 +193,6 @@ void Backplane::transmit_switch(const Nic& sender, const Frame& frame) {
   busy_seconds_ += ser.to_seconds();  // aggregate ingress occupancy
   ++counters_.frames;
   counters_.bytes += frame.wire_bytes() + config_.per_frame_overhead_bytes;
-  if (transmit_hook_) transmit_hook_(frame, now);
 
   if (config_.frame_loss_rate > 0.0 &&
       rng_.next_bernoulli(config_.frame_loss_rate)) {

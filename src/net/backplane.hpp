@@ -114,12 +114,6 @@ class Backplane {
   /// Serialization time of one frame on this medium.
   util::Duration serialization_time(const Frame& frame) const;
 
-  /// Observability hook invoked for every frame accepted onto the medium
-  /// (before loss is decided). Used by net::FrameTracer. Registration-time
-  /// plumbing, not per-frame work.
-  using TransmitHook = std::function<void(const Frame&, util::SimTime at)>;
-  void set_transmit_hook(TransmitHook hook) { transmit_hook_ = std::move(hook); }
-
   /// In-flight frame-pool capacity; stable once traffic peaks (asserted by
   /// the zero-allocation instrumented test, see docs/PERFORMANCE.md).
   std::size_t flight_slots() const { return flight_.size(); }
@@ -198,7 +192,6 @@ class Backplane {
   std::uint64_t epoch_ = 0;
   Counters counters_;
   util::Rng rng_;
-  TransmitHook transmit_hook_;
   BoundaryHook boundary_hook_;
 };
 

@@ -1,7 +1,7 @@
 // RoutingPolicy adapters over the pre-existing protocol stacks.
 //
 // Each adapter reproduces the exact construction/start order the old
-// ProtocolKind switch in reactive/comparison.cpp used — subsystem first,
+// enum switch in reactive/comparison.cpp used — subsystem first,
 // then (for non-DRS stacks) one ICMP echo responder per node — so the
 // redesigned harness's event stream is byte-identical to the pre-redesign
 // one (pinned by test_policy_differential).

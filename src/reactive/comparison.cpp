@@ -6,36 +6,6 @@
 
 namespace drs::reactive {
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-const char* to_string(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kDrs: return "drs";
-    case ProtocolKind::kRip: return "rip";
-    case ProtocolKind::kOspf: return "ospf";
-    case ProtocolKind::kStatic: return "static";
-  }
-  return "?";
-}
-
-namespace {
-
-/// Resolves the enum shim: the effective (name, params) pair the registry
-/// path runs with. When the deprecated enum is set, the deprecated flat
-/// parameter members win — the pre-redesign field layout.
-std::pair<std::string, policy::PolicyParams> effective_policy(
-    const ScenarioConfig& config) {
-  if (!config.protocol.has_value()) return {config.policy, config.params};
-  policy::PolicyParams params = config.params;
-  params.drs = config.drs;
-  params.rip = config.rip;
-  params.ospf = config.ospf;
-  return {to_string(*config.protocol), params};
-}
-
-}  // namespace
-#pragma GCC diagnostic pop
-
 namespace {
 
 /// Walks the observer's data-plane path by routing-table lookups: the hop
@@ -69,9 +39,8 @@ ScenarioResult run_failure_scenario(
   net::ClusterNetwork network(
       simulator, {.node_count = config.node_count, .backplane = config.backplane});
 
-  const auto [policy_name, params] = effective_policy(config);
   const std::unique_ptr<policy::RoutingPolicy> routing_policy =
-      policy::make_policy(policy_name, network, params);
+      policy::make_policy(config.policy, network, config.params);
   routing_policy->start();
   proto::IcmpService* observer_icmp =
       &routing_policy->icmp(config.observer_src);

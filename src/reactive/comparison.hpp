@@ -8,10 +8,8 @@
 // qualitative claim ("fixing network problems before they effect
 // application communication").
 //
-// The pre-registry ProtocolKind enum survives one release as a deprecated
-// shim: setting ScenarioConfig::protocol overrides the string `policy`
-// field, and test_policy_differential pins that both paths reproduce the
-// pre-redesign results byte-identically.
+// test_policy_differential pins the registry path against the results of the
+// pre-registry harness byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -24,21 +22,6 @@
 #include "util/time.hpp"
 
 namespace drs::reactive {
-
-enum class [[deprecated(
-    "use the string-keyed policy registry (policy/registry.hpp) — e.g. "
-    "ScenarioConfig::policy = \"drs\"")]] ProtocolKind : std::uint8_t {
-  kDrs,
-  kRip,
-  kOspf,
-  kStatic
-};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-[[deprecated("use the registry name directly")]] const char* to_string(
-    ProtocolKind kind);
-#pragma GCC diagnostic pop
 
 struct ScenarioConfig {
   std::uint16_t node_count = 12;
@@ -66,31 +49,6 @@ struct ScenarioConfig {
   /// require an untouched schedule).
   bool track_detection = false;
   util::Duration detection_sample = util::Duration::millis(1);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  /// One-release shim for the pre-registry enum API: when set, the enum
-  /// selects the policy and the deprecated per-protocol members below
-  /// (not `params`) supply its parameters — exactly the old field layout,
-  /// so pre-redesign callers behave identically. New code sets `policy`
-  /// and `params` instead.
-  [[deprecated("set ScenarioConfig::policy by name instead")]]
-  std::optional<ProtocolKind> protocol;
-  [[deprecated("use params.drs")]] core::DrsConfig drs;
-  [[deprecated("use params.rip")]] RipConfig rip;
-  [[deprecated("use params.ospf")]] OspfConfig ospf;
-
-  // Explicitly-defaulted special members, declared inside the suppression
-  // region: otherwise every construction/copy/destruction of ScenarioConfig
-  // would re-trigger the member deprecations through the synthesized
-  // functions. Only direct member access should warn.
-  ScenarioConfig() = default;
-  ScenarioConfig(const ScenarioConfig&) = default;
-  ScenarioConfig(ScenarioConfig&&) = default;
-  ScenarioConfig& operator=(const ScenarioConfig&) = default;
-  ScenarioConfig& operator=(ScenarioConfig&&) = default;
-  ~ScenarioConfig() = default;
-#pragma GCC diagnostic pop
 };
 
 struct ScenarioResult {

@@ -423,34 +423,34 @@ void ShardedEngine::run_until(util::SimTime deadline) {
     if (next > deadline_ns) break;
 
     const std::int64_t w_start = next;
-    // The fixed conservative window: the final one is deadline-inclusive
-    // (end = deadline + 1), matching Simulator::run_until's `<= deadline`.
+    // The conservative floor is one lookahead; the final window is
+    // deadline-inclusive (end = deadline + 1), matching
+    // Simulator::run_until's `<= deadline`.
     std::int64_t w_end = (deadline_ns - w_start >= options_.lookahead_ns)
                              ? w_start + options_.lookahead_ns
                              : deadline_ns + 1;
-    if (options_.adaptive_windows) {
-      // Adaptive earliest-output-time window: no cross-shard delivery can
-      // occur before `eot`, so the window may safely extend to it. The
-      // boundary bound covers every in-shard cause; the hook refines it with
-      // shared-medium state (pending deliveries, serialization clock,
-      // minimum frame time). Without a hook, only the generic guarantee
-      // holds: a delivery lags its cause by at least the lookahead.
-      const std::int64_t max_ns = std::numeric_limits<std::int64_t>::max();
-      const std::int64_t bound = next_boundary_bound_ns();
-      std::int64_t eot;
-      if (eot_hook_) {
-        eot = eot_hook_(bound);
-      } else {
-        eot = bound == max_ns ? max_ns : bound + options_.lookahead_ns;
+    // Earliest-output-time widening: no cross-shard delivery can occur
+    // before `eot`, so the window may safely extend to it (up to
+    // Options::max_window_ns). The
+    // boundary bound covers every in-shard cause; the hook refines it with
+    // shared-medium state (pending deliveries, serialization clock,
+    // minimum frame time). Without a hook, only the generic guarantee
+    // holds: a delivery lags its cause by at least the lookahead.
+    const std::int64_t max_ns = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t bound = next_boundary_bound_ns();
+    std::int64_t eot;
+    if (eot_hook_) {
+      eot = eot_hook_(bound);
+    } else {
+      eot = bound == max_ns ? max_ns : bound + options_.lookahead_ns;
+    }
+    if (eot > w_end) {
+      w_end = std::min(eot, deadline_ns == max_ns ? max_ns : deadline_ns + 1);
+      if (options_.max_window_ns > 0 &&
+          w_end - w_start > options_.max_window_ns) {
+        w_end = w_start + options_.max_window_ns;
       }
-      if (eot > w_end) {
-        w_end = std::min(eot, deadline_ns == max_ns ? max_ns : deadline_ns + 1);
-        if (options_.max_window_ns > 0 &&
-            w_end - w_start > options_.max_window_ns) {
-          w_end = w_start + options_.max_window_ns;
-        }
-        if (w_end > w_start + options_.lookahead_ns) ++windows_coalesced_;
-      }
+      if (w_end > w_start + options_.lookahead_ns) ++windows_coalesced_;
     }
 
     foreign_floor_ns_ = w_start;

@@ -229,15 +229,14 @@ class ShardedEngine {
     bool check_windows = false;
     /// Output contract (see Ordering).
     Ordering ordering = Ordering::kCertified;
-    /// Adaptive earliest-output-time windows: widen each window to the
-    /// announced bound on the next possible cross-shard hand-off (boundary-
-    /// tagged events + inbox heads, refined by the EOT hook) instead of the
-    /// fixed lookahead. Requires the boundary-tagging contract: every event
-    /// that can emit cross-shard traffic executes under the boundary scope
-    /// (see Simulator::set_boundary_scope and docs/SHARDING.md).
-    bool adaptive_windows = true;
-    /// Upper bound on adaptive window length (safety lever for small trace
-    /// rings); 0 = unlimited.
+    /// Upper bound on window length (safety lever for small trace rings);
+    /// 0 = unlimited. Windows are adaptive: each one widens past the
+    /// lookahead to the announced bound on the next possible cross-shard
+    /// hand-off (boundary-tagged events + inbox heads, refined by the EOT
+    /// hook). That relies on the boundary-tagging contract: every event that
+    /// can emit cross-shard traffic executes under the boundary scope (see
+    /// Simulator::set_boundary_scope and docs/SHARDING.md). Setting this to
+    /// lookahead_ns gives fixed-lookahead windows.
     std::int64_t max_window_ns = 0;
     /// Record per-window occupancy spans for the Chrome-trace export.
     bool record_window_spans = false;
@@ -335,7 +334,7 @@ class ShardedEngine {
                                        std::int64_t window_end_ns)>;
   void set_flush_hook(FlushHook hook) { flush_hook_ = std::move(hook); }
 
-  /// Adaptive-window refinement (Options::adaptive_windows). The engine
+  /// Adaptive-window refinement (see Options::max_window_ns). The engine
   /// computes `bound_ns` = the earliest sim-time any shard could next execute
   /// a boundary-tagged or foreign event; the hook returns the earliest
   /// sim-time a cross-shard *delivery* could occur, folding in shared-medium

@@ -224,8 +224,9 @@ TEST_F(DaemonTest, PartialMonitoringProbesOnlyConfiguredPeers) {
   net::ClusterNetwork local_net(local_sim, {.node_count = 6, .backplane = {}});
   DrsConfig partial = config();
   partial.monitored_peers = std::vector<net::NodeId>{1, 2};
+  ProbeTimeoutSweeper sweeper(local_sim);
   proto::IcmpService icmp0(local_net.host(0));
-  DrsDaemon daemon(local_net.host(0), icmp0, 6, partial);
+  DrsDaemon daemon(local_net.host(0), icmp0, 6, partial, sweeper);
   // Echo responders so the monitored links are UP.
   proto::IcmpService icmp1(local_net.host(1));
   proto::IcmpService icmp2(local_net.host(2));
@@ -252,6 +253,9 @@ TEST_F(DaemonTest, UnmonitoredPeersNeverGetOffers) {
   system.stop();
   sim::Simulator local_sim;
   net::ClusterNetwork local_net(local_sim, {.node_count = 6, .backplane = {}});
+  // One sweeper shared by every daemon, declared first so it outlives them
+  // (as in DrsSystem).
+  ProbeTimeoutSweeper sweeper(local_sim);
   std::vector<std::unique_ptr<proto::IcmpService>> icmps;
   std::vector<std::unique_ptr<DrsDaemon>> daemons;
   for (net::NodeId i = 0; i < 6; ++i) {
@@ -265,7 +269,8 @@ TEST_F(DaemonTest, UnmonitoredPeersNeverGetOffers) {
     }
     icmps.push_back(std::make_unique<proto::IcmpService>(local_net.host(i)));
     daemons.push_back(
-        std::make_unique<DrsDaemon>(local_net.host(i), *icmps.back(), 6, c));
+        std::make_unique<DrsDaemon>(local_net.host(i), *icmps.back(), 6, c,
+                                    sweeper));
     daemons.back()->start();
   }
   local_sim.run_for(500_ms);

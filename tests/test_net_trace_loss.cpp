@@ -1,7 +1,8 @@
-// Frame tracer, lossy/jittery media, and asymmetric NIC failures.
+// Medium frame/byte accounting, lossy/jittery media, and asymmetric NIC
+// failures.
 #include <gtest/gtest.h>
 
-#include "net/trace.hpp"
+#include "net/network.hpp"
 #include "proto/icmp.hpp"
 
 namespace drs::net {
@@ -33,47 +34,15 @@ class TraceLossTest : public ::testing::Test {
   std::vector<std::unique_ptr<proto::IcmpService>> icmp;
 };
 
-// --- FrameTracer -------------------------------------------------------------
+// --- Medium accounting --------------------------------------------------------
 
-TEST_F(TraceLossTest, TracerSeesRequestAndReply) {
-  FrameTracer tracer(network);
+TEST_F(TraceLossTest, OnePingCountsTwoMinimumFrames) {
   ASSERT_TRUE(ping(0, cluster_ip(0, 1)));
-  const auto icmp_frames = tracer.by_protocol(Protocol::kIcmp);
-  ASSERT_EQ(icmp_frames.size(), 2u);
-  EXPECT_EQ(icmp_frames[0].src_ip, cluster_ip(0, 0));
-  EXPECT_EQ(icmp_frames[0].dst_ip, cluster_ip(0, 1));
-  EXPECT_NE(icmp_frames[0].summary.find("echo-request"), std::string::npos);
-  EXPECT_NE(icmp_frames[1].summary.find("echo-reply"), std::string::npos);
-  EXPECT_LT(icmp_frames[0].at, icmp_frames[1].at);
-  EXPECT_EQ(icmp_frames[0].wire_bytes, 64u);
-  EXPECT_EQ(tracer.total_seen(), 2u);
-}
-
-TEST_F(TraceLossTest, TracerFilterNarrowsCapture) {
-  FrameTracer tracer(network);
-  tracer.set_filter([](const TraceRecord& record) {
-    return record.dst_ip == cluster_ip(0, 2);
-  });
-  ping(0, cluster_ip(0, 1));
-  ping(0, cluster_ip(0, 2));
-  ASSERT_EQ(tracer.records().size(), 1u);
-  EXPECT_EQ(tracer.records()[0].dst_ip, cluster_ip(0, 2));
-}
-
-TEST_F(TraceLossTest, TracerRingDiscardsOldest) {
-  FrameTracer tracer(network, /*capacity=*/3);
-  for (int i = 0; i < 4; ++i) ping(0, cluster_ip(0, 1));
-  EXPECT_EQ(tracer.records().size(), 3u);
-  EXPECT_EQ(tracer.total_seen(), 8u);  // 4 requests + 4 replies
-}
-
-TEST_F(TraceLossTest, TracerDumpIsHumanReadable) {
-  FrameTracer tracer(network);
-  ping(0, cluster_ip(1, 3));
-  const std::string dump = tracer.dump();
-  EXPECT_NE(dump.find("net1"), std::string::npos);
-  EXPECT_NE(dump.find("10.2.0.1 > 10.2.0.4"), std::string::npos);
-  EXPECT_NE(dump.find("icmp"), std::string::npos);
+  // Echo request + reply, each padded to the 64-byte Ethernet minimum; the
+  // default per_frame_overhead_bytes adds nothing.
+  const Backplane::Counters& counters = network.backplane(0).counters();
+  EXPECT_EQ(counters.frames, 2u);
+  EXPECT_EQ(counters.bytes, 128u);
 }
 
 // --- Random loss --------------------------------------------------------------

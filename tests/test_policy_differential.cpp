@@ -1,11 +1,10 @@
 // Differential pin of the comparison harness across the policy-API redesign.
 //
 // The golden file tests/golden/comparison_results.txt was generated from the
-// pre-redesign ProtocolKind-switch harness (DRS + RIP over six fixed failure
-// scenarios at the comparison test's n=8 configuration). The redesigned
-// registry-backed harness must reproduce those results byte-identically —
-// both through the new string-keyed policy path and through the deprecated
-// ProtocolKind shim.
+// pre-redesign enum-switch harness (DRS + RIP over six fixed failure
+// scenarios at the comparison test's n=8 configuration). The registry-backed
+// harness must reproduce those results byte-identically through the
+// string-keyed policy path.
 //
 // To regenerate after an intentional behaviour change:
 //   DRS_UPDATE_GOLDEN=1 ./build/tests/test_policy_differential
@@ -89,49 +88,6 @@ void serialize(std::ostringstream& out, const char* policy,
       << " protocol_messages=" << r.protocol_messages << "\n";
 }
 
-// ---- the deprecated ProtocolKind shim, exactly as pre-redesign callers
-// wrote it (flat per-protocol config members, enum selection) ----
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-ScenarioConfig base_config(ProtocolKind kind) {
-  ScenarioConfig config;
-  config.node_count = 8;
-  config.protocol = kind;
-  config.drs.probe_interval = 50_ms;
-  config.drs.probe_timeout = 20_ms;
-  config.drs.failures_to_down = 2;
-  config.drs.discover_timeout = 25_ms;
-  config.rip.advertise_interval = 1_s;
-  config.rip.route_timeout = 6_s;
-  config.warmup = 3_s;
-  config.measure = 12_s;
-  return config;
-}
-
-std::string run_corpus_via_enum() {
-  std::ostringstream out;
-  for (const ProtocolKind kind : {ProtocolKind::kDrs, ProtocolKind::kRip}) {
-    for (const NamedScenario& scenario : corpus()) {
-      const ScenarioResult result =
-          run_failure_scenario(base_config(kind), scenario.failed);
-      serialize(out, to_string(kind), scenario.name, result);
-    }
-  }
-  return out.str();
-}
-
-TEST(PolicyDifferentialShim, EnumNamesStillResolve) {
-  EXPECT_STREQ(to_string(ProtocolKind::kDrs), "drs");
-  EXPECT_STREQ(to_string(ProtocolKind::kRip), "rip");
-  EXPECT_STREQ(to_string(ProtocolKind::kOspf), "ospf");
-  EXPECT_STREQ(to_string(ProtocolKind::kStatic), "static");
-}
-
-#pragma GCC diagnostic pop
-
-// ---- the redesigned registry path: same knobs via policy name + params ----
-
 ScenarioConfig registry_config(const char* policy) {
   ScenarioConfig config;
   config.node_count = 8;
@@ -161,14 +117,6 @@ std::string run_corpus_via_registry() {
 
 TEST(PolicyDifferential, RegistryPathMatchesPreRedesignGolden) {
   check_golden("comparison_results.txt", run_corpus_via_registry());
-}
-
-TEST(PolicyDifferential, EnumShimMatchesPreRedesignGolden) {
-  check_golden("comparison_results.txt", run_corpus_via_enum());
-}
-
-TEST(PolicyDifferential, BothPathsAgreeExactly) {
-  EXPECT_EQ(run_corpus_via_registry(), run_corpus_via_enum());
 }
 
 }  // namespace

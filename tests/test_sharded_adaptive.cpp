@@ -2,7 +2,8 @@
 // counter-equal fast lane, tested where the differential corpus cannot see:
 //   - coalescing invariance: adaptive windows change ONLY the window count —
 //     the merged trace and semantic metrics are byte-identical to the
-//     fixed-lookahead protocol, while the window count shrinks >= 5x;
+//     fixed-lookahead protocol (windows capped at the lookahead), while the
+//     window count shrinks >= 5x;
 //   - counter-equal contract: with the journal and merge elided, event
 //     counts, probe totals, semantic metric snapshots and invariant outcomes
 //     still equal the legacy single-queue run at every shard count (and no
@@ -56,6 +57,10 @@ struct FleetRun {
   std::uint64_t windows_run = 0;
   std::uint64_t windows_coalesced = 0;
   bool pristine = true;
+  /// Recorded only for capped runs (record_window_spans); 0 otherwise.
+  std::uint64_t window_spans = 0;
+  std::int64_t widest_window_ns = 0;
+  std::int64_t lookahead_ns = 0;
 };
 
 // Keeps only the semantic metric families every execution mode must agree
@@ -91,15 +96,18 @@ void schedule_mixed_outages(cluster::ShardedFleet& fleet) {
                                    false);
 }
 
+/// `max_window_ns` = 0 runs uncapped adaptive windows; lookahead_ns gives the
+/// fixed-lookahead protocol.
 FleetRun run_fleet(std::uint32_t shards, sim::Ordering ordering,
-                   bool adaptive) {
+                   std::int64_t max_window_ns = 0) {
   cluster::ShardedFleetConfig config;
   config.fleet = fleet_config(4, 4);
   config.shards = shards;
   config.trace_capacity = std::size_t{1} << 16;
   config.check_windows = true;
   config.ordering = ordering;
-  config.adaptive_windows = adaptive;
+  config.max_window_ns = max_window_ns;
+  config.record_window_spans = max_window_ns > 0;
   cluster::ShardedFleet fleet(config);
   fleet.start();
   schedule_mixed_outages(fleet);
@@ -118,16 +126,28 @@ FleetRun run_fleet(std::uint32_t shards, sim::Ordering ordering,
   run.windows_run = fleet.engine().windows_run();
   run.windows_coalesced = fleet.engine().windows_coalesced();
   run.pristine = fleet.all_pristine();
+  for (const obs::WindowSpan& span : fleet.engine().window_spans()) {
+    ++run.window_spans;
+    run.widest_window_ns =
+        std::max(run.widest_window_ns, span.end_ns - span.start_ns);
+  }
+  run.lookahead_ns = fleet.engine().lookahead_ns();
   return run;
 }
 
 // -- coalescing invariance ----------------------------------------------------
 
 TEST(ShardedAdaptive, CoalescingChangesOnlyTheWindowCount) {
+  // Capping windows at the lookahead is the fixed-lookahead protocol: the
+  // widening step never coalesces and no window is wider than one lookahead.
+  const std::int64_t lookahead_ns =
+      fleet_config(4, 4).relay_backplane.propagation_delay.ns();
   const FleetRun fixed =
-      run_fleet(4, sim::Ordering::kCertified, /*adaptive=*/false);
-  const FleetRun adaptive =
-      run_fleet(4, sim::Ordering::kCertified, /*adaptive=*/true);
+      run_fleet(4, sim::Ordering::kCertified, /*max_window_ns=*/lookahead_ns);
+  ASSERT_EQ(fixed.lookahead_ns, lookahead_ns);
+  ASSERT_EQ(fixed.window_spans, fixed.windows_run);
+  EXPECT_LE(fixed.widest_window_ns, fixed.lookahead_ns);
+  const FleetRun adaptive = run_fleet(4, sim::Ordering::kCertified);
 
   // Identical observable output...
   EXPECT_EQ(fixed.trace_json, adaptive.trace_json);
@@ -216,7 +236,7 @@ TEST(ShardedAdaptive, CounterEqualMatchesLegacyTotals) {
   // shard event), so the sharded total is legacy minus the relay injections
   // regardless of ordering mode.
   const FleetRun certified =
-      run_fleet(2, sim::Ordering::kCertified, /*adaptive=*/true);
+      run_fleet(2, sim::Ordering::kCertified);
 
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));

@@ -82,10 +82,11 @@ TEST(ShardedProperty, NoEventExecutesOutsideItsWindow) {
   options.shards = 4;
   options.lookahead_ns = 5000;
   options.check_windows = true;
-  // Fixed-lookahead windows on purpose: these chains are untagged (no
-  // boundary events at all), so adaptive windows would legally collapse the
-  // whole run into one window and containment would be tested vacuously.
-  options.adaptive_windows = false;
+  // Fixed-lookahead windows on purpose (capped at the lookahead): these
+  // chains are untagged (no boundary events at all), so uncapped windows
+  // would legally collapse the whole run into one window and containment
+  // would be tested vacuously.
+  options.max_window_ns = options.lookahead_ns;
   sim::ShardedEngine engine(options);
   engine.begin_setup();
 
