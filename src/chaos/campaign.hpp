@@ -63,6 +63,9 @@ struct CampaignResult {
   std::vector<obs::FailoverTimeline> timelines;
   /// The retained event trace (capture_trace only), oldest first.
   std::vector<obs::TraceEvent> trace;
+  /// Events the tracer's ring dropped (oldest first) during the run. Nonzero
+  /// means `trace` and the timelines above saw a truncated story.
+  std::uint64_t trace_evicted = 0;
   /// Simulator events executed and simulated span — cost accounting.
   std::uint64_t sim_events = 0;
   double sim_seconds = 0.0;

@@ -25,7 +25,7 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
   // makes below are then no-ops, since queue reservation only grows.
   sim_.reserve_events(
       static_cast<std::size_t>(k) *
-          core::DrsSystem::recommended_event_reserve(n, config_.drs) +
+          core::DrsSystem::recommended_event_reserve(n) +
       16u * k + 1024u);
 
   systems_.reserve(k);

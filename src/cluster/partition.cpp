@@ -584,7 +584,7 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     const std::size_t local_k = ranges_[s].second - ranges_[s].first;
     engine_.simulator(s).reserve_events(
         local_k *
-            core::DrsSystem::recommended_event_reserve(n, config_.fleet.drs) +
+            core::DrsSystem::recommended_event_reserve(n) +
         16u * local_k + 1024u);
   }
 

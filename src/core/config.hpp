@@ -16,21 +16,6 @@
 
 namespace drs::core {
 
-/// How phase-1 probes are driven onto the wheel.
-enum class ProbeScheduler : std::uint8_t {
-  /// One wheel event per (peer, network) probe send, plus one managed
-  /// timeout event per probe — the original implementation. Kept as the
-  /// differential-test oracle; scheduled for removal once the batched path
-  /// has survived a release of chaos campaigns.
-  kLegacyPerPeer,
-  /// One self-rescheduling sweep-cursor event per daemon walks the SoA peer
-  /// table, and one lazy timeout-scan event expires overdue probes. Produces
-  /// byte-identical traces to kLegacyPerPeer (tests/test_probe_differential)
-  /// while keeping the pending-event population O(daemons) instead of
-  /// O(daemons x peers).
-  kBatchedSweep,
-};
-
 struct DrsConfig {
   /// Period of one full monitoring cycle (phase 1 probes every monitored
   /// peer on every network once per cycle).
@@ -59,11 +44,6 @@ struct DrsConfig {
   /// Spread each cycle's probes uniformly over the cycle instead of bursting
   /// them at the tick. Smooths the Fig. 1 bandwidth footprint.
   bool spread_probes = true;
-
-  /// Probe scheduling implementation. Behavior (traces, latencies, metrics
-  /// other than sim.* event counts) is identical across schedulers; only the
-  /// event-queue footprint differs.
-  ProbeScheduler probe_scheduler = ProbeScheduler::kBatchedSweep;
 
   /// ICMP echo payload bytes beyond the 8-byte header (0 = minimum frame).
   std::uint32_t probe_data_bytes = 0;

@@ -21,10 +21,9 @@ bool ProbeTimeoutSweeper::live(const Record& r) const {
 
 void ProbeTimeoutSweeper::note_deadline(DrsDaemon& daemon, std::uint32_t entry,
                                         std::int64_t deadline_ns) {
-  // One record — and one claimed rank — per probe, mirroring the per-probe
-  // timeout event the legacy scheduler pushed right here. The rank is spent
-  // when the scan is armed at this record's deadline, so the scan pops in
-  // the precise queue position legacy's own timeout event held.
+  // One record — and one claimed rank — per probe, as if a timeout event
+  // were pushed right here. The rank is spent when the scan is armed at this
+  // record's deadline, so the scan pops in that event's queue position.
   const std::uint64_t rank = sim_.claim_event_rank();
   if (deadline_ns < last_deadline_ns_) monotone_ = false;
   last_deadline_ns_ = deadline_ns;
@@ -51,30 +50,36 @@ void ProbeTimeoutSweeper::cancel() {
 void ProbeTimeoutSweeper::fire() {
   const std::int64_t now = sim_.now().ns();
   // Earliest-deadline live record: the first live one from head_ in the
-  // monotone (fixed-timeout) case, else a full search.
+  // monotone (fixed-timeout) case, else a full search. The search keeps only
+  // live records, in send order: a stale record never turns live again,
+  // because the next send on its entry always carries a later deadline.
   const auto earliest_live = [this]() -> std::size_t {
     if (monotone_) {
       while (head_ < records_.size() && !live(records_[head_])) ++head_;
       return head_;
     }
+    std::size_t kept = 0;
     std::size_t best = records_.size();
     for (std::size_t i = head_; i < records_.size(); ++i) {
       if (!live(records_[i])) continue;
       if (best == records_.size() ||
           records_[i].deadline_ns < records_[best].deadline_ns) {
-        best = i;
+        best = kept;
       }
+      records_[kept++] = records_[i];
     }
-    return best;
+    records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(kept),
+                   records_.end());
+    head_ = 0;
+    return best < kept ? best : kept;
   };
 
   std::size_t due = earliest_live();
   if (due < records_.size() && records_[due].deadline_ns <= now) {
     // Exactly one expiry per firing: the re-arm below uses the *next*
-    // record's claimed rank (often at this same instant), reproducing the
-    // legacy pop sequence event for event. expire_entry() runs the identical
-    // managed-timeout path: kPingLost trace, timed-out counter, failure
-    // verdict.
+    // record's claimed rank (often at this same instant), so every expiry
+    // pops in its own probe's queue position. expire_entry() emits the
+    // kPingLost trace and timed-out counter, then the failure verdict.
     const Record r = records_[due];
     if (monotone_) {
       ++head_;
@@ -112,25 +117,31 @@ DrsDaemon::DrsDaemon(net::Host& host, proto::IcmpService& icmp,
              LinkPolicy{config.failures_to_down, config.successes_to_up,
                         config.flap_threshold, config.flap_window,
                         config.flap_hold}),
+      peers_([&] {
+        std::map<NodeId, PeerState> peers;
+        if (config.monitored_peers) {
+          for (NodeId peer : *config.monitored_peers) {
+            if (peer != host.id() && peer < node_count) peers[peer] = PeerState{};
+          }
+        } else {
+          for (NodeId peer = 0; peer < node_count; ++peer) {
+            if (peer != host.id()) peers[peer] = PeerState{};
+          }
+        }
+        return peers;
+      }()),
       cycle_timer_(host.simulator(), config.probe_interval, [this] { on_cycle(); }),
-      table_(node_count),
+      // The monitored set is fixed for the daemon's lifetime; the sweep
+      // probes it in ascending id order.
+      table_([this] {
+        std::vector<NodeId> ids;
+        ids.reserve(peers_.size());
+        for (const auto& [peer, state] : peers_) ids.push_back(peer);
+        return ids;
+      }()),
       sweeper_(sweeper) {
-  if (config_.monitored_peers) {
-    for (NodeId peer : *config_.monitored_peers) {
-      if (peer != self() && peer < node_count_) peers_[peer] = PeerState{};
-    }
-  } else {
-    for (NodeId peer = 0; peer < node_count_; ++peer) {
-      if (peer != self()) peers_[peer] = PeerState{};
-    }
-  }
   monitored_.assign(node_count_, 0);
   for (const auto& [peer, state] : peers_) monitored_[peer] = 1;
-  // The SoA sweep fabric mirrors the (construction-fixed) monitored set in
-  // ascending id order — the same order the legacy scheduler walked peers_.
-  table_.reserve(peers_.size());
-  for (const auto& [peer, state] : peers_) table_.add_peer(peer);
-  sent_ns_.assign(table_.entry_count(), 0);
   probe_seq_.reserve(2u * table_.entry_count());
   icmp_.set_probe_reply_hook(
       [this](std::uint16_t seq) { return on_raw_probe_reply(seq); });
@@ -154,8 +165,6 @@ void DrsDaemon::stop() {
   cycle_timer_.stop();
   outstanding_probes_.for_each([this](std::uint16_t seq) { icmp_.cancel(seq); });
   outstanding_probes_.clear();
-  for (auto& handle : pending_probe_sends_) handle.cancel();
-  pending_probe_sends_.clear();
   sweep_cursor_.cancel();
   // The shared sweeper keeps scanning for its other daemons; with all of
   // this daemon's probes cancelled below it simply finds nothing due here.
@@ -262,53 +271,18 @@ void DrsDaemon::on_cycle() {
 
   // Phase 1: probe every (peer, network) link, optionally spread across the
   // cycle so the monitoring traffic is a smooth load instead of a burst.
-  if (config_.probe_scheduler == ProbeScheduler::kBatchedSweep) {
-    schedule_cycle_probes_batched();
-  } else {
-    schedule_cycle_probes_legacy();
-  }
-}
-
-void DrsDaemon::schedule_cycle_probes_legacy() {
-  pending_probe_sends_.erase(
-      std::remove_if(pending_probe_sends_.begin(), pending_probe_sends_.end(),
-                     [](const sim::EventHandle& h) { return !h.pending(); }),
-      pending_probe_sends_.end());
-  const std::size_t total =
-      peers_.size() * static_cast<std::size_t>(net::kNetworksPerHost);
-  std::size_t index = 0;
-  for (auto& [peer, state] : peers_) {
-    for (NetworkId k = 0; k < net::kNetworksPerHost; ++k) {
-      if (config_.spread_probes && total > 0) {
-        const auto delay = util::Duration::nanos(
-            config_.probe_interval.ns() * static_cast<std::int64_t>(index) /
-            static_cast<std::int64_t>(total));
-        const NodeId p = peer;
-        pending_probe_sends_.push_back(host_.simulator().schedule_after(
-            delay, [this, p, k] { send_probe(p, k); }));
-      } else {
-        send_probe(peer, k);
-      }
-      ++index;
-    }
-  }
-}
-
-void DrsDaemon::schedule_cycle_probes_batched() {
   const std::size_t total = table_.entry_count();
   if (total == 0) return;
   if (!config_.spread_probes) {
-    // Burst mode: the whole sweep fires inline at the tick, exactly like the
-    // legacy unspread path.
+    // Burst mode: the whole sweep fires inline at the tick.
     for (std::uint32_t e = 0; e < total; ++e) send_entry_probe(e);
     return;
   }
-  // One cursor event per cycle replaces the legacy 2(N-1) send events. Its
-  // rank is claimed here — at the tick, where legacy pushed its whole block
-  // of send events — and every spread-offset re-push reuses it, so cursor
-  // firings tie-break against any same-instant foreign event (path-probe
-  // timeouts, discovery timers, frame deliveries pushed later in this tick)
-  // exactly like the legacy send events did.
+  // One cursor event per cycle stands in for 2(N-1) send events. Its rank is
+  // claimed here, at the tick, and every spread-offset re-push reuses it, so
+  // cursor firings tie-break against any same-instant foreign event
+  // (path-probe timeouts, discovery timers, frame deliveries pushed later in
+  // this tick) as send events pushed at the tick would.
   sweep_cursor_.cancel();
   sweep_pos_ = 0;
   sweep_rank_ = host_.simulator().claim_event_rank();
@@ -319,7 +293,7 @@ void DrsDaemon::schedule_cycle_probes_batched() {
 void DrsDaemon::run_sweep() {
   const std::size_t total = table_.entry_count();
   const std::int64_t interval = config_.probe_interval.ns();
-  // Legacy send times are floor(interval * index / total) past the tick; the
+  // Entry `index` is sent floor(interval * index / total) past the tick; the
   // cursor sends the run of entries sharing this firing's offset (a run is
   // length 1 whenever total < interval in ns), then sleeps to the next one.
   const std::int64_t offset = interval * static_cast<std::int64_t>(sweep_pos_) /
@@ -347,10 +321,10 @@ void DrsDaemon::send_entry_probe(std::uint32_t entry) {
   options.data_bytes = config_.probe_data_bytes;
   ++metrics_.probes_sent;
   // The sweeper owns expiry: no per-probe timeout event, no cancel
-  // tombstone. Its record is claimed before the echo frame goes out — the
-  // exact position IcmpService pushed the legacy managed timeout at. The
-  // daemon owns correlation (probe_seq_) and the send instant, so the echo
-  // itself is raw: IcmpService emits the identical trace and counters but
+  // tombstone. Its record is claimed before the echo frame goes out — where
+  // a managed ping would push its timeout. The daemon owns correlation
+  // (probe_seq_) and the send instant, so the echo itself is raw:
+  // IcmpService emits the same trace and counters as for a managed ping but
   // keeps no per-probe state.
   const std::int64_t now = host_.simulator().now().ns();
   const std::int64_t deadline = now + options.timeout.ns();
@@ -359,8 +333,7 @@ void DrsDaemon::send_entry_probe(std::uint32_t entry) {
       icmp_.send_echo(net::cluster_ip(network, peer), options);
   // drs-lint: hotpath-purity-ok(amortized: seq map holds at most the in-flight probe window, rehashes only while warming)
   probe_seq_.insert(seq, entry);
-  sent_ns_[entry] = now;
-  table_.mark_sent(entry, seq, deadline);
+  table_.mark_sent(entry, seq, now, deadline);
 }
 
 bool DrsDaemon::on_raw_probe_reply(std::uint16_t seq) {
@@ -370,11 +343,10 @@ bool DrsDaemon::on_raw_probe_reply(std::uint16_t seq) {
   probe_seq_.erase(seq);
   const std::int64_t now = host_.simulator().now().ns();
   table_.clear_outstanding(entry);
-  table_.record_seen(entry, now);
   proto::PingResult result;
   result.success = true;
   result.seq = seq;
-  result.rtt = util::Duration::nanos(now - sent_ns_[entry]);
+  result.rtt = util::Duration::nanos(now - table_.sent_ns(entry));
   on_probe_result(table_.entry_peer(entry), PeerTable::entry_network(entry),
                   result);
   return true;
@@ -383,14 +355,15 @@ bool DrsDaemon::on_raw_probe_reply(std::uint16_t seq) {
 void DrsDaemon::expire_entry(std::uint32_t entry) {
   const std::uint16_t seq = table_.seq(entry);
   probe_seq_.erase(seq);
-  // Same order as the legacy managed timeout: timed-out counter + kPingLost
+  // Same order as a managed ping's timeout: timed-out counter + kPingLost
   // trace first, then the failure verdict.
   icmp_.expire_raw(seq);
   table_.clear_outstanding(entry);
   proto::PingResult result;
   result.success = false;
   result.seq = seq;
-  result.rtt = host_.simulator().now() - util::SimTime::from_ns(sent_ns_[entry]);
+  result.rtt =
+      host_.simulator().now() - util::SimTime::from_ns(table_.sent_ns(entry));
   on_probe_result(table_.entry_peer(entry), PeerTable::entry_network(entry),
                   result);
 }
@@ -417,25 +390,8 @@ void DrsDaemon::update_rtt(NetworkId network, util::Duration rtt) {
   }
 }
 
-void DrsDaemon::send_probe(NodeId peer, NetworkId network) {
-  proto::PingOptions options;
-  options.timeout = probe_timeout_for(network);
-  options.via = network;
-  options.data_bytes = config_.probe_data_bytes;
-  ++metrics_.probes_sent;
-  const std::uint16_t seq = icmp_.ping(
-      net::cluster_ip(network, peer), options,
-      [this, peer, network](const proto::PingResult& result) {
-        outstanding_probes_.erase(result.seq);
-        on_probe_result(peer, network, result);
-      });
-  outstanding_probes_.insert(seq);
-}
-
 void DrsDaemon::on_probe_result(NodeId peer, NetworkId network,
                                 const proto::PingResult& result) {
-  // The ICMP service indexes callbacks by seq; any completed seq can be
-  // dropped from the cancellation set (values recycle every 65k probes).
   const bool success = result.success;
   if (success) {
     update_rtt(network, result.rtt);
@@ -450,12 +406,6 @@ void DrsDaemon::on_probe_result(NodeId peer, NetworkId network,
   }
   const bool verdict_changed =
       links_.record_probe(peer, network, success, host_.simulator().now());
-  // Mirror the usable verdict into the SoA table (generation bumps on flip);
-  // path probes bypass this path, so only swept (peer, network) links land.
-  if (table_.contains(peer)) {
-    table_.record_state(PeerTable::entry(table_.slot_of(peer), network),
-                        links_.usable(peer, network));
-  }
   if (!verdict_changed) return;
   if (links_.state(peer, network) == LinkState::kDown) {
     ++metrics_.links_declared_down;

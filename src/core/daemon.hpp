@@ -44,34 +44,36 @@ namespace drs::core {
 
 class DrsDaemon;
 
-/// Shared probe-timeout scanner for the batched sweep path (one per
-/// DrsSystem; a standalone daemon lazily owns a private one).
+/// Shared probe-timeout scanner for the probe sweep (one per DrsSystem; bare
+/// daemons share one their owner provides).
 ///
-/// Unmanaged sweep probes have no per-probe timeout event. Instead the
-/// sweeper keeps one flat record per sent probe — deadline, covering
-/// (daemon, table entry), and a queue rank claimed at the send instant —
-/// plus a single pending scan event armed at the earliest live deadline
-/// *under that record's claimed rank*. Each firing expires exactly one due
-/// probe and re-arms from the next live record (possibly at the same
-/// instant), so every expiry pops at precisely the (time, sequence)
-/// coordinate the legacy per-probe timeout event occupied; the differential
-/// corpus (tests/test_probe_differential.cpp) pins this byte-for-byte.
-/// Records of replied or re-sent probes go stale in place and are dropped
-/// lazily as the scan walks past them, so the healthy steady state is one
+/// Sweep probes have no per-probe timeout event. Instead the sweeper keeps
+/// one flat record per sent probe — deadline, covering (daemon, table
+/// entry), and a queue rank claimed at the send instant — plus a single
+/// pending scan event armed at the earliest live deadline *under that
+/// record's claimed rank*. Each firing expires exactly one due probe and
+/// re-arms from the next live record (possibly at the same instant), so
+/// every expiry pops at the (time, sequence) coordinate a timeout event
+/// pushed at its send would hold; tests/golden/probe_corpus.txt pins that
+/// order. Records of replied or re-sent probes go stale in place and are
+/// dropped as the scan passes them, so the healthy steady state is one
 /// firing per deadline cohort and O(1) amortized work per probe.
 class ProbeTimeoutSweeper {
  public:
   explicit ProbeTimeoutSweeper(sim::Simulator& sim) : sim_(sim) {}
 
-  /// Called at each probe send, before the echo frame is pushed (the
-  /// position where the legacy scheduler pushed its managed timeout event):
-  /// claims this probe's rank and keeps the scan armed at a time <= the
-  /// earliest live deadline.
+  /// Called at each probe send, before the echo frame is pushed: claims this
+  /// probe's rank and keeps the scan armed at a time <= the earliest live
+  /// deadline.
   void note_deadline(DrsDaemon& daemon, std::uint32_t entry,
                      std::int64_t deadline_ns);
 
   /// Pre-sizes the record ring (records live for roughly one probe timeout).
   void reserve(std::size_t records) { records_.reserve(records); }
+
+  /// Records held, live or not yet dropped; bounded by the in-flight probe
+  /// window once traffic is steady.
+  std::size_t record_count() const { return records_.size(); }
 
   /// Drops the scan and every record; callers stop covered daemons first.
   void cancel();
@@ -97,8 +99,8 @@ class ProbeTimeoutSweeper {
   std::int64_t scan_at_ns_ = 0;
   /// Fixed timeouts insert deadlines in non-decreasing order, so the first
   /// live record from head_ is the earliest. Adaptive timeouts can violate
-  /// that; the scan then falls back to a full min-search (still correct,
-  /// just not O(1) amortized).
+  /// that; the scan then falls back to a full min-search that also compacts
+  /// stale records away (still correct, just not O(1) amortized).
   bool monotone_ = true;
   std::int64_t last_deadline_ns_ = std::numeric_limits<std::int64_t>::min();
 };
@@ -133,10 +135,6 @@ class DrsDaemon {
     return peer < monitored_.size() && monitored_[peer] != 0;
   }
   std::size_t monitored_count() const { return peers_.size(); }
-
-  /// The SoA probe fabric (sweep order, outstanding probes, verdict bits).
-  /// Read-only outside the daemon; tests introspect generations through it.
-  const PeerTable& peer_table() const { return table_; }
 
   PeerRouteMode peer_mode(net::NodeId peer) const;
   std::optional<net::NodeId> relay_for(net::NodeId peer) const;
@@ -200,13 +198,9 @@ class DrsDaemon {
   };
 
   void on_cycle();
-  void schedule_cycle_probes_legacy();
-  void schedule_cycle_probes_batched();
-  void send_probe(net::NodeId peer, net::NetworkId network);
-  /// Batched sweep: sends `table_` entry probes [sweep_pos_, ...) that share
-  /// the current instant's spread offset, then re-arms the cursor for the
-  /// next distinct offset. Send times and ordering are byte-identical to the
-  /// legacy per-event schedule (tests/test_probe_differential.cpp).
+  /// Sends `table_` entry probes [sweep_pos_, ...) that share the current
+  /// instant's spread offset, then re-arms the cursor for the next distinct
+  /// offset (tests/golden/probe_corpus.txt pins send times and order).
   void run_sweep();
   void send_entry_probe(std::uint32_t entry);
   /// Reply hook for raw sweep probes (IcmpService::set_probe_reply_hook):
@@ -214,8 +208,8 @@ class DrsDaemon {
   /// the seq named a live sweep probe (managed pings fall through).
   bool on_raw_probe_reply(std::uint16_t seq);
   /// Sweeper expiry for a raw sweep probe: the kPingLost/timed-out
-  /// bookkeeping plus the failure verdict, mirroring the legacy managed
-  /// timeout path event for event.
+  /// bookkeeping, then the failure verdict — the order a managed ping's
+  /// timeout would produce.
   void expire_entry(std::uint32_t entry);
   void on_probe_result(net::NodeId peer, net::NetworkId network,
                        const proto::PingResult& result);
@@ -262,27 +256,22 @@ class DrsDaemon {
   std::vector<std::uint8_t> monitored_;
   std::map<LeaseKey, Lease> leases_;
   sim::PeriodicTimer cycle_timer_;
-  /// Path probes and (in legacy mode) sweep probes awaiting a verdict; kept
-  /// so stop() can cancel their callbacks. Batched sweep probes live in
-  /// table_ instead.
+  /// Path probes awaiting a verdict; kept so stop() can cancel their
+  /// callbacks. Sweep probes live in table_ instead.
   util::FlatSet<std::uint16_t> outstanding_probes_;
-  std::vector<sim::EventHandle> pending_probe_sends_;
-  /// Batched-sweep state (unused under kLegacyPerPeer).
+  /// The sweep's hot state, built once from peers_' ascending keys.
   PeerTable table_;
   /// Raw-probe correlation: in-flight sweep seq -> table entry. At most one
   /// probe per entry is outstanding (the sweeper expires before the next
   /// cycle re-sends), so well under 65536 live seqs — wraparound never
   /// collides.
   util::FlatMap<std::uint16_t, std::uint32_t> probe_seq_;
-  /// Send instants for in-flight sweep probes, indexed by table entry (the
-  /// RTT lane the outstanding table carried for managed pings).
-  std::vector<std::int64_t> sent_ns_;
   sim::EventHandle sweep_cursor_;
   std::uint32_t sweep_pos_ = 0;
   /// The cursor's claimed queue rank for the current cycle: claimed at the
-  /// tick (where legacy pushed its whole send-event block) and reused for
-  /// every spread-offset re-push, so cursor firings tie-break against
-  /// foreign same-instant events exactly like the legacy send events did.
+  /// tick and reused for every spread-offset re-push, so each cursor firing
+  /// tie-breaks against foreign same-instant events as a send event pushed
+  /// at the tick would.
   std::uint64_t sweep_rank_ = 0;
   ProbeTimeoutSweeper& sweeper_;
   /// Peers whose route mode != kDirect; lets the per-tick phase-2 walk over

@@ -1,93 +1,13 @@
 #include "core/peer_table.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <utility>
 
 namespace drs::core {
 
-PeerTable::PeerTable(std::uint16_t node_count) {
-  slot_of_.assign(node_count, kNoSlot);
-}
-
-void PeerTable::reserve(std::size_t peers) {
-  peer_ids_.reserve(peers);
-  seq_.reserve(peers * 2u);
-  deadline_ns_.reserve(peers * 2u);
-  last_seen_ns_.reserve(peers * 2u);
-  usable_.reserve(peers * 2u);
-  gen_.reserve(peers * 2u);
-}
-
-bool PeerTable::add_peer(net::NodeId peer) {
-  if (peer >= slot_of_.size() || slot_of_[peer] != kNoSlot) {
-    return false;
-  }
-  const auto it = std::lower_bound(peer_ids_.begin(), peer_ids_.end(), peer);
-  const auto slot = static_cast<std::uint16_t>(it - peer_ids_.begin());
-  peer_ids_.insert(it, peer);
-  const std::uint32_t at = entry(slot, 0);
-  seq_.insert(seq_.begin() + at, 2u, 0);
-  deadline_ns_.insert(deadline_ns_.begin() + at, 2u, kNoDeadline);
-  last_seen_ns_.insert(last_seen_ns_.begin() + at, 2u, -1);
-  usable_.insert(usable_.begin() + at, 2u, 1);
-  gen_.insert(gen_.begin() + at, 2u, 0);
-  for (std::size_t s = slot; s < peer_ids_.size(); ++s) {
-    slot_of_[peer_ids_[s]] = static_cast<std::uint16_t>(s);
-  }
-  return true;
-}
-
-bool PeerTable::remove_peer(net::NodeId peer) {
-  if (!contains(peer)) {
-    return false;
-  }
-  const std::uint16_t slot = slot_of_[peer];
-  const std::uint32_t at = entry(slot, 0);
-  peer_ids_.erase(peer_ids_.begin() + slot);
-  seq_.erase(seq_.begin() + at, seq_.begin() + at + 2);
-  deadline_ns_.erase(deadline_ns_.begin() + at, deadline_ns_.begin() + at + 2);
-  last_seen_ns_.erase(last_seen_ns_.begin() + at,
-                      last_seen_ns_.begin() + at + 2);
-  usable_.erase(usable_.begin() + at, usable_.begin() + at + 2);
-  gen_.erase(gen_.begin() + at, gen_.begin() + at + 2);
-  slot_of_[peer] = kNoSlot;
-  for (std::size_t s = slot; s < peer_ids_.size(); ++s) {
-    slot_of_[peer_ids_[s]] = static_cast<std::uint16_t>(s);
-  }
-  return true;
-}
-
-std::int64_t PeerTable::min_deadline_ns() const {
-  std::int64_t best = kNoDeadline;
-  for (const std::int64_t d : deadline_ns_) {
-    best = d < best ? d : best;
-  }
-  return best;
-}
-
-void PeerTable::collect_due(std::int64_t now_ns,
-                            std::vector<std::uint32_t>& due) const {
-  const std::uint32_t n = static_cast<std::uint32_t>(deadline_ns_.size());
-  for (std::uint32_t e = 0; e < n; ++e) {
-    if (deadline_ns_[e] <= now_ns) {
-      due.push_back(e);
-    }
-  }
-}
-
-void PeerTable::record_state(std::uint32_t entry, bool usable) {
-  const std::uint8_t bit = usable ? 1 : 0;
-  gen_[entry] = static_cast<std::uint16_t>(gen_[entry] +
-                                           (usable_[entry] != bit ? 1u : 0u));
-  usable_[entry] = bit;
-}
-
-std::size_t PeerTable::usable_count() const {
-  std::size_t count = 0;
-  for (const std::uint8_t u : usable_) {
-    count += u;
-  }
-  return count;
-}
+PeerTable::PeerTable(std::vector<net::NodeId> peers)
+    : peer_ids_(std::move(peers)),
+      seq_(entry_count(), 0),
+      sent_ns_(entry_count(), 0),
+      deadline_ns_(entry_count(), kNoDeadline) {}
 
 }  // namespace drs::core

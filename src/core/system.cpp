@@ -5,18 +5,12 @@
 
 namespace drs::core {
 
-std::size_t DrsSystem::recommended_event_reserve(std::uint16_t node_count,
-                                                 const DrsConfig& config) {
+std::size_t DrsSystem::recommended_event_reserve(std::uint16_t node_count) {
   const std::size_t n = node_count;
   const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
-  if (config.probe_scheduler == ProbeScheduler::kLegacyPerPeer) {
-    // Every probe of a cycle holds a queue slot for its spread send event and
-    // its (possibly tombstoned) timeout event.
-    return 4u * n * probes_per_node + 64u;
-  }
-  // Batched sweep: only the cycle tick, the sweep cursor and the timeout scan
-  // stay pending per daemon. The rest is headroom for transient frame
-  // deliveries plus discovery timers and path-probe timeouts under faults.
+  // Only the cycle tick, the sweep cursor and the timeout scan stay pending
+  // per daemon. The rest is headroom for transient frame deliveries plus
+  // discovery timers and path-probe timeouts under faults.
   return 16u * n + 4u * probes_per_node + 1024u;
 }
 
@@ -30,10 +24,9 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
   daemons_.reserve(n);
   // Pre-size the hot-path tables from the known monitoring fan-out so warmup
   // runs without a single table regrow (asserted by the zero-allocation
-  // test). The demand is scheduler-dependent: the legacy per-peer path keeps
-  // O(nodes x peers) events pending, the batched sweep O(nodes).
+  // test). The probe sweep keeps O(nodes) events pending.
   const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
-  network_.simulator().reserve_events(recommended_event_reserve(n, config));
+  network_.simulator().reserve_events(recommended_event_reserve(n));
   // Timeout records linger for about one probe timeout past their send
   // (under half a cycle with the defaults); two cycles of system-wide probe
   // traffic is comfortable headroom against regrowth.
@@ -42,8 +35,7 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
     icmp_.push_back(std::make_unique<proto::IcmpService>(network_.host(i)));
     icmp_.back()->reserve(2u * probes_per_node);
     // Daemons share one timeout sweeper: probe expiries pop in claimed-rank
-    // (= send) order across the whole system, exactly like legacy's
-    // per-probe timeout events.
+    // (= send) order across the whole system.
     daemons_.push_back(std::make_unique<DrsDaemon>(network_.host(i),
                                                    *icmp_.back(), n, config,
                                                    sweeper_));

@@ -60,10 +60,10 @@ class EventQueue {
   /// Consumes and returns the next push-sequence number without scheduling
   /// anything. A claimed rank can later be attached to an event with
   /// push_ranked(), making that event tie-break at equal times exactly as if
-  /// it had been pushed when the rank was claimed. This is the primitive
-  /// behind the batched probe sweep's byte-identical ordering: one pending
-  /// event stands in for many, but each firing must occupy the queue
-  /// position of the per-probe event it replaced.
+  /// it had been pushed when the rank was claimed. The probe sweep is built
+  /// on it: one pending event stands in for many per-probe events, and each
+  /// firing occupies the queue position its per-probe event would hold
+  /// (tests/golden/probe_corpus.txt pins the resulting order).
   std::uint64_t claim_rank();
 
   /// Schedules `fn` at `t` under a rank from claim_rank() instead of a fresh

@@ -93,9 +93,9 @@ class Simulator {
 
   /// Reserves a queue position "now" for an event scheduled later: same-time
   /// ties resolve as if the event had been pushed at the claim. See
-  /// EventQueue::claim_rank; the batched probe sweep uses this to keep its
-  /// one-event-stands-for-many schedule ordered identically to the legacy
-  /// per-event one.
+  /// EventQueue::claim_rank; the probe sweep uses this to order its
+  /// one-event-stands-for-many schedule as the per-probe events it stands
+  /// for would be ordered.
   std::uint64_t claim_event_rank() { return queue_.claim_rank(); }
   /// Schedules at an absolute time under a rank from claim_event_rank(); the
   /// rank must be attached to at most one pending event at a time.

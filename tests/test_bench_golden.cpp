@@ -12,41 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analytic/survivability.hpp"
 #include "cost/cost_model.hpp"
+#include "golden_file.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace drs;
-
-std::string golden_path(const std::string& name) {
-  return std::string(DRS_GOLDEN_DIR) + "/" + name;
-}
-
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (const char* update = std::getenv("DRS_UPDATE_GOLDEN");
-      update != nullptr && *update != '\0') {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — regenerate with DRS_UPDATE_GOLDEN=1";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "bench table drifted from " << path
-      << " — if intentional, regenerate with DRS_UPDATE_GOLDEN=1";
-}
 
 TEST(BenchGolden, Fig1ResponseTimeTable) {
   // The Figure 1 rows bench_fig1_proactive_cost prints (64-byte minimum
@@ -69,7 +44,7 @@ TEST(BenchGolden, Fig1ResponseTimeTable) {
   char line[96];
   std::snprintf(line, sizeof line, "anchor: N=90 @10%% budget = %.6f s (<1 s)\n",
                 anchor);
-  check_golden("fig1_response_time.txt", table.to_text() + line);
+  check_golden("fig1_response_time.txt", table.to_text() + line, "bench table");
 }
 
 TEST(BenchGolden, Fig1MaxNodesTable) {
@@ -83,7 +58,7 @@ TEST(BenchGolden, Fig1MaxNodesTable) {
     }
     table.add_row(std::move(row));
   }
-  check_golden("fig1_max_nodes.txt", table.to_text());
+  check_golden("fig1_max_nodes.txt", table.to_text(), "bench table");
 }
 
 TEST(BenchGolden, Fig2PSuccessTable) {
@@ -103,7 +78,7 @@ TEST(BenchGolden, Fig2PSuccessTable) {
     }
     table.add_row(std::move(row));
   }
-  check_golden("fig2_psuccess.txt", table.to_text());
+  check_golden("fig2_psuccess.txt", table.to_text(), "bench table");
 }
 
 TEST(BenchGolden, Fig2CrossoverTable) {
@@ -117,7 +92,7 @@ TEST(BenchGolden, Fig2CrossoverTable) {
   EXPECT_EQ(analytic::threshold_nodes(2, 0.99), 18);
   EXPECT_EQ(analytic::threshold_nodes(3, 0.99), 32);
   EXPECT_EQ(analytic::threshold_nodes(4, 0.99), 45);
-  check_golden("fig2_crossovers.txt", table.to_text());
+  check_golden("fig2_crossovers.txt", table.to_text(), "bench table");
 }
 
 }  // namespace

@@ -12,42 +12,18 @@
 //   DRS_UPDATE_GOLDEN=1 ./build/tests/test_cluster_fleet
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "chaos/campaign.hpp"
 #include "cluster/fleet.hpp"
 #include "core/system.hpp"
+#include "golden_file.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace drs {
 namespace {
-
-std::string golden_path(const std::string& name) {
-  return std::string(DRS_GOLDEN_DIR) + "/" + name;
-}
-
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (const char* update = std::getenv("DRS_UPDATE_GOLDEN");
-      update != nullptr && *update != '\0') {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — regenerate with DRS_UPDATE_GOLDEN=1";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "fleet report drifted from " << path
-      << " — if intentional, regenerate with DRS_UPDATE_GOLDEN=1";
-}
 
 /// The paper's deployment shape, on the fast campaign timings so half a
 /// second of simulated time covers ten probe cycles.
@@ -96,7 +72,7 @@ TEST(ClusterFleet, TwentySevenClusterSmokeGolden) {
   // Rerun identity first: the golden is only meaningful if the scenario is
   // a pure function of the config.
   ASSERT_EQ(fleet_smoke_report(), actual);
-  check_golden("fleet_smoke_27.json", actual);
+  check_golden("fleet_smoke_27.json", actual, "fleet report");
 }
 
 // Isolation invariant: a fleet member cluster reuses the standalone subnet

@@ -12,14 +12,12 @@
 //   DRS_UPDATE_GOLDEN=1 ./build/tests/test_obs_golden_trace
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "chaos/runner.hpp"
 #include "core/system.hpp"
+#include "golden_file.hpp"
 #include "net/network.hpp"
 #include "obs/export.hpp"
 #include "obs/tracer.hpp"
@@ -27,29 +25,6 @@
 
 namespace drs {
 namespace {
-
-std::string golden_path(const std::string& name) {
-  return std::string(DRS_GOLDEN_DIR) + "/" + name;
-}
-
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (const char* update = std::getenv("DRS_UPDATE_GOLDEN");
-      update != nullptr && *update != '\0') {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — regenerate with DRS_UPDATE_GOLDEN=1";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "trace drifted from " << path
-      << " — if intentional, regenerate with DRS_UPDATE_GOLDEN=1";
-}
 
 // Everything but the high-volume ping_sent flood: the full failure story.
 std::vector<obs::TraceEvent> without_ping_sent(
@@ -110,7 +85,7 @@ TEST(GoldenTrace, FourNodeNicFailure) {
   // a pure function.
   ASSERT_EQ(obs::to_canonical_json(without_ping_sent(nic_failure_trace())),
             actual);
-  check_golden("obs_trace_nic_failure.json", actual);
+  check_golden("obs_trace_nic_failure.json", actual, "trace");
 }
 
 TEST(GoldenTrace, ScriptedChaosScheduleCampaignZero) {
@@ -118,11 +93,12 @@ TEST(GoldenTrace, ScriptedChaosScheduleCampaignZero) {
   config.capture_trace = true;
   const chaos::CampaignResult result = chaos::run_campaign(0xC4A05, 0, config);
   EXPECT_TRUE(result.violations.empty());
+  EXPECT_EQ(result.trace_evicted, 0u) << "golden campaign must fit the ring";
   const std::string actual =
       obs::to_canonical_json(control_plane(result.trace));
   const chaos::CampaignResult rerun = chaos::run_campaign(0xC4A05, 0, config);
   ASSERT_EQ(obs::to_canonical_json(control_plane(rerun.trace)), actual);
-  check_golden("obs_trace_chaos_campaign0.json", actual);
+  check_golden("obs_trace_chaos_campaign0.json", actual, "trace");
 }
 
 TEST(GoldenTrace, RunnerTracesAreThreadCountInvariant) {

@@ -10,12 +10,11 @@
 //   DRS_UPDATE_GOLDEN=1 ./build/tests/test_policy_differential
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_file.hpp"
 #include "net/network.hpp"
 #include "reactive/comparison.hpp"
 
@@ -23,31 +22,6 @@ namespace drs::reactive {
 namespace {
 
 using namespace drs::util::literals;
-
-std::string golden_path(const std::string& name) {
-  return std::string(DRS_GOLDEN_DIR) + "/" + name;
-}
-
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (const char* update = std::getenv("DRS_UPDATE_GOLDEN");
-      update != nullptr && *update != '\0') {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — regenerate with DRS_UPDATE_GOLDEN=1";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "comparison results drifted from " << path
-      << " — the redesigned harness must match the pre-redesign output "
-         "byte-for-byte (regenerate with DRS_UPDATE_GOLDEN=1 only if the "
-         "behaviour change is intentional)";
-}
 
 struct NamedScenario {
   const char* name;
@@ -116,7 +90,11 @@ std::string run_corpus_via_registry() {
 }
 
 TEST(PolicyDifferential, RegistryPathMatchesPreRedesignGolden) {
-  check_golden("comparison_results.txt", run_corpus_via_registry());
+  check_golden("comparison_results.txt", run_corpus_via_registry(),
+               "comparison results",
+               " — the redesigned harness must match the pre-redesign output "
+               "byte-for-byte (regenerate with DRS_UPDATE_GOLDEN=1 only if the "
+               "behaviour change is intentional)");
 }
 
 }  // namespace

@@ -8,40 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
+#include "golden_file.hpp"
 #include "policy/registry.hpp"
 
 namespace drs::policy {
 namespace {
 
 using namespace drs::util::literals;
-
-std::string golden_path(const std::string& name) {
-  return std::string(DRS_GOLDEN_DIR) + "/" + name;
-}
-
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (const char* update = std::getenv("DRS_UPDATE_GOLDEN");
-      update != nullptr && *update != '\0') {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — regenerate with DRS_UPDATE_GOLDEN=1";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "shootout ranking drifted from " << path
-      << " (regenerate with DRS_UPDATE_GOLDEN=1 only if the behaviour "
-         "change is intentional)";
-}
 
 /// The CI smoke grid: small corpus, scaled-down protocol timers so every
 /// policy gets a fair shot inside the measurement window.
@@ -89,7 +62,9 @@ TEST(PolicyShootout, RankedTableMatchesGolden) {
   }
   // Proactive/precomputed policies must outrank plain static routing.
   EXPECT_NE(report.rows.front().policy, "static");
-  check_golden("policy_shootout.txt", report.table());
+  check_golden("policy_shootout.txt", report.table(), "shootout ranking",
+               " (regenerate with DRS_UPDATE_GOLDEN=1 only if the behaviour "
+               "change is intentional)");
 }
 
 TEST(PolicyShootout, JsonMirrorsTheRanking) {
