@@ -10,11 +10,11 @@
 //               past the deployed scale
 //   fleet       the paper's whole deployment — 27 clusters of 8 plus the
 //               inter-cluster relay mesh — on one simulator, then the same
-//               shape on the sharded engine at 1/2/4/8 shards in both
-//               ordering lanes (plus a dense 8x64 variant): sim_events must
-//               agree exactly across all of them — the determinism contract
-//               surfacing as a bench invariant — while events/s charts the
-//               window overhead; windows charts adaptive coalescing
+//               shape on the sharded engine at 1/2/4/8 shards (plus a dense
+//               8x64 variant): sim_events must agree exactly across all of
+//               them — the determinism contract surfacing as a bench
+//               invariant — while events/s charts the window overhead;
+//               windows charts adaptive coalescing
 //   chaos batch a sequential slice of the chaos-campaign family, i.e. the
 //               workload the survivability results are produced by
 //
@@ -188,7 +188,6 @@ FleetNumbers run_fleet(std::uint16_t clusters, std::uint16_t nodes,
 
 struct ShardedFleetNumbers {
   std::uint32_t shards = 0;
-  const char* ordering = "certified";
   std::uint64_t sim_events = 0;
   std::uint64_t windows = 0;
   double wall_seconds = 0.0;
@@ -198,8 +197,7 @@ struct ShardedFleetNumbers {
 ShardedFleetNumbers run_fleet_sharded(std::uint16_t clusters,
                                       std::uint16_t nodes,
                                       util::Duration span,
-                                      std::uint32_t shards,
-                                      sim::Ordering ordering) {
+                                      std::uint32_t shards) {
   cluster::ShardedFleetConfig config;
   config.fleet.clusters = clusters;
   config.fleet.nodes_per_cluster = nodes;
@@ -207,7 +205,6 @@ ShardedFleetNumbers run_fleet_sharded(std::uint16_t clusters,
   // Untraced on purpose: the legacy fleet above runs without a tracer, so
   // the A/B measures engine overhead, not ring-buffer writes.
   config.trace_capacity = 0;
-  config.ordering = ordering;
   cluster::ShardedFleet fleet(config);
   fleet.start();
   const double t0 = now_seconds();
@@ -216,8 +213,6 @@ ShardedFleetNumbers run_fleet_sharded(std::uint16_t clusters,
 
   ShardedFleetNumbers numbers;
   numbers.shards = shards;
-  numbers.ordering =
-      ordering == sim::Ordering::kCertified ? "certified" : "counter-equal";
   numbers.sim_events = fleet.engine().events_executed();
   numbers.windows = fleet.engine().windows_run();
   numbers.wall_seconds = t1 - t0;
@@ -268,7 +263,7 @@ std::string to_json(const QueueNumbers& queue,
                     const ChaosNumbers& chaos_batch) {
   util::JsonWriter json;
   json.begin_object();
-  json.field("schema", "bench_simcore.v4");
+  json.field("schema", "bench_simcore.v5");
   json.key("queue");
   json.begin_object()
       .field("push_pop_ns_per_event", queue.push_pop_ns)
@@ -300,7 +295,6 @@ std::string to_json(const QueueNumbers& queue,
   for (const ShardedFleetNumbers& run : sharded) {
     json.begin_object()
         .field("shards", static_cast<std::uint64_t>(run.shards))
-        .field("ordering", run.ordering)
         .field("sim_events", run.sim_events)
         .field("windows", run.windows)
         .field("wall_seconds", run.wall_seconds)
@@ -322,7 +316,6 @@ std::string to_json(const QueueNumbers& queue,
   for (const ShardedFleetNumbers& run : sharded_dense) {
     json.begin_object()
         .field("shards", static_cast<std::uint64_t>(run.shards))
-        .field("ordering", run.ordering)
         .field("sim_events", run.sim_events)
         .field("windows", run.windows)
         .field("wall_seconds", run.wall_seconds)
@@ -378,23 +371,10 @@ int main(int argc, char** argv) {
       {{"seed", "seed for the queue microbench streams (default 7)"},
        {"storm-span-ms", "simulated span per probe storm (default 500)"},
        {"chaos-campaigns", "campaigns in the chaos batch (default 50)"},
-       {"ordering",
-        "restrict the sharded-fleet tiers to one lane: certified or "
-        "counter-equal (default: both)"},
        {"json-out", "write the canonical JSON report to this path"},
        {"timing", "also run google-benchmark timing kernels"}});
   if (!flags) return 1;
   if (flags->help_requested()) return 0;
-
-  const std::string ordering_flag = flags->get_string("ordering", "");
-  if (!ordering_flag.empty() && ordering_flag != "certified" &&
-      ordering_flag != "counter-equal") {
-    std::fprintf(stderr,
-                 "--ordering must be `certified` or `counter-equal`, got "
-                 "`%s`\n",
-                 ordering_flag.c_str());
-    return 1;
-  }
 
   const auto seed = static_cast<std::uint64_t>(flags->get_int("seed", 7));
   const auto span =
@@ -434,32 +414,22 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(fleet.sim_events), fleet.wall_seconds,
       fleet.events_per_sec);
 
-  // The sharded fleet A/B at the same deployment shape and span, in both
-  // ordering lanes (unless --ordering restricts to one). sim_events is
-  // identical across shard counts AND lanes (the determinism contract);
-  // only wall clock moves, so events/s is a clean speedup axis.
-  std::vector<sim::Ordering> orderings;
-  if (ordering_flag.empty() || ordering_flag == "certified") {
-    orderings.push_back(sim::Ordering::kCertified);
-  }
-  if (ordering_flag.empty() || ordering_flag == "counter-equal") {
-    orderings.push_back(sim::Ordering::kCounterEqual);
-  }
+  // The sharded fleet A/B at the same deployment shape and span. sim_events
+  // is identical across shard counts (the determinism contract); only wall
+  // clock moves, so events/s is a clean speedup axis.
   std::vector<ShardedFleetNumbers> sharded;
-  util::Table sharded_table({"shards", "ordering", "sim events", "windows",
-                             "wall ms", "events/s"});
-  for (const sim::Ordering ordering : orderings) {
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      sharded.push_back(run_fleet_sharded(27, 8, util::Duration::seconds(2),
-                                          shards, ordering));
-      const ShardedFleetNumbers& run = sharded.back();
-      char wall[32], rate[32];
-      std::snprintf(wall, sizeof wall, "%.1f", run.wall_seconds * 1e3);
-      std::snprintf(rate, sizeof rate, "%.0f", run.events_per_sec);
-      sharded_table.add_row({std::to_string(run.shards), run.ordering,
-                             std::to_string(run.sim_events),
-                             std::to_string(run.windows), wall, rate});
-    }
+  util::Table sharded_table(
+      {"shards", "sim events", "windows", "wall ms", "events/s"});
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    sharded.push_back(
+        run_fleet_sharded(27, 8, util::Duration::seconds(2), shards));
+    const ShardedFleetNumbers& run = sharded.back();
+    char wall[32], rate[32];
+    std::snprintf(wall, sizeof wall, "%.1f", run.wall_seconds * 1e3);
+    std::snprintf(rate, sizeof rate, "%.0f", run.events_per_sec);
+    sharded_table.add_row({std::to_string(run.shards),
+                           std::to_string(run.sim_events),
+                           std::to_string(run.windows), wall, rate});
   }
   util::export_table_csv("simcore_fleet_sharded", sharded_table);
   std::printf("fleet (sharded, 27x8):\n%s\n", sharded_table.to_text().c_str());
@@ -476,21 +446,18 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(fleet_dense.sim_events),
       fleet_dense.wall_seconds, fleet_dense.events_per_sec);
   std::vector<ShardedFleetNumbers> sharded_dense;
-  util::Table dense_table({"shards", "ordering", "sim events", "windows",
-                           "wall ms", "events/s"});
-  for (const sim::Ordering ordering : orderings) {
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      sharded_dense.push_back(
-          run_fleet_sharded(8, 64, util::Duration::seconds(1), shards,
-                            ordering));
-      const ShardedFleetNumbers& run = sharded_dense.back();
-      char wall[32], rate[32];
-      std::snprintf(wall, sizeof wall, "%.1f", run.wall_seconds * 1e3);
-      std::snprintf(rate, sizeof rate, "%.0f", run.events_per_sec);
-      dense_table.add_row({std::to_string(run.shards), run.ordering,
-                           std::to_string(run.sim_events),
-                           std::to_string(run.windows), wall, rate});
-    }
+  util::Table dense_table(
+      {"shards", "sim events", "windows", "wall ms", "events/s"});
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    sharded_dense.push_back(
+        run_fleet_sharded(8, 64, util::Duration::seconds(1), shards));
+    const ShardedFleetNumbers& run = sharded_dense.back();
+    char wall[32], rate[32];
+    std::snprintf(wall, sizeof wall, "%.1f", run.wall_seconds * 1e3);
+    std::snprintf(rate, sizeof rate, "%.0f", run.events_per_sec);
+    dense_table.add_row({std::to_string(run.shards),
+                         std::to_string(run.sim_events),
+                         std::to_string(run.windows), wall, rate});
   }
   util::export_table_csv("simcore_fleet_sharded_dense", dense_table);
   std::printf("fleet (sharded, 8x64):\n%s\n", dense_table.to_text().c_str());

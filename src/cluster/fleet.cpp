@@ -11,11 +11,15 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
   const std::uint16_t k = config_.clusters;
   const std::uint16_t n = config_.nodes_per_cluster;
 
-  relay_ = std::make_unique<net::Backplane>(sim_, net::kNetworkA,
-                                            config_.relay_backplane);
+  {
+    const sim::EntityScope scope(sim_, kRelayEntity);
+    relay_ = std::make_unique<net::Backplane>(sim_, net::kNetworkA,
+                                              config_.relay_backplane);
+  }
 
   clusters_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
+    const sim::EntityScope scope(sim_, cluster_entity(c));
     clusters_.push_back(std::make_unique<net::ClusterNetwork>(
         sim_, net::ClusterNetwork::Config{n, config_.backplane}));
   }
@@ -30,6 +34,7 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
 
   systems_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
+    const sim::EntityScope scope(sim_, cluster_entity(c));
     systems_.push_back(
         std::make_unique<core::DrsSystem>(*clusters_[c], config_.drs));
   }
@@ -41,6 +46,7 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
   gateway_icmp_.reserve(k);
   gateway_timers_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
+    const sim::EntityScope scope(sim_, cluster_entity(c));
     const auto gateway_id = static_cast<net::NodeId>(0xF000u + c);
     auto host = std::make_unique<net::Host>(sim_, gateway_id);
     auto nic = std::make_unique<net::Nic>(gateway_id, net::kNetworkA,
@@ -65,6 +71,7 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
     }
   }
   for (net::ClusterId c = 0; c < k; ++c) {
+    const sim::EntityScope scope(sim_, cluster_entity(c));
     gateway_icmp_.push_back(
         std::make_unique<proto::IcmpService>(*gateways_[c]));
     gateway_icmp_.back()->reserve(16);
@@ -87,9 +94,13 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
 Fleet::~Fleet() { stop(); }
 
 void Fleet::start() {
-  for (auto& system : systems_) system->start();
-  for (auto& timer : gateway_timers_) {
-    if (!timer->running()) timer->start();
+  for (net::ClusterId c = 0; c < config_.clusters; ++c) {
+    const sim::EntityScope scope(sim_, cluster_entity(c));
+    systems_[c]->start();
+  }
+  for (net::ClusterId c = 0; c < config_.clusters; ++c) {
+    const sim::EntityScope scope(sim_, cluster_entity(c));
+    if (!gateway_timers_[c]->running()) gateway_timers_[c]->start();
   }
 }
 
@@ -99,6 +110,28 @@ void Fleet::stop() {
 }
 
 void Fleet::settle(util::Duration warmup) { sim_.run_for(warmup); }
+
+sim::Entity Fleet::component_entity(net::ComponentIndex index) const {
+  const net::ComponentIndex cluster_span = config_.clusters * cluster_stride();
+  if (index < cluster_span) {
+    return cluster_entity(
+        static_cast<net::ClusterId>(index / cluster_stride()));
+  }
+  const net::ComponentIndex tail = index - cluster_span;
+  if (tail < config_.clusters) {
+    return cluster_entity(static_cast<net::ClusterId>(tail));
+  }
+  return kRelayEntity;
+}
+
+void Fleet::schedule_component_failure(util::SimTime at,
+                                       net::ComponentIndex index,
+                                       bool failed) {
+  const sim::EntityScope scope(sim_, component_entity(index));
+  sim_.schedule_at(at, [this, index, failed] {
+    set_component_failed(index, failed);
+  });
+}
 
 bool Fleet::all_pristine() const {
   for (const auto& system : systems_) {

@@ -19,6 +19,12 @@
 // component space of k*(2n+2) cluster components (cluster-major, each block
 // in ClusterNetwork's canonical numbering), then the k gateway NICs, then
 // the relay backplane.
+//
+// Scheduling entities (sim::EntityScope): the relay hub is one entity and
+// each cluster — its networks, DrsSystem, gateway host and echo timer — is
+// another, so same-time events of different clusters order by cluster and
+// the hub's deliveries order before all of them. That is what lets
+// cluster::ShardedFleet compute identical event keys on every shard.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +39,15 @@
 #include "sim/timer.hpp"
 
 namespace drs::cluster {
+
+/// The relay hub's scheduling entity; it orders before every cluster's.
+inline constexpr sim::Entity kRelayEntity = 1;
+/// Cluster `c`'s scheduling entity.
+constexpr sim::Entity cluster_entity(net::ClusterId c) {
+  return kRelayEntity + 1u + c;
+}
+static_assert(cluster_entity(0xFFFFu) <= sim::kMaxEntity,
+              "every cluster id needs its own scheduling entity");
 
 struct FleetConfig {
   /// The paper's deployment: 27 clusters.
@@ -73,6 +88,12 @@ class Fleet : public net::FailureDomain {
 
   /// Advances the shared simulation (all clusters progress together).
   void settle(util::Duration warmup);
+
+  /// Schedules a component fail/restore at absolute time `at`, keyed under
+  /// the entity that owns the component: its cluster for cluster components
+  /// and gateway NICs, the relay hub for the relay backplane.
+  void schedule_component_failure(util::SimTime at, net::ComponentIndex index,
+                                  bool failed);
 
   /// Every cluster back to the healthy steady state (see
   /// DrsSystem::all_pristine); gateways carry no per-run state to check.
@@ -117,6 +138,7 @@ class Fleet : public net::FailureDomain {
   std::uint32_t cluster_stride() const {
     return 2u * config_.nodes_per_cluster + 2u;
   }
+  sim::Entity component_entity(net::ComponentIndex index) const;
 
   sim::Simulator& sim_;
   FleetConfig config_;

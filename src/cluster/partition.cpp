@@ -80,31 +80,27 @@ net::PayloadPtr slab_ptr(const proto::IcmpPayload* payload) {
 // Shard workers never touch shared relay state. Each stub backplane's
 // boundary hook appends an Offer to its shard's private buffer (worker
 // thread, no locks; the coordinator reads the buffers only while workers are
-// parked at the window barrier). At every window merge the coordinator
-// resolves the offers' lineage keys, interleaves them with the registered
-// failure transitions in exact legacy (time, rank) order, and replays
+// parked at the window barrier). At every window merge the coordinator sorts
+// the window's offers into single-queue order, interleaves them with the
+// registered failure transitions by (time, key), and replays
 // Backplane::transmit_hub verbatim: FIFO serialization against busy_until,
 // the backlog bound, the loss RNG stream (same seed, same draw order), and
 // the failure accounting (dropped_failed / lost_in_flight). Successful
-// offers become pending Dues; the flush hook releases each Due as a foreign
-// event once its arrival falls inside the upcoming window — unless an
-// effective failure lands at or before the arrival, in which case the Due
-// stays queued and is counted lost when the replay reaches that transition.
+// offers become pending Dues keyed from the hub entity's counter; the flush
+// hook releases each Due as a foreign event once its arrival falls inside
+// the upcoming window — unless an effective failure lands at or before the
+// arrival, in which case the Due stays queued and is counted lost when the
+// replay reaches that transition.
 // ---------------------------------------------------------------------------
 struct ShardedFleet::RelayOracle {
-  /// One frame offered to the relay, captured at the shard boundary. In the
-  /// certified lane `meta` is the transmitting event's consumed child slot:
-  /// its parent field recovers the event's own key (ordering the offer among
-  /// all events), and its resolution is the delivery's key (where legacy
-  /// claimed the stream entry's rank). In the counter-equal lane the key is
-  /// synthesized from (cluster, capture index) instead — see on_merge. The
-  /// ICMP payload rides by value (frame.packet.payload is detached) so the
-  /// capture path never heap-allocates; `wire_bytes` is latched before the
-  /// detach for the replay's serialization math.
+  /// One frame offered to the relay, captured at the shard boundary with the
+  /// key of the event that offered it. The ICMP payload rides by value
+  /// (frame.packet.payload is detached) so the capture path never
+  /// heap-allocates; `wire_bytes` is latched before the detach for the
+  /// replay's serialization math.
   struct Offer {
     std::int64_t t_ns = 0;
-    sim::OrderingJournal::Meta meta;
-    std::uint16_t cluster = 0;
+    std::uint64_t event_key = 0;
     std::uint32_t wire_bytes = 0;
     net::Frame frame;
     proto::IcmpPayload payload;
@@ -112,43 +108,56 @@ struct ShardedFleet::RelayOracle {
     net::MacAddr sender{};
   };
 
-  /// A relay set_failed scheduled up front. `setup_idx` is the setup rank the
-  /// legacy injection event's push would have claimed.
+  /// A relay set_failed scheduled up front, keyed like the hub-entity
+  /// injection event Fleet pushes for it.
   struct Transition {
     std::int64_t t_ns = 0;
-    std::uint64_t setup_idx = 0;
+    std::uint64_t key = 0;
     bool failed = false;
   };
 
-  /// A delivery in flight: the legacy hub's FIFO stream entry. Payload by
-  /// value, like Offer; deliver() places it into the slab.
+  /// A delivery in flight: Fleet's hub FIFO stream entry. Payload by value,
+  /// like Offer; deliver() places it into the slab.
   struct Due {
     std::int64_t arrival_ns = 0;
-    sim::PushKey key;
+    std::uint64_t key = 0;
     net::Frame frame;
     proto::IcmpPayload payload;
     bool has_payload = false;
     net::MacAddr sender{};
   };
 
-  /// Offer with its keys resolved against the merged window log.
-  struct Resolved {
+  /// Replay position of one offer: single-queue order is (time, offering
+  /// event's key), then shard — the split pieces of one broadcast delivery
+  /// share a key and reach receivers in attach order, which is shard order —
+  /// then capture order within the shard.
+  struct Ordered {
     std::int64_t t_ns = 0;
-    sim::PushKey event_key;   // the transmitting event's key
-    std::uint64_t intra = 0;  // offer order within that event
-    sim::PushKey due_key;
-    Offer* offer = nullptr;
+    std::uint64_t event_key = 0;
+    std::uint32_t shard = 0;
+    std::uint32_t index = 0;
+
+    friend bool operator<(const Ordered& a, const Ordered& b) {
+      if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
+      if (a.event_key != b.event_key) return a.event_key < b.event_key;
+      if (a.shard != b.shard) return a.shard < b.shard;
+      return a.index < b.index;
+    }
   };
 
-  RelayOracle(const net::Backplane::Config& relay_config, std::uint32_t shards,
-              bool certified_lane)
+  RelayOracle(const net::Backplane::Config& relay_config, std::uint32_t shards)
       : config(relay_config),
-        certified(certified_lane),
         rng(relay_config.seed, net::kNetworkA),
         offers(shards),
         staged(shards),
         attached(shards) {
     ser_min_ns = serialization_time(net::kMinEthFrameBytes).ns();
+  }
+
+  /// The hub entity's next key: what Fleet's relay claims (a delivery) or
+  /// pushes (a failure injection) at the same point of the replay.
+  std::uint64_t next_hub_key() {
+    return (std::uint64_t{kRelayEntity} << sim::kEntityShift) | ++hub_counter;
   }
 
   util::Duration serialization_time(std::uint32_t wire_bytes) const {
@@ -165,23 +174,16 @@ struct ShardedFleet::RelayOracle {
   }
 
   /// Boundary-hook path: runs on shard `shard`'s worker thread, touching only
-  /// that shard's journal/simulator and its private offer buffer. Allocation
-  /// free: the ICMP payload is copied by value and the frame's pointer
-  /// detached (the old per-offer deep copy was one make_shared per crossing
-  /// frame).
+  /// that shard's simulator and its private offer buffer. Allocation free:
+  /// the ICMP payload is copied by value and the frame's pointer detached.
   void capture(std::uint32_t shard, sim::ShardedEngine& engine,
                const net::Nic& sender, const net::Frame& frame) {
-    assert(!engine.journal(shard).in_setup() &&
-           "the fleet emits no relay traffic during serialized setup");
     assert(engine.simulator(shard).in_boundary_scope() &&
            "relay offers must come from boundary-tagged events (the adaptive "
            "window bound counts only tagged causes; see docs/SHARDING.md)");
     Offer offer;
     offer.t_ns = engine.simulator(shard).now().ns();
-    // Gateway hosts are numbered 0xF000 + cluster; the cluster index is the
-    // counter-equal lane's replay key (legacy rank order is cluster-major at
-    // equal times, see on_merge).
-    offer.cluster = static_cast<std::uint16_t>(sender.owner() - 0xF000u);
+    offer.event_key = engine.executing_key(shard);
     offer.wire_bytes = frame.wire_bytes();
     offer.frame = frame;
     offer.sender = sender.mac();
@@ -194,13 +196,12 @@ struct ShardedFleet::RelayOracle {
       assert(frame.packet.payload == nullptr &&
              "only ICMP payloads cross the relay in the fleet topology");
     }
-    if (certified) offer.meta = engine.journal(shard).make_child_meta();
     offers[shard].push_back(std::move(offer));
   }
 
-  void add_transition(std::int64_t t_ns, std::uint64_t setup_idx, bool fail) {
+  void add_transition(std::int64_t t_ns, bool fail) {
     assert(!prepared && "relay transitions must be scheduled before run_until");
-    transitions.push_back(Transition{t_ns, setup_idx, fail});
+    transitions.push_back(Transition{t_ns, next_hub_key(), fail});
   }
 
   /// Sorts transitions and precomputes the state-flipping failure times.
@@ -210,11 +211,11 @@ struct ShardedFleet::RelayOracle {
   void prepare() {
     if (prepared) return;
     prepared = true;
-    std::stable_sort(transitions.begin(), transitions.end(),
-                     [](const Transition& a, const Transition& b) {
-                       if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-                       return a.setup_idx < b.setup_idx;
-                     });
+    std::sort(transitions.begin(), transitions.end(),
+              [](const Transition& a, const Transition& b) {
+                if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
+                return a.key < b.key;
+              });
     bool state = false;
     for (const Transition& tr : transitions) {
       if (tr.failed == state) continue;
@@ -303,11 +304,11 @@ struct ShardedFleet::RelayOracle {
     }
   }
 
-  /// One legacy delivery-stream pop, re-expressed as per-shard foreign
-  /// events. Broadcast fan-out order is preserved end to end: within a shard
-  /// by the attach-order NIC walk, across shards by the merge's
-  /// lowest-shard-wins tie-break (shards own ascending cluster ranges, which
-  /// is exactly the legacy attach order).
+  /// One Fleet delivery-stream pop, re-expressed as per-shard foreign
+  /// events under the Due's key. Broadcast fan-out order is preserved end to
+  /// end: within a shard by the attach-order NIC walk, across shards by the
+  /// shard tie-break of the trace merge and the offer replay (shards own
+  /// ascending cluster ranges, which is exactly Fleet's attach order).
   void deliver(Due& due) {
     net::Frame frame = std::move(due.frame);
     if (due.has_payload) {
@@ -337,49 +338,20 @@ struct ShardedFleet::RelayOracle {
   }
 
   /// Merge hook: replay the window's offers and any transitions due before
-  /// its end, in global (time, key) order — the exact chronological order the
-  /// legacy run issued its transmit() calls and set_failed() events.
-  ///
-  /// Counter-equal lane: with no journal there are no lineage keys, so the
-  /// replay key is synthesized as (time, cluster + 1, per-shard capture
-  /// index). For the fleet this IS legacy chronological order: gateway
-  /// timers were created cluster-major during serialized setup, so at equal
-  /// times legacy rank order is cluster order; same-cluster offers at one
-  /// time keep their shard-local execution (= capture) order; and the +1
-  /// keeps every offer after the setup-band transition keys, which is where
-  /// legacy put injection events relative to same-time runtime traffic.
+  /// its end, in global (time, key) order — the order Fleet's single queue
+  /// issues its transmit() calls and set_failed() events. A transition's
+  /// hub key orders it before every same-time offer: offers come from
+  /// cluster events (later entities) or from hub deliveries, whose keys were
+  /// drawn at runtime, after every transition's.
   void on_merge(ShardedFleet& fleet, std::int64_t end_ns) {
-    sim::ShardedEngine& engine = fleet.engine_;
     scratch.clear();
-    for (std::uint32_t s = 0; s < engine.shard_count(); ++s) {
-      if (!certified) {
-        std::uint64_t position = 0;
-        for (Offer& offer : offers[s]) {
-          scratch.push_back(Resolved{
-              offer.t_ns, sim::PushKey{std::uint64_t{offer.cluster} + 1u,
-                                       position},
-              0, sim::PushKey{}, &offer});
-          ++position;
-        }
-        continue;
-      }
-      const sim::OrderingJournal& journal = engine.journal(s);
-      for (Offer& offer : offers[s]) {
-        assert(offer.meta.window_ref);
-        scratch.push_back(Resolved{offer.t_ns,
-                                   journal.entry_key(offer.meta.parent),
-                                   offer.meta.idx, journal.resolve(offer.meta),
-                                   &offer});
+    for (std::uint32_t s = 0; s < fleet.engine_.shard_count(); ++s) {
+      for (std::uint32_t i = 0; i < offers[s].size(); ++i) {
+        const Offer& offer = offers[s][i];
+        scratch.push_back(Ordered{offer.t_ns, offer.event_key, s, i});
       }
     }
-    // Keys are globally unique (one event key per executed event, one intra
-    // index per offer within it), so plain sort is deterministic.
-    std::sort(scratch.begin(), scratch.end(),
-              [](const Resolved& a, const Resolved& b) {
-                if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-                if (a.event_key != b.event_key) return a.event_key < b.event_key;
-                return a.intra < b.intra;
-              });
+    std::sort(scratch.begin(), scratch.end());
 
     std::size_t oi = 0;
     for (;;) {
@@ -390,17 +362,16 @@ struct ShardedFleet::RelayOracle {
       bool take_tr = more_tr;
       if (more_tr && more_of) {
         const Transition& tr = transitions[transition_cursor];
-        const Resolved& ro = scratch[oi];
-        take_tr = tr.t_ns != ro.t_ns
-                      ? tr.t_ns < ro.t_ns
-                      : sim::PushKey{sim::kSetupParent, tr.setup_idx} <
-                            ro.event_key;
+        const Ordered& next = scratch[oi];
+        take_tr = tr.t_ns != next.t_ns ? tr.t_ns < next.t_ns
+                                       : tr.key < next.event_key;
       }
       if (take_tr) {
         apply_transition(transitions[transition_cursor]);
         ++transition_cursor;
       } else {
-        apply_offer(scratch[oi]);
+        apply_offer(scratch[oi].t_ns,
+                    offers[scratch[oi].shard][scratch[oi].index]);
         ++oi;
       }
     }
@@ -420,48 +391,41 @@ struct ShardedFleet::RelayOracle {
     due_head = 0;
   }
 
-  void apply_offer(Resolved& ro) {
+  void apply_offer(std::int64_t t_ns, Offer& offer) {
     // Mirrors Backplane::transmit (hub path) statement for statement.
     if (failed) {
       ++counters.dropped_failed;
       return;
     }
-    const util::SimTime now = util::SimTime::from_ns(ro.t_ns);
+    const util::SimTime now = util::SimTime::from_ns(t_ns);
     const util::SimTime start = std::max(now, busy_until);
     if (start - now > config.max_backlog) {
       ++counters.dropped_backlog;
       return;
     }
-    const util::Duration ser = serialization_time(ro.offer->wire_bytes);
+    const util::Duration ser = serialization_time(offer.wire_bytes);
     busy_until = start + ser;
     busy_seconds += ser.to_seconds();
     ++counters.frames;
-    counters.bytes += ro.offer->wire_bytes + config.per_frame_overhead_bytes;
+    counters.bytes += offer.wire_bytes + config.per_frame_overhead_bytes;
     if (config.frame_loss_rate > 0.0 &&
         rng.next_bernoulli(config.frame_loss_rate)) {
       ++counters.lost_random;
       return;
     }
-    // Counter-equal dues need only a deterministic inbox tie-break; arrivals
-    // are strictly increasing between failure epochs, so a monotone counter
-    // key can never change execution order.
-    const sim::PushKey key =
-        certified ? ro.due_key : sim::PushKey{sim::kGseqBase, ++ce_due_seq};
     const util::SimTime arrival = busy_until + config.propagation_delay;
-    dues.push_back(Due{arrival.ns(), key, std::move(ro.offer->frame),
-                       ro.offer->payload, ro.offer->has_payload,
-                       ro.offer->sender});
+    dues.push_back(Due{arrival.ns(), next_hub_key(), std::move(offer.frame),
+                       offer.payload, offer.has_payload, offer.sender});
   }
 
   net::Backplane::Config config;
-  bool certified = true;
   util::Rng rng;
   bool failed = false;
   util::SimTime busy_until = util::SimTime::zero();
   double busy_seconds = 0.0;
   net::Backplane::Counters counters;
   std::int64_t ser_min_ns = 0;     // one minimum Ethernet frame on the relay
-  std::uint64_t ce_due_seq = 0;    // counter-equal synthetic due keys
+  std::uint64_t hub_counter = 0;   // the hub entity's key counter
   PayloadSlab slab;                // delivered payloads, recycled per window
 
   std::vector<Transition> transitions;  // sorted by prepare()
@@ -474,7 +438,7 @@ struct ShardedFleet::RelayOracle {
   std::int64_t replayed_to_ns = 0;
 
   std::vector<std::vector<Offer>> offers;  // per shard, worker-written
-  std::vector<Resolved> scratch;           // merge scratch, capacity reused
+  std::vector<Ordered> scratch;            // merge scratch, capacity reused
   /// Per-shard delivery staging for flush(): filled by deliver(), handed to
   /// the engine in one add_foreign_batch per shard (capacity reused).
   std::vector<std::vector<sim::ShardedEngine::ForeignEvent>> staged;
@@ -497,15 +461,6 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
     throw std::invalid_argument(
         "ShardedFleet requires a kHub relay backplane with zero jitter");
   }
-  if (config.ordering == sim::Ordering::kCounterEqual &&
-      config.fleet.relay_backplane.frame_loss_rate > 0.0) {
-    // The loss RNG must be drawn in exact legacy transmit order; that order
-    // is certified by the journaled merge, which the counter-equal lane
-    // elides. Zero-loss relays (the paper's configuration) don't draw at all.
-    throw std::invalid_argument(
-        "counter-equal ordering requires a lossless relay "
-        "(frame_loss_rate == 0)");
-  }
   sim::ShardedEngine::Options options;
   std::uint32_t shards = config.shards == 0 ? 1u : config.shards;
   if (config.fleet.clusters > 0 && shards > config.fleet.clusters) {
@@ -516,8 +471,6 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
   // before t + serialization + propagation > t + propagation.
   options.lookahead_ns = config.fleet.relay_backplane.propagation_delay.ns();
   options.trace_capacity = config.trace_capacity;
-  options.check_windows = config.check_windows;
-  options.ordering = config.ordering;
   options.max_window_ns = config.max_window_ns;
   options.record_window_spans = config.record_window_spans;
   return options;
@@ -538,9 +491,8 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     }
   }
 
-  oracle_ = std::make_unique<RelayOracle>(
-      config_.fleet.relay_backplane, shards,
-      config_.ordering == sim::Ordering::kCertified);
+  oracle_ = std::make_unique<RelayOracle>(config_.fleet.relay_backplane,
+                                          shards);
   engine_.set_merge_hook([this](std::int64_t, std::int64_t end_ns) {
     oracle_->on_merge(*this, end_ns);
   });
@@ -551,15 +503,13 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   engine_.set_eot_hook(
       [this](std::int64_t bound_ns) { return oracle_->eot_ns(bound_ns); });
 
-  // Everything below runs on this thread in the exact order Fleet's
-  // constructor builds the legacy topology, with each shard-touching step
-  // wrapped in a setup segment so trace emissions and setup ranks land at
-  // their legacy positions.
-  engine_.begin_setup();
-
+  // Everything below runs on this thread in the order Fleet's constructor
+  // builds the topology, each step under the entity Fleet uses for it and
+  // wrapped in a setup segment so trace emissions land at Fleet's positions.
   relay_stubs_.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
     engine_.begin_setup_segment(s);
+    const sim::EntityScope scope(engine_.simulator(s), kRelayEntity);
     auto stub = std::make_unique<net::Backplane>(
         engine_.simulator(s), net::kNetworkA, config_.fleet.relay_backplane);
     stub->set_boundary_hook(
@@ -573,6 +523,8 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   clusters_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
     engine_.begin_setup_segment(shard_of_[c]);
+    const sim::EntityScope scope(engine_.simulator(shard_of_[c]),
+                                 cluster_entity(c));
     clusters_.push_back(std::make_unique<net::ClusterNetwork>(
         engine_.simulator(shard_of_[c]),
         net::ClusterNetwork::Config{n, config_.fleet.backplane}));
@@ -591,6 +543,8 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   systems_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
     engine_.begin_setup_segment(shard_of_[c]);
+    const sim::EntityScope scope(engine_.simulator(shard_of_[c]),
+                                 cluster_entity(c));
     systems_.push_back(
         std::make_unique<core::DrsSystem>(*clusters_[c], config_.fleet.drs));
     engine_.end_setup_segment();
@@ -602,6 +556,7 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   for (net::ClusterId c = 0; c < k; ++c) {
     const std::uint32_t s = shard_of_[c];
     engine_.begin_setup_segment(s);
+    const sim::EntityScope scope(engine_.simulator(s), cluster_entity(c));
     const auto gateway_id = static_cast<net::NodeId>(0xF000u + c);
     auto host = std::make_unique<net::Host>(engine_.simulator(s), gateway_id);
     auto nic = std::make_unique<net::Nic>(gateway_id, net::kNetworkA,
@@ -632,6 +587,7 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   for (net::ClusterId c = 0; c < k; ++c) {
     const std::uint32_t s = shard_of_[c];
     engine_.begin_setup_segment(s);
+    const sim::EntityScope scope(engine_.simulator(s), cluster_entity(c));
     gateway_icmp_.push_back(
         std::make_unique<proto::IcmpService>(*gateways_[c]));
     gateway_icmp_.back()->reserve(16);
@@ -661,11 +617,15 @@ void ShardedFleet::start() {
   if (started_) return;
   for (net::ClusterId c = 0; c < config_.fleet.clusters; ++c) {
     engine_.begin_setup_segment(shard_of_[c]);
+    const sim::EntityScope scope(engine_.simulator(shard_of_[c]),
+                                 cluster_entity(c));
     systems_[c]->start();
     engine_.end_setup_segment();
   }
   for (net::ClusterId c = 0; c < config_.fleet.clusters; ++c) {
     engine_.begin_setup_segment(shard_of_[c]);
+    const sim::EntityScope entity(engine_.simulator(shard_of_[c]),
+                                  cluster_entity(c));
     if (!gateway_timers_[c]->running()) {
       // The probe timers are the fleet's only boundary seeds: every relay
       // offer descends from a gateway tick (pings and their timeouts) or
@@ -674,7 +634,7 @@ void ShardedFleet::start() {
       // deliveries unconditionally. Everything else (DRS probes, cluster
       // failures) is cluster-internal and stays untagged, which is what
       // makes the adaptive window bound sharp.
-      sim::BoundaryScope scope(engine_.simulator(shard_of_[c]));
+      const sim::BoundaryScope boundary(engine_.simulator(shard_of_[c]));
       gateway_timers_[c]->start();
     }
     engine_.end_setup_segment();
@@ -685,38 +645,38 @@ void ShardedFleet::start() {
 void ShardedFleet::schedule_component_failure(util::SimTime at,
                                               net::ComponentIndex index,
                                               bool failed) {
-  assert(started_ && "schedule injections after start(), like the legacy run");
-  // Every injection consumes one setup rank — the legacy run pushed one
-  // injection event per call onto its single queue at exactly this point.
-  const std::uint64_t rank = engine_.consume_setup_rank();
+  assert(started_ && "schedule injections after start(), like Fleet");
+  if (index == relay_backplane_component()) {
+    // The relay is oracle-owned shared state: no shard event at all. The
+    // transition draws the hub key Fleet's injection event is pushed under.
+    oracle_->add_transition(at.ns(), failed);
+    return;
+  }
   const net::ComponentIndex cluster_span =
       config_.fleet.clusters * cluster_stride();
-  if (index < cluster_span) {
-    const auto c = static_cast<net::ClusterId>(index / cluster_stride());
-    const net::ComponentIndex local = index % cluster_stride();
-    const std::uint32_t s = shard_of_[c];
-    engine_.force_setup_idx(s, rank);
-    net::ClusterNetwork* network = clusters_[c].get();
-    engine_.simulator(s).schedule_at(at, [network, local, failed] {
-      network->set_component_failed(local, failed);
-    });
-    return;
+  const bool gateway = index >= cluster_span;
+  const auto c = static_cast<net::ClusterId>(
+      gateway ? index - cluster_span : index / cluster_stride());
+  assert(c < config_.fleet.clusters);
+  const std::uint32_t s = shard_of_[c];
+  sim::Simulator& sim = engine_.simulator(s);
+  // The segment drains the push's queue_high_water emission, if any, at the
+  // point Fleet's tracer records it.
+  engine_.begin_setup_segment(s);
+  {
+    const sim::EntityScope scope(sim, cluster_entity(c));
+    if (gateway) {
+      net::Nic* nic = &gateways_[c]->nic(net::kNetworkA);
+      sim.schedule_at(at, [nic, failed] { nic->set_failed(failed); });
+    } else {
+      net::ClusterNetwork* network = clusters_[c].get();
+      const net::ComponentIndex local = index % cluster_stride();
+      sim.schedule_at(at, [network, local, failed] {
+        network->set_component_failed(local, failed);
+      });
+    }
   }
-  const net::ComponentIndex tail = index - cluster_span;
-  if (tail < config_.fleet.clusters) {
-    const auto c = static_cast<net::ClusterId>(tail);
-    const std::uint32_t s = shard_of_[c];
-    engine_.force_setup_idx(s, rank);
-    net::Nic* nic = &gateways_[c]->nic(net::kNetworkA);
-    engine_.simulator(s).schedule_at(at,
-                                     [nic, failed] { nic->set_failed(failed); });
-    return;
-  }
-  assert(tail == config_.fleet.clusters);
-  // The relay is oracle-owned shared state: no shard event at all. The
-  // consumed rank orders the transition against same-time offers exactly as
-  // the legacy injection event's rank ordered its set_failed call.
-  oracle_->add_transition(at.ns(), rank, failed);
+  engine_.end_setup_segment();
 }
 
 void ShardedFleet::run_until(util::SimTime deadline) {

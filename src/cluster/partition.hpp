@@ -7,23 +7,31 @@
 // shard-local; only relay traffic crosses shards, and the relay backplane's
 // propagation delay (5 us by default) is the conservative lookahead.
 //
+// Both fleets key same-time events by scheduling entity (sim::EntityScope):
+// each cluster is one entity, built and injected under it, and the relay hub
+// is another, ordered before every cluster. Every cluster's counter lives on
+// the one shard that owns the cluster, so shards compute the same event keys
+// as Fleet's single queue.
+//
 // The relay hub itself is SHARED state — serialization contention, the
 // backlog bound, the loss RNG stream, and failure epochs all couple every
 // gateway. Rather than lock it, each shard gets a stub Backplane whose
-// boundary hook captures offered frames (with their lineage keys, see
-// sim/sharded.hpp), and a single relay-hub ORACLE on the coordinator replays
-// the legacy transmit math over the globally merged offer order at every
-// window barrier. Deliveries come back as cross-shard foreign events at the
-// exact (time, key) coordinates the legacy delivery stream would have popped
-// them, so traces and counters are byte-identical to the single-threaded
-// Fleet at any shard count. docs/SHARDING.md walks through the argument.
+// boundary hook captures offered frames (with the key of the event that
+// offered them), and a single relay-hub ORACLE on the coordinator replays
+// Fleet's transmit math over the globally ordered offers at every window
+// barrier. The oracle owns the hub entity's counter: failure transitions and
+// deliveries draw their keys from it in replay order, exactly as Fleet's hub
+// backplane claims them. Deliveries come back as cross-shard foreign events
+// at the (time, key) coordinates Fleet's delivery stream pops them, so traces
+// and counters are byte-identical to the single-threaded Fleet at any shard
+// count. docs/SHARDING.md walks through the argument.
 //
 // Contract differences vs. Fleet (both enforced here):
 //   - the relay must be a kHub with zero jitter (the delivery stream the
 //     oracle replays is the monotone-FIFO path);
 //   - failure injections are scheduled up front via
 //     schedule_component_failure(), not by external mid-run schedule_at
-//     calls (a mid-run push has no legacy rank to reproduce).
+//     calls (the oracle must know every relay transition before it replays).
 #pragma once
 
 #include <cstdint>
@@ -50,14 +58,6 @@ struct ShardedFleetConfig {
   /// Per-shard tracer ring capacity; 0 skips tracer attachment (the fair
   /// configuration for benchmarking against an untraced legacy Fleet).
   std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
-  /// Property-test hook, see sim::ShardedEngine::Options.
-  bool check_windows = false;
-  /// Output contract (sim::Ordering): kCertified reproduces legacy traces
-  /// byte for byte; kCounterEqual elides the journal and merge, promising
-  /// only event counts, metric totals and invariant outcomes. The fleet's
-  /// counter-equal lane refuses lossy relays (frame_loss_rate > 0) because
-  /// the loss RNG draw order is only certified under the journaled merge.
-  sim::Ordering ordering = sim::Ordering::kCertified;
   /// Cap on adaptive window length (sim::ShardedEngine::Options), 0 =
   /// unlimited; the fleet refines the engine's earliest-output-time bound
   /// with the relay oracle's state. The gateway probe cadence
@@ -100,10 +100,9 @@ class ShardedFleet {
   /// the serialized setup phase).
   void start();
 
-  /// Schedules a component fail/restore at absolute time `at`. Must be called
-  /// after start() and before the first run_until(), in the same order the
-  /// legacy run would issue its schedule_at calls — each call consumes one
-  /// setup rank, exactly like the legacy injection event's push.
+  /// Schedules a component fail/restore at absolute time `at` under the
+  /// entity that owns the component, like Fleet::schedule_component_failure.
+  /// Must be called after start() and before the first run_until().
   void schedule_component_failure(util::SimTime at, net::ComponentIndex index,
                                   bool failed);
 
@@ -111,8 +110,8 @@ class ShardedFleet {
   /// Simulator::run_until over the whole fleet).
   void run_until(util::SimTime deadline);
 
-  /// Merged global trace, byte-identical to the legacy Fleet's tracer stream
-  /// (modulo kQueueHighWater, which reports per-queue occupancy).
+  /// Merged global trace, byte-identical to Fleet's tracer stream (modulo
+  /// kQueueHighWater, which reports per-queue occupancy).
   const std::vector<obs::TraceEvent>& merged_trace() const {
     return engine_.merged_trace();
   }

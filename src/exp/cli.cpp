@@ -15,9 +15,6 @@ std::optional<BenchCli> parse_bench_cli(
   allowed.emplace("shards",
                   "fixed `shards` axis: fleet families run on the sharded "
                   "engine with this many worker shards (0 = legacy path)");
-  allowed.emplace("ordering",
-                  "fixed `ordering` axis for sharded fleet cells: certified "
-                  "(journaled merge) or counter-equal (merge elided)");
   allowed.emplace("cache-dir", "content-addressed result cache directory");
   allowed.emplace("refresh", "recompute every cell, overwrite cache entries");
   allowed.emplace("json-out", "write the canonical JSON report here");
@@ -35,17 +32,6 @@ std::optional<BenchCli> parse_bench_cli(
     cli.seed = static_cast<std::uint64_t>(flags->get_int("seed", 0));
   }
   if (flags->has("shards")) cli.shards = flags->get_int("shards", 0);
-  if (flags->has("ordering")) {
-    const std::string mode = flags->get_string("ordering", "certified");
-    if (mode != "certified" && mode != "counter-equal") {
-      std::fprintf(stderr,
-                   "--ordering must be `certified` or `counter-equal`, "
-                   "got `%s`\n",
-                   mode.c_str());
-      return std::nullopt;
-    }
-    cli.ordering = mode;
-  }
   cli.json_out = flags->get_string("json-out", "");
   cli.timing = flags->get_bool("timing");
   return cli;

@@ -6,9 +6,6 @@
 //                    sharded engine with N worker shards (byte-identical
 //                    results, see docs/SHARDING.md); an explicit grid axis
 //                    of the same name wins
-//   --ordering M     adds a fixed `ordering` axis for sharded fleet cells:
-//                    "certified" (journaled merge, byte-identical traces) or
-//                    "counter-equal" (merge elided, counts/totals contract)
 //   --cache-dir DIR  content-addressed result cache (empty = disabled)
 //   --refresh        recompute every cell, overwriting cache entries
 //   --json-out FILE  write the canonical JSON report of every experiment
@@ -37,22 +34,15 @@ struct BenchCli {
   /// Explicit --shards, when given; folded into the grid as a fixed axis so
   /// fleet families run on the sharded engine (0 keeps the legacy path).
   std::optional<std::int64_t> shards;
-  /// Explicit --ordering ("certified" | "counter-equal"), when given; folded
-  /// into the grid as a fixed axis so sharded fleet cells pick their
-  /// determinism lane (see docs/SHARDING.md).
-  std::optional<std::string> ordering;
   std::string json_out;
   bool timing = false;
 
-  /// Folds --seed, --shards and --ordering (when present) into the spec and
-  /// returns it. An axis the spec's grid already names wins over the flag.
+  /// Folds --seed and --shards (when present) into the spec and returns it.
+  /// An axis the spec's grid already names wins over the flag.
   ExperimentSpec& apply(ExperimentSpec& spec) const {
     if (seed.has_value()) spec.seed = *seed;
     if (shards.has_value() && !spec.grid.has_axis("shards")) {
       spec.grid.ints("shards", {*shards});
-    }
-    if (ordering.has_value() && !spec.grid.has_axis("ordering")) {
-      spec.grid.strings("ordering", {*ordering});
     }
     return spec;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "analytic/enumerate.hpp"
 #include "analytic/survivability.hpp"
@@ -296,17 +295,6 @@ Outputs run_fleet_smoke(const ScenarioContext& ctx) {
     cluster::ShardedFleetConfig sharded_config;
     sharded_config.fleet = config;
     sharded_config.shards = static_cast<std::uint32_t>(shards);
-    // The `ordering` axis (also the CLI's --ordering default) picks the
-    // determinism lane: "certified" journals and merges for byte-identical
-    // traces, "counter-equal" elides both and certifies counts/totals only.
-    const std::string ordering = ctx.cell.get_string("ordering", "certified");
-    if (ordering != "certified" && ordering != "counter-equal") {
-      throw std::invalid_argument("fleet_smoke: unknown ordering `" +
-                                  ordering + "`");
-    }
-    sharded_config.ordering = ordering == "certified"
-                                  ? sim::Ordering::kCertified
-                                  : sim::Ordering::kCounterEqual;
     cluster::ShardedFleet fleet(sharded_config);
     fleet.start();
     fleet.run_until(util::SimTime::zero() +
@@ -405,8 +393,7 @@ std::vector<Scenario> build_registry() {
                "gateway relay mesh; probe totals, echo counters, pristine "
                "check, and an end-to-end relay reachability probe; the "
                "`shards` axis (> 0) runs the same deployment on the sharded "
-               "engine with that many worker shards; the `ordering` axis "
-               "picks certified (default) or counter-equal",
+               "engine with that many worker shards",
        .required = {"clusters"},
        .uses_config = true,
        .run = run_fleet_smoke});

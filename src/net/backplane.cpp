@@ -5,7 +5,11 @@
 namespace drs::net {
 
 Backplane::Backplane(sim::Simulator& sim, NetworkId id, Config config)
-    : sim_(sim), id_(id), config_(config), rng_(config.seed, id) {}
+    : sim_(sim),
+      entity_(sim.entity()),
+      id_(id),
+      config_(config),
+      rng_(config.seed, id) {}
 
 Backplane::Backplane(sim::Simulator& sim, NetworkId id)
     : Backplane(sim, id, Config{}) {}
@@ -143,6 +147,7 @@ void Backplane::deliver_hub_frame(const Frame& frame, MacAddr sender) {
 
 void Backplane::stream_push(const Frame& frame, MacAddr sender,
                             util::SimTime arrival) {
+  const sim::EntityScope scope(sim_, entity_);
   const bool was_idle = stream_head_ == stream_.size();
   if (was_idle && !stream_.empty()) {
     // Fully consumed: reclaim the ring in one go before appending.

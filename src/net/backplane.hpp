@@ -22,7 +22,10 @@
 // frame. Each entry's queue rank is claimed at transmit — exactly where the
 // per-frame event used to be pushed — so every delivery still pops at the
 // precise (time, rank) coordinate the per-frame event would have occupied,
-// and same-instant interleaving with unrelated events is unchanged. Under
+// and same-instant interleaving with unrelated events is unchanged. Ranks
+// are claimed under the entity the backplane was built in (sim::EntityScope),
+// so a shared medium's deliveries order by its own counter, not by whichever
+// sender's entity happened to transmit. Under
 // saturation this keeps the event queue small (one event per hub) no matter
 // how deep the backlog runs. With jitter enabled arrivals are no longer
 // monotone and the per-frame path is used.
@@ -165,6 +168,7 @@ class Backplane {
   void switch_deliver(Nic& receiver, const Frame& frame, util::SimTime ingress_done);
 
   sim::Simulator& sim_;
+  sim::Entity entity_;  // the delivery stream's ranks are claimed under it
   NetworkId id_;
   Config config_;
   std::vector<Nic*> attached_;

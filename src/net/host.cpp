@@ -6,7 +6,8 @@
 
 namespace drs::net {
 
-Host::Host(sim::Simulator& sim, NodeId id) : sim_(sim), id_(id) {}
+Host::Host(sim::Simulator& sim, NodeId id)
+    : sim_(sim), id_(id), entity_(sim.entity()) {}
 
 void Host::set_nic(NetworkId ifindex, std::unique_ptr<Nic> nic) {
   nics_.at(ifindex) = std::move(nic);
@@ -60,6 +61,7 @@ bool Host::transmit(NetworkId ifindex, Ipv4Addr next_hop, const Packet& packet) 
 }
 
 void Host::on_frame(NetworkId ifindex, const Frame& frame) {
+  const sim::EntityScope scope(sim_, entity_);
   const Packet& packet = frame.packet;
   if (owns_ip(packet.dst) || is_broadcast_ip(packet.dst)) {
     deliver_local(packet, ifindex);

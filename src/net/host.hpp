@@ -37,6 +37,9 @@ inline bool is_broadcast_ip(Ipv4Addr ip) {
 
 class Host : public FrameSink {
  public:
+  /// The host receives frames under the simulator's current entity (see
+  /// sim::EntityScope): whatever a delivered frame makes it schedule is keyed
+  /// to the host's owner, not to whichever medium delivered it.
   Host(sim::Simulator& sim, NodeId id);
   ~Host() override = default;
 
@@ -106,6 +109,7 @@ class Host : public FrameSink {
 
   sim::Simulator& sim_;
   NodeId id_;
+  sim::Entity entity_;
   std::array<std::unique_ptr<Nic>, kNetworksPerHost> nics_;
   RoutingTable routing_table_;
   // drs-lint: unordered-ok(ARP lookups by destination IP only; never iterated)

@@ -6,14 +6,22 @@
 #include <limits>
 
 #include "obs/macros.hpp"
-#include "sim/sharded.hpp"
 
 namespace drs::sim {
 
-std::uint64_t EventQueue::claim_rank() {
-  const std::uint64_t rank = ++total_scheduled_;
-  if (journal_ != nullptr) journal_->on_claim(rank);
-  return rank;
+std::uint64_t EventQueue::next_key() {
+  ++total_scheduled_;
+  const std::uint64_t counter = ++counters_[entity_];
+  assert(counter >> kEntityShift == 0 && "per-entity event counter overflow");
+  return (std::uint64_t{entity_} << kEntityShift) | counter;
+}
+
+std::uint64_t EventQueue::claim_rank() { return next_key(); }
+
+void EventQueue::add_entities(Entity last) {
+  assert(last <= kMaxEntity);
+  // drs-lint: hotpath-purity-ok(amortized: grows once per new entity id, in setup scopes; runtime switches return to entities that already pushed)
+  counters_.resize(last + std::size_t{1}, 0);
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -168,7 +176,7 @@ void EventQueue::collect() {
 }
 
 EventId EventQueue::push(util::SimTime t, EventCallback fn) {
-  return push_ranked(t, std::move(fn), ++total_scheduled_);
+  return push_ranked(t, std::move(fn), next_key());
 }
 
 EventId EventQueue::push_ranked(util::SimTime t, EventCallback fn,
@@ -191,7 +199,6 @@ EventId EventQueue::push_ranked(util::SimTime t, EventCallback fn,
                     .b = static_cast<std::int64_t>(high_water_next_));
     high_water_next_ *= 2;
   }
-  if (journal_ != nullptr) journal_->on_push(slot, rank);
   return make_id(slot, s.gen);
 }
 
@@ -236,7 +243,7 @@ util::SimTime EventQueue::next_time() const {
   }
 }
 
-bool EventQueue::peek(std::int64_t& t_ns, std::uint32_t& slot) const {
+bool EventQueue::peek(std::int64_t& t_ns, std::uint64_t& key) const {
   // Same const_cast contract as next_time(): tombstone reclamation does not
   // change observable contents.
   if (live_ == 0) return false;
@@ -249,7 +256,7 @@ bool EventQueue::peek(std::int64_t& t_ns, std::uint32_t& slot) const {
     const Ready& top = self->ready_.front();
     if ((self->slots_[top.slot].gen & 1u) != 0) {
       t_ns = top.time_ns;
-      slot = top.slot;
+      key = top.seq;
       return true;
     }
     const Ready dead = self->heap_pop(self->ready_);
@@ -259,9 +266,10 @@ bool EventQueue::peek(std::int64_t& t_ns, std::uint32_t& slot) const {
 
 std::int64_t EventQueue::next_boundary_ns() const {
   // Entries go stale when their event executes, is cancelled, or the slot is
-  // recycled; ranks are globally unique, so a (slot, seq) match against a
-  // live slot identifies the original event. Same const_cast contract as
-  // next_time(): dropping stale entries changes nothing observable.
+  // recycled; a key is attached to at most one pending event, so a (slot,
+  // seq) match against a live slot identifies the original event. Same
+  // const_cast contract as next_time(): dropping stale entries changes
+  // nothing observable.
   auto* self = const_cast<EventQueue*>(this);
   while (!self->boundary_.empty()) {
     const Ready& top = self->boundary_.front();
@@ -285,7 +293,7 @@ EventQueue::Popped EventQueue::pop() {
       continue;
     }
     Popped out{util::SimTime::from_ns(top.time_ns),
-               make_id(top.slot, s.gen), std::move(s.fn), s.boundary};
+               make_id(top.slot, s.gen), std::move(s.fn), top.seq, s.boundary};
     s.gen += 1;  // odd -> even: executed
     release_slot(top.slot);
     --live_;

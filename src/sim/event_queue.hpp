@@ -16,11 +16,19 @@
 //          physical bucket entry stays behind as a tombstone and is freed
 //          when its window is collected.
 //
-// Ordering is exactly the old binary heap's contract: (time, push sequence),
-// so same-timestamp events run FIFO and protocol races (e.g. two ROUTE_OFFERs
-// in the same tick) resolve identically on every run; golden traces are
-// byte-stable across the queue swap (test_sim_queue_property pins this
-// against a reference heap model).
+// Ordering is (time, key), where the 64-bit key is fixed when the event is
+// scheduled: (entity, per-entity counter), entity in the high 18 bits. An
+// entity is whatever the caller designates as an independent scheduler — the
+// fleet makes each cluster and the relay hub one — and every push or rank
+// claim draws the next value of the current entity's counter. Same-time
+// events of one entity therefore run FIFO, and entities order by id. A queue
+// that never switches entity runs entirely in entity 0, where the key is the
+// plain push sequence number: the old binary heap's contract, so protocol
+// races (e.g. two ROUTE_OFFERs in the same tick) resolve identically on every
+// run and golden traces are byte-stable (test_sim_queue_property pins the
+// order against a reference model). Because a key depends only on its
+// entity's own history, sharded engines that give each entity's events to
+// one shard compute identical keys locally (see sim/sharded.hpp).
 //
 // Event state lives in a generation-counted slot table indexed by the low
 // half of the EventId; the high half carries the slot's generation, so
@@ -42,8 +50,6 @@ class Tracer;
 
 namespace drs::sim {
 
-class OrderingJournal;
-
 /// Inline-storage event callback: captures above 48 bytes fail to compile
 /// (static_assert in InlineFunction) instead of silently heap-allocating.
 /// Pool oversized state and capture an index instead.
@@ -52,12 +58,27 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
+/// Scheduling entity: the owner of one same-time ordering counter. 0 is the
+/// default for code that never designates one.
+using Entity = std::uint32_t;
+
+/// Bits of an ordering key below the entity id: the per-entity counter
+/// (~7e13 events). The 18 entity bits above it hold the default entity, the
+/// fleet's relay hub and one entity per uint16 cluster id.
+inline constexpr int kEntityShift = 46;
+inline constexpr Entity kMaxEntity = (Entity{1} << (64 - kEntityShift)) - 1;
+
+constexpr Entity entity_of(std::uint64_t key) {
+  return static_cast<Entity>(key >> kEntityShift);
+}
+
 class EventQueue {
  public:
-  /// Schedules `fn` at absolute time `t`; returns a cancellation id.
+  /// Schedules `fn` at absolute time `t` under the next key of the current
+  /// entity; returns a cancellation id.
   EventId push(util::SimTime t, EventCallback fn);
 
-  /// Consumes and returns the next push-sequence number without scheduling
+  /// Consumes and returns the current entity's next key without scheduling
   /// anything. A claimed rank can later be attached to an event with
   /// push_ranked(), making that event tie-break at equal times exactly as if
   /// it had been pushed when the rank was claimed. The probe sweep is built
@@ -66,10 +87,16 @@ class EventQueue {
   /// (tests/golden/probe_corpus.txt pins the resulting order).
   std::uint64_t claim_rank();
 
-  /// Schedules `fn` at `t` under a rank from claim_rank() instead of a fresh
-  /// sequence number. The rank must have been claimed from this queue and be
-  /// attached to at most one pending event at a time.
+  /// Schedules `fn` at `t` under a key from claim_rank() instead of a fresh
+  /// one. The key must be attached to at most one pending event at a time.
   EventId push_ranked(util::SimTime t, EventCallback fn, std::uint64_t rank);
+
+  /// The entity whose counter push() and claim_rank() draw from.
+  Entity entity() const { return entity_; }
+  void set_entity(Entity entity) {
+    if (entity >= counters_.size()) add_entities(entity);
+    entity_ = entity;
+  }
 
   /// Cancels a pending event. Returns false if the id is kInvalidEventId,
   /// unknown, already executed, or already cancelled.
@@ -85,17 +112,18 @@ class EventQueue {
     util::SimTime time;
     EventId id = kInvalidEventId;
     EventCallback fn;
+    std::uint64_t key = 0;  // (entity, counter) ordering key
     bool boundary = false;  // pushed under a boundary scope (see below)
   };
   /// Removes and returns the earliest live event. Precondition: !empty().
   Popped pop();
 
-  /// Time and slot index of the earliest live event without removing it
-  /// (same tombstone reclamation as next_time). Returns false when empty.
-  /// The slot index keys OrderingJournal::meta_for_slot in the sharded
-  /// engine's local-vs-foreign head comparison.
-  bool peek(std::int64_t& t_ns, std::uint32_t& slot) const;
+  /// Time and key of the earliest live event without removing it (same
+  /// tombstone reclamation as next_time). Returns false when empty. The
+  /// sharded engine orders its local head against foreign arrivals by it.
+  bool peek(std::int64_t& t_ns, std::uint64_t& key) const;
 
+  /// Every push and rank claim, across all entities.
   std::uint64_t total_scheduled() const { return total_scheduled_; }
 
   /// True iff the id is scheduled and neither executed nor cancelled.
@@ -116,13 +144,6 @@ class EventQueue {
   /// crosses a power-of-two threshold — O(log n) events per run, so tracing
   /// the queue costs nothing measurable.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Sharded-execution lineage hook (nullptr = off, the default; the legacy
-  /// single-queue paths pay one predictable branch per push/claim). The
-  /// journal observes every push's (slot, rank) pair and every bare rank
-  /// claim so the ShardedEngine can reconstruct the global (time, rank)
-  /// order across shards — see sim/sharded.hpp. Non-owning.
-  void set_journal(OrderingJournal* journal) { journal_ = journal; }
 
   /// Boundary tagging for the sharded engine's adaptive lookahead. While the
   /// scope flag is set (Simulator raises it during setup segments that build
@@ -154,7 +175,7 @@ class EventQueue {
 
   struct Slot {
     std::int64_t time_ns = 0;
-    std::uint64_t seq = 0;       // push order; breaks same-time ties FIFO
+    std::uint64_t seq = 0;       // (entity, counter) key; breaks same-time ties
     std::uint32_t gen = 0;       // odd = live, even = dead; bumps on each flip
     std::uint32_t next_free = kNoSlot;
     bool boundary = false;       // pushed under the boundary scope
@@ -172,6 +193,8 @@ class EventQueue {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
+  std::uint64_t next_key();
+  void add_entities(Entity last);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void place(std::uint32_t slot, std::int64_t t, std::uint64_t seq);
@@ -193,9 +216,11 @@ class EventQueue {
 
   std::size_t live_ = 0;
   std::uint64_t total_scheduled_ = 0;
+  // Key counters indexed by entity id; entity 0 always exists.
+  std::vector<std::uint64_t> counters_ = std::vector<std::uint64_t>(1);
+  Entity entity_ = 0;
   bool boundary_scope_ = false;
   obs::Tracer* tracer_ = nullptr;
-  OrderingJournal* journal_ = nullptr;
   std::size_t high_water_next_ = 16;  // next power-of-two threshold to report
 };
 

@@ -5,151 +5,20 @@
 
 namespace drs::sim {
 
-// ---------------------------------------------------------------------------
-// OrderingJournal
-// ---------------------------------------------------------------------------
-
-OrderingJournal::Meta OrderingJournal::make_child_meta() {
-  Meta meta;
-  if (in_setup_) {
-    meta.parent = kSetupParent;
-    if (forced_setup_idx_.has_value()) {
-      meta.idx = *forced_setup_idx_;
-      forced_setup_idx_.reset();
-    } else {
-      assert(setup_counter_ != nullptr);
-      meta.idx = ++*setup_counter_;
-    }
-    meta.window_ref = false;
-    return meta;
-  }
-  // Outside setup, every push/claim must happen while some event executes —
-  // that event is the lineage parent. External mid-run pushes have no legacy
-  // rank to reproduce and are excluded by contract (docs/SHARDING.md).
-  assert(in_event_ &&
-         "sharded pushes must originate from setup or an executing event");
-  meta.parent = cur_entry_;
-  meta.idx = cur_child_idx_++;
-  meta.window_ref = true;
-  return meta;
-}
-
-void OrderingJournal::on_claim(std::uint64_t rank) {
-  claims_[rank] = make_child_meta();
-  // drs-lint: hotpath-purity-ok(amortized: per-window scratch, cleared not shrunk by finish_window, capacity reused)
-  new_claim_ranks_.push_back(rank);
-}
-
-void OrderingJournal::on_push(std::uint32_t slot, std::uint64_t rank) {
-  // drs-lint: hotpath-purity-ok(amortized: grows to the queue's slot high-water once; slots recycle thereafter)
-  if (slot >= metas_.size()) metas_.resize(slot + 1);
-  if (auto it = claims_.find(rank); it != claims_.end()) {
-    metas_[slot] = it->second;
-    claims_.erase(it);
-  } else {
-    metas_[slot] = make_child_meta();
-  }
-  // drs-lint: hotpath-purity-ok(amortized: per-window scratch, cleared not shrunk by finish_window, capacity reused)
-  new_meta_slots_.push_back(slot);
-}
-
-void OrderingJournal::begin_event(std::int64_t t_ns, std::uint32_t slot) {
-  assert(!in_event_);
-  assert(slot < metas_.size());
-  const Meta& meta = metas_[slot];
-  cur_entry_ = log_.size();
-  cur_child_idx_ = 0;
-  in_event_ = true;
-  // drs-lint: hotpath-purity-ok(amortized: window log is cleared, not shrunk, at every merge; capacity reused)
-  log_.push_back(LogEntry{t_ns, meta.parent, meta.idx, meta.window_ref,
-                          tracer_ != nullptr ? tracer_->emitted() : 0, 0,
-                          kUnranked});
-}
-
-void OrderingJournal::begin_foreign(std::int64_t t_ns, const PushKey& key) {
-  assert(!in_event_);
-  cur_entry_ = log_.size();
-  cur_child_idx_ = 0;
-  in_event_ = true;
-  // drs-lint: hotpath-purity-ok(amortized: same window log as begin_event, cleared not shrunk at every merge)
-  log_.push_back(LogEntry{t_ns, key.parent, key.idx, /*window_ref=*/false,
-                          tracer_ != nullptr ? tracer_->emitted() : 0, 0,
-                          kUnranked});
-}
-
-void OrderingJournal::end_event() {
-  assert(in_event_);
-  log_[cur_entry_].trace_end = tracer_ != nullptr ? tracer_->emitted() : 0;
-  in_event_ = false;
-}
-
-void OrderingJournal::finish_window() {
-  // Patch every meta minted this window to its parent's final gseq before the
-  // window log (which the window-local refs index) is discarded. Visiting a
-  // slot twice (pushed, executed, slot recycled and pushed again within one
-  // window) is harmless: each visit resolves whatever the slot holds NOW, and
-  // resolution is idempotent once window_ref clears.
-  for (const std::uint32_t slot : new_meta_slots_) {
-    Meta& meta = metas_[slot];
-    if (meta.window_ref) {
-      assert(log_[meta.parent].gseq != kUnranked);
-      meta.parent = log_[meta.parent].gseq;
-      meta.window_ref = false;
-    }
-  }
-  new_meta_slots_.clear();
-  // Ranks claimed this window but not yet pushed (a hub stream entry whose
-  // armed event is still pending) finalize the same way. A claimed rank whose
-  // event never materializes (the stream was cleared by a failure) stays
-  // behind as a finalized, never-consumed entry — bounded by lost frames.
-  for (const std::uint64_t rank : new_claim_ranks_) {
-    if (auto it = claims_.find(rank); it != claims_.end()) {
-      Meta& meta = it->second;
-      if (meta.window_ref) {
-        assert(log_[meta.parent].gseq != kUnranked);
-        meta.parent = log_[meta.parent].gseq;
-        meta.window_ref = false;
-      }
-    }
-  }
-  new_claim_ranks_.clear();
-  log_.clear();  // capacity retained: steady-state windows do not allocate
-}
-
-// ---------------------------------------------------------------------------
-// ShardedEngine
-// ---------------------------------------------------------------------------
-
 ShardedEngine::ShardedEngine(Options options) : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
   if (options_.lookahead_ns < 1) options_.lookahead_ns = 1;
   shards_.reserve(options_.shards);
   for (std::uint32_t s = 0; s < options_.shards; ++s) {
-    auto shard = std::make_unique<Shard>(traced() ? options_.trace_capacity : 0);
-    if (traced()) {
-      shard->journal.set_tracer(&shard->tracer);
-      shard->sim.set_tracer(&shard->tracer);
-    }
-    // The counter-equal lane elides the journal entirely: no lineage
-    // recording on push/claim, no per-event log, no window merge. Ordering
-    // of same-time cross-shard traffic is then the caller's contract (the
-    // fleet oracle replays offers in (time, cluster, capture) order, which
-    // provably matches legacy rank order for the gateway mesh).
-    if (certified()) shard->sim.set_journal(&shard->journal);
+    auto shard = std::make_unique<Shard>(options_.trace_capacity);
+    if (traced()) shard->sim.set_tracer(&shard->tracer);
     shards_.push_back(std::move(shard));
   }
 }
 
 ShardedEngine::~ShardedEngine() { stop_workers(); }
 
-void ShardedEngine::begin_setup() {
-  assert(!in_setup_);
-  in_setup_ = true;
-  for (auto& shard : shards_) shard->journal.begin_setup(&setup_counter_);
-}
-
 void ShardedEngine::begin_setup_segment(std::uint32_t shard) {
-  assert(in_setup_);
   assert(!open_segment_.has_value());
   open_segment_ = shard;
 }
@@ -164,7 +33,7 @@ void ShardedEngine::drain_setup_segment(std::uint32_t shard_index) {
   // Eager per-segment drains keep multi-shard setup emissions in the merged
   // trace at exactly the position the legacy serialized build produced them.
   Shard& sh = *shards_[shard_index];
-  const std::uint64_t base = sh.journal.trace_drained;
+  const std::uint64_t base = sh.trace_drained;
   const std::uint64_t total = sh.tracer.emitted();
   if (total == base) return;
   assert(base >= sh.tracer.evicted() &&
@@ -173,14 +42,8 @@ void ShardedEngine::drain_setup_segment(std::uint32_t shard_index) {
   sh.tracer.for_each([&](const obs::TraceEvent& event) {
     if (index++ >= base) merged_.push_back(event);
   });
-  sh.journal.trace_drained = total;
+  sh.trace_drained = total;
   sh.tracer.clear();
-}
-
-void ShardedEngine::end_setup() {
-  assert(!open_segment_.has_value());
-  in_setup_ = false;
-  for (auto& shard : shards_) shard->journal.end_setup();
 }
 
 void ShardedEngine::add_foreign(std::uint32_t shard, ForeignEvent event) {
@@ -219,8 +82,8 @@ void ShardedEngine::sort_inboxes() {
     }
     // Oracle restores can emit at earlier arrivals than stale queued records,
     // so the unconsumed suffix must be re-ordered by (time, key). stable_sort
-    // keeps equal keys (impossible within one shard, but cheap insurance) in
-    // insertion order.
+    // keeps equal keys (impossible within one shard: a split broadcast puts
+    // one piece per shard) in insertion order.
     std::stable_sort(
         sh.inbox.begin() + static_cast<std::ptrdiff_t>(sh.inbox_cursor),
         sh.inbox.end(), [](const ForeignEvent& a, const ForeignEvent& b) {
@@ -260,159 +123,117 @@ std::int64_t ShardedEngine::next_boundary_bound_ns() const {
 
 void ShardedEngine::execute_window(Shard& shard, std::int64_t start_ns,
                                    std::int64_t end_ns) {
-  const bool journaled = certified();
   const std::uint64_t executed_before = shard.sim.executed_events();
+  std::uint64_t trace_mark = shard.tracer.emitted();
   for (;;) {
     std::int64_t local_t = 0;
-    std::uint32_t local_slot = 0;
-    const bool has_local = shard.sim.peek_next(local_t, local_slot);
-    ForeignEvent* foreign = shard.inbox_cursor < shard.inbox.size()
-                                ? &shard.inbox[shard.inbox_cursor]
-                                : nullptr;
-    bool take_foreign = false;
-    if (foreign != nullptr && foreign->at_ns < end_ns) {
-      if (!has_local || local_t >= end_ns || foreign->at_ns < local_t) {
-        take_foreign = true;
-      } else if (foreign->at_ns != local_t) {
-        // local first
-      } else if (!journaled) {
-        // Counter-equal lane: a delivery's legacy rank was claimed at its
-        // transmit instant, before any same-time local push this window
-        // could produce — and the fleet's hub arrivals never collide with
-        // pre-scheduled local events (serialization offsets are never
-        // multiples of the probe cadence).
-        take_foreign = true;
-      } else {
-        const OrderingJournal::Meta& meta =
-            shard.journal.meta_for_slot(local_slot);
-        if (meta.window_ref) {
-          // The local event's parent executes THIS window, so its gseq will
-          // exceed every previously-assigned one — including the foreign
-          // event's parent, which executed in an earlier window.
-          take_foreign = true;
-        } else {
-          take_foreign = foreign->key < PushKey{meta.parent, meta.idx};
-        }
-      }
+    std::uint64_t local_key = 0;
+    const bool has_local =
+        shard.sim.peek_next(local_t, local_key) && local_t < end_ns;
+    ForeignEvent* foreign = nullptr;
+    if (shard.inbox_cursor < shard.inbox.size() &&
+        shard.inbox[shard.inbox_cursor].at_ns < end_ns) {
+      foreign = &shard.inbox[shard.inbox_cursor];
     }
+    if (!has_local && foreign == nullptr) break;
+    // Plain (time, key) order: both sides' keys were fixed at schedule time.
+    const bool take_foreign =
+        foreign != nullptr &&
+        (!has_local || foreign->at_ns < local_t ||
+         (foreign->at_ns == local_t && foreign->key < local_key));
+    const std::int64_t t = take_foreign ? foreign->at_ns : local_t;
+    const std::uint64_t key = take_foreign ? foreign->key : local_key;
+    if (t < start_ns || t < shard.exec_t_ns ||
+        (t == shard.exec_t_ns && key < shard.exec_key)) {
+      ++shard.violations;
+    }
+    shard.exec_t_ns = t;
+    shard.exec_key = key;
     if (take_foreign) {
-      if (options_.check_windows && foreign->at_ns < start_ns) {
-        ++shard.violations;
-      }
-      if (journaled) {
-        shard.journal.begin_foreign(foreign->at_ns, foreign->key);
-        shard.sim.execute_foreign(util::SimTime::from_ns(foreign->at_ns),
-                                  foreign->fn);
-        shard.journal.end_event();
-      } else {
-        shard.sim.execute_foreign(util::SimTime::from_ns(foreign->at_ns),
-                                  foreign->fn);
-      }
+      shard.sim.execute_foreign(util::SimTime::from_ns(t), key, foreign->fn);
       ++shard.inbox_cursor;
-      continue;
-    }
-    if (has_local && local_t < end_ns) {
-      if (options_.check_windows && local_t < start_ns) ++shard.violations;
+    } else {
       shard.sim.step();
-      continue;
     }
-    shard.window_events_count += shard.sim.executed_events() - executed_before;
-    return;
+    // Untraced shards never emit, so this logs nothing for them.
+    const std::uint64_t emitted = shard.tracer.emitted();
+    if (emitted != trace_mark) {
+      // drs-lint: hotpath-purity-ok(amortized: per-window emission log, cleared not shrunk at every merge, grows to the busiest window once)
+      shard.emissions.push_back(Emission{t, key, emitted});
+      trace_mark = emitted;
+    }
   }
+  shard.window_events_count += shard.sim.executed_events() - executed_before;
 }
 
 void ShardedEngine::merge_window(std::int64_t start_ns, std::int64_t end_ns) {
-  // Counter-equal lane: no journal, no logs, no gseqs — the merge *is* the
-  // shared-medium replay. The hook orders same-time offers by its own
-  // contract (see Ordering::kCounterEqual).
-  if (!certified()) {
-    if (merge_hook_) {
-      foreign_floor_ns_ = end_ns;
-      merge_hook_(start_ns, end_ns);
-    }
-    return;
-  }
-
-  // 1. K-way merge of the per-shard execution logs under (time, key, shard),
-  //    assigning dense global sequence numbers. A window-local parent ref is
-  //    always resolvable when its child reaches a stream head: the parent is
-  //    an earlier entry of the same shard's log, already merged.
-  const std::uint32_t n = shard_count();
-  merge_order_.clear();
-  merge_pos_.assign(n, 0);
-  for (;;) {
-    int best = -1;
-    std::int64_t best_t = 0;
-    PushKey best_key{};
-    for (std::uint32_t s = 0; s < n; ++s) {
-      const auto& log = shards_[s]->journal.log();
-      if (merge_pos_[s] >= log.size()) continue;
-      const OrderingJournal::LogEntry& e = log[merge_pos_[s]];
-      const PushKey key{e.window_ref ? log[e.parent].gseq : e.parent, e.idx};
-      if (best < 0 || e.t_ns < best_t ||
-          (e.t_ns == best_t && key < best_key)) {
-        best = static_cast<int>(s);
-        best_t = e.t_ns;
-        best_key = key;
-      }
-    }
-    if (best < 0) break;
-    const auto s = static_cast<std::uint32_t>(best);
-    shards_[s]->journal.log()[merge_pos_[s]].gseq = next_gseq_++;
-    // drs-lint: hotpath-purity-ok(amortized: merge scratch is cleared, not shrunk, every window; capacity reused)
-    merge_order_.emplace_back(s, merge_pos_[s]);
-    ++merge_pos_[s];
-  }
-
-  // 2. Interleave the shards' trace emissions in gseq order: each log entry
-  //    owns the [trace_begin, trace_end) span it emitted, and the spans tile
-  //    the window's drained range exactly (everything emitted during a window
-  //    happens inside some executing event). Untraced runs
-  //    (trace_capacity == 0) skip the staging entirely.
-  for (std::uint32_t s = 0; traced() && s < n; ++s) {
-    Shard& sh = *shards_[s];
-    sh.window_trace_base = sh.journal.trace_drained;
-    const std::uint64_t total = sh.tracer.emitted();
-    assert(sh.window_trace_base >= sh.tracer.evicted() &&
-           "tracer evicted undrained events; raise Options::trace_capacity");
-    sh.window_events.clear();
-    if (total > sh.window_trace_base) {
-      std::uint64_t index = sh.tracer.evicted();
-      sh.tracer.for_each([&](const obs::TraceEvent& event) {
-        // drs-lint: hotpath-purity-ok(amortized: per-window staging buffer, cleared above, grows to the busiest window once)
-        if (index++ >= sh.window_trace_base) sh.window_events.push_back(event);
-      });
-    }
-    sh.journal.trace_drained = total;
-    sh.tracer.clear();
-  }
   if (traced()) {
-    for (const auto& [s, entry_index] : merge_order_) {
+    // 1. Stage each shard's window emissions. Everything emitted during a
+    //    window happens inside some executed event, so the per-event spans
+    //    tile the staged range exactly.
+    const std::uint32_t n = shard_count();
+    merge_pos_.assign(n, 0);
+    merge_begin_.assign(n, 0);
+    for (std::uint32_t s = 0; s < n; ++s) {
       Shard& sh = *shards_[s];
-      const OrderingJournal::LogEntry& e = sh.journal.log()[entry_index];
-      assert(e.trace_begin >= sh.window_trace_base &&
-             e.trace_end - sh.window_trace_base <= sh.window_events.size());
-      for (std::uint64_t i = e.trace_begin; i < e.trace_end; ++i) {
+      merge_begin_[s] = sh.trace_drained;
+      const std::uint64_t total = sh.tracer.emitted();
+      assert(sh.trace_drained >= sh.tracer.evicted() &&
+             "tracer evicted undrained events; raise Options::trace_capacity");
+      sh.window_events.clear();
+      if (total > sh.trace_drained) {
+        std::uint64_t index = sh.tracer.evicted();
+        sh.tracer.for_each([&](const obs::TraceEvent& event) {
+          // drs-lint: hotpath-purity-ok(amortized: per-window staging buffer, cleared above, grows to the busiest window once)
+          if (index++ >= sh.trace_drained) sh.window_events.push_back(event);
+        });
+      }
+      sh.tracer.clear();
+    }
+    // 2. K-way merge of the per-shard emission logs, each already sorted by
+    //    (time, key). Equal (time, key) across shards are the split pieces of
+    //    one broadcast delivery: the lowest shard holds the earliest-attached
+    //    receivers, so the strict comparison below keeps shard order.
+    for (;;) {
+      std::uint32_t s = 0;
+      const Emission* best_entry = nullptr;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::vector<Emission>& log = shards_[i]->emissions;
+        if (merge_pos_[i] >= log.size()) continue;
+        const Emission& e = log[merge_pos_[i]];
+        if (best_entry == nullptr || e.t_ns < best_entry->t_ns ||
+            (e.t_ns == best_entry->t_ns && e.key < best_entry->key)) {
+          s = i;
+          best_entry = &e;
+        }
+      }
+      if (best_entry == nullptr) break;
+      Shard& sh = *shards_[s];
+      for (std::uint64_t i = merge_begin_[s]; i < best_entry->trace_end; ++i) {
         // drs-lint: hotpath-purity-ok(output: the merged canonical trace is the engine's deliverable, the sharded analogue of the Tracer ring)
         merged_.push_back(sh.window_events[static_cast<std::size_t>(
-            i - sh.window_trace_base)]);
+            i - sh.trace_drained)]);
       }
+      merge_begin_[s] = best_entry->trace_end;
+      ++merge_pos_[s];
+    }
+    for (std::uint32_t s = 0; s < n; ++s) {
+      Shard& sh = *shards_[s];
+      sh.trace_drained += sh.window_events.size();
+      assert(merge_begin_[s] == sh.trace_drained);
+      sh.emissions.clear();  // capacity retained
     }
   }
 
-  // 3. Shared-medium replay: offers captured at shard boundaries resolve to
-  //    final keys now and turn into future foreign deliveries.
+  // 3. Shared-medium replay: captures turn into future foreign deliveries.
   if (merge_hook_) {
     foreign_floor_ns_ = end_ns;
     merge_hook_(start_ns, end_ns);
   }
-
-  // 4. Finalize pending metas against this window's gseqs, then drop the log.
-  for (auto& shard : shards_) shard->journal.finish_window();
 }
 
 void ShardedEngine::run_until(util::SimTime deadline) {
-  if (in_setup_) end_setup();
+  assert(!open_segment_.has_value());
   const std::int64_t deadline_ns = deadline.ns();
   for (;;) {
     std::int64_t next = std::numeric_limits<std::int64_t>::max();

@@ -2,34 +2,27 @@
 //
 // A ShardedEngine runs S independent Simulators (one per shard, each with its
 // own timing-wheel EventQueue, arena and tracer ring) in lockstep windows of
-// at most `lookahead` nanoseconds. The lookahead is the minimum cross-shard
+// at least `lookahead` nanoseconds. The lookahead is the minimum cross-shard
 // latency (for the fleet: the relay backplane's propagation delay), so an
 // event executing anywhere inside window [W, W+L) can only affect another
 // shard at time >= W+L — the classic conservative-synchronization argument.
 // Within a window every shard executes its own queue with no locks and no
 // cross-thread traffic; shards meet at a barrier where a single coordinator
-// merges the window's execution logs, releases cross-shard events into the
+// merges the window's trace logs, releases cross-shard events into the
 // per-shard inboxes, and picks the next window (skipping idle gaps).
 //
 // Determinism contract — the reason this file exists (docs/SHARDING.md):
-// a sharded run must be *byte-identical* to the legacy single-queue run, at
-// any shard count. The legacy queue orders events by (time, rank) where the
-// rank is the global push/claim sequence number. That global counter cannot
-// be reproduced online across threads, but its *order* can: a rank is claimed
-// either during setup (single-threaded, serialized across shards in legacy
-// construction order) or during the execution of some parent event. Ordering
-// events by the lexicographic key
-//
-//     (time, parent's execution order, push index within the parent)
-//
-// therefore reproduces (time, rank) order exactly: parents execute in rank
-// order by induction, and within one parent, ranks are claimed in push-index
-// order. The OrderingJournal records that lineage key for every push; the
-// window merge assigns every executed event a dense global sequence number
-// ("gseq") by k-way merging the per-shard logs under that key, which in turn
-// resolves the keys of the next window's events. Cross-shard events arrive
-// with a fully resolved key (their parent executed at least one window
-// earlier) and interleave with the local queue through the same comparison.
+// a sharded run must be *byte-identical* to the single-queue run, at any
+// shard count. Every queue orders same-time events by a key fixed at
+// schedule time, (entity, per-entity counter) — see sim/event_queue.hpp. A
+// caller that gives all of one entity's events to one shard (the fleet makes
+// each cluster an entity, and keeps the relay hub's counter on its oracle)
+// makes every counter advance in the same order on every engine, so every
+// engine computes the same key for the same event, locally. Each shard then
+// executes a sorted subsequence of the single-queue (time, key) order;
+// cross-shard events carry their key and interleave with the local queue by
+// plain (time, key) comparison. The merged trace is a k-way merge of the
+// shards' already-sorted per-event logs.
 //
 // Everything here is generic over "what crosses shards": the engine moves
 // opaque callbacks with (time, key) coordinates. The fleet's relay-hub
@@ -40,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -66,152 +58,6 @@ struct GlobalEventId {
                                     const GlobalEventId&) = default;
 };
 
-/// Fully resolved ordering key of one event relative to its timestamp:
-/// `parent` is kSetupParent for events pushed during serialized setup (idx is
-/// then the global setup counter), or the parent event's gseq; `idx` is the
-/// push index within that parent. Lexicographic (parent, idx) reproduces the
-/// legacy queue's same-time rank order (see the file comment).
-struct PushKey {
-  std::uint64_t parent = 0;
-  std::uint64_t idx = 0;
-
-  friend constexpr bool operator==(const PushKey&, const PushKey&) = default;
-  friend constexpr auto operator<=>(const PushKey&, const PushKey&) = default;
-};
-
-/// Parent value for setup-band pushes. Every setup push sorts before every
-/// runtime push at the same timestamp, exactly as the legacy counter orders
-/// them (setup ranks are claimed before the run starts).
-inline constexpr std::uint64_t kSetupParent = 0;
-/// First gseq handed to an executed event. Setup counters stay far below
-/// this, so a resolved parent field orders setup-band keys first.
-inline constexpr std::uint64_t kGseqBase = std::uint64_t{1} << 32;
-/// gseq value meaning "not assigned yet" (parent still executing in the
-/// current window).
-inline constexpr std::uint64_t kUnranked = 0;
-
-/// Per-shard lineage recorder. Hooked into the shard's EventQueue (push and
-/// rank-claim) and Simulator (event begin/end); null hooks cost one branch,
-/// which is what the single-threaded paths pay for this file's existence.
-class OrderingJournal {
- public:
-  /// Where an event's ordering key comes from until the window merge
-  /// finalizes it.
-  struct Meta {
-    std::uint64_t parent = kSetupParent;  // final key, or window-local log index
-    std::uint64_t idx = 0;
-    bool window_ref = false;  // parent is an index into the current window log
-  };
-
-  /// One executed event in the current window.
-  struct LogEntry {
-    std::int64_t t_ns = 0;
-    std::uint64_t parent = kSetupParent;
-    std::uint64_t idx = 0;
-    bool window_ref = false;
-    std::uint64_t trace_begin = 0;  // tracer emitted() span of this event
-    std::uint64_t trace_end = 0;
-    std::uint64_t gseq = kUnranked;  // assigned by the window merge
-  };
-
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  // -- serialized setup ------------------------------------------------------
-  /// Enters setup mode: pushes record {kSetupParent, ++*counter}. The counter
-  /// is shared by every shard and bumped on the single setup thread, so setup
-  /// ranks are identical at any shard count.
-  void begin_setup(std::uint64_t* counter) {
-    setup_counter_ = counter;
-    in_setup_ = true;
-  }
-  void end_setup() { in_setup_ = false; }
-  bool in_setup() const { return in_setup_; }
-  /// The next setup push consumes `idx` instead of bumping the shared
-  /// counter. Used for actions mirrored into every shard (a relay failure
-  /// epoch bump): legacy schedules ONE event, so all mirrors share its rank.
-  void force_next_setup_idx(std::uint64_t idx) { forced_setup_idx_ = idx; }
-
-  // -- queue hooks (EventQueue::push_ranked / claim_rank) --------------------
-  void on_push(std::uint32_t slot, std::uint64_t rank);
-  void on_claim(std::uint64_t rank);
-
-  // -- simulator hooks -------------------------------------------------------
-  void begin_event(std::int64_t t_ns, std::uint32_t slot);
-  void begin_foreign(std::int64_t t_ns, const PushKey& key);
-  void end_event();
-
-  /// Consumes the next child slot of the current context — what on_push does
-  /// internally, exposed for shard-boundary capture (the relay stub records
-  /// the offer's key instead of pushing a local event). The consumed index
-  /// keeps later same-parent pushes ordered exactly as legacy ranks would be,
-  /// whether or not legacy would have claimed a rank for this offer.
-  Meta make_child_meta();
-
-  /// Pending-event meta for the foreign-lane comparison (the slot must hold a
-  /// live event of this shard's queue).
-  const Meta& meta_for_slot(std::uint32_t slot) const { return metas_[slot]; }
-
-  /// Resolves a meta against the current window's (merged) log. Returns
-  /// kUnranked as parent while the parent has not been assigned a gseq.
-  PushKey resolve(const Meta& meta) const {
-    if (!meta.window_ref) return PushKey{meta.parent, meta.idx};
-    return PushKey{log_[meta.parent].gseq, meta.idx};
-  }
-
-  /// Ordering key of an executed window-log entry (valid once the merge has
-  /// assigned gseqs). A child meta's `parent` field indexes the log while
-  /// window_ref is set, so a boundary capture can recover the key of the
-  /// event that produced it.
-  PushKey entry_key(std::size_t entry) const {
-    const LogEntry& e = log_[entry];
-    return PushKey{e.window_ref ? log_[e.parent].gseq : e.parent, e.idx};
-  }
-
-  std::vector<LogEntry>& log() { return log_; }
-  const std::vector<LogEntry>& log() const { return log_; }
-
-  /// After the merge assigned gseqs (and the merge hook resolved its offers):
-  /// finalizes every meta recorded this window to its parent's gseq and
-  /// clears the window log. Capacity is retained — steady-state windows do
-  /// not allocate.
-  void finish_window();
-
-  /// Trace events already consumed by the engine's merge (cumulative
-  /// emitted() offset).
-  std::uint64_t trace_drained = 0;
-
- private:
-  obs::Tracer* tracer_ = nullptr;
-  bool in_setup_ = false;
-  std::uint64_t* setup_counter_ = nullptr;
-  std::optional<std::uint64_t> forced_setup_idx_;
-
-  std::vector<Meta> metas_;             // by queue slot
-  std::vector<std::uint32_t> new_meta_slots_;  // slots written this window
-  // Ranks claimed but not yet pushed. Ordered map: cold path (claims resolve
-  // to pushes within the same tick almost always) and deterministic to walk.
-  std::map<std::uint64_t, Meta> claims_;
-  std::vector<std::uint64_t> new_claim_ranks_;  // claimed this window
-
-  std::vector<LogEntry> log_;
-  bool in_event_ = false;
-  std::size_t cur_entry_ = 0;
-  std::uint64_t cur_child_idx_ = 0;
-};
-
-/// What the engine promises about a run's observable output.
-enum class Ordering {
-  /// Byte-identical traces and metric snapshots vs. the legacy single queue
-  /// (the OrderingJournal + window-merge machinery; the default).
-  kCertified,
-  /// Contract-equal fast lane: elides the journal, the k-way merge and all
-  /// trace bookkeeping. Guarantees only what the benches assert — event
-  /// counts, metric totals and invariant outcomes equal to legacy. No merged
-  /// trace is produced. For ceiling measurements and Monte-Carlo campaigns
-  /// that never read traces.
-  kCounterEqual,
-};
-
 /// S shards in conservative lockstep. See the file comment.
 class ShardedEngine {
  public:
@@ -222,13 +68,8 @@ class ShardedEngine {
     std::int64_t lookahead_ns = 5000;
     /// 0 skips tracer attachment entirely (no per-shard rings, no merged
     /// trace) — the fair configuration for benchmarking against an untraced
-    /// legacy run.
+    /// single-queue run.
     std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
-    /// Property-test hook: record window-containment violations and the
-    /// minimum cross-shard arrival margin instead of trusting the proof.
-    bool check_windows = false;
-    /// Output contract (see Ordering).
-    Ordering ordering = Ordering::kCertified;
     /// Upper bound on window length (safety lever for small trace rings);
     /// 0 = unlimited. Windows are adaptive: each one widens past the
     /// lookahead to the announced bound on the next possible cross-shard
@@ -243,8 +84,9 @@ class ShardedEngine {
   };
 
   /// A cross-shard event: executes at `at_ns` on the destination shard,
-  /// ordered against local events by `key` (fully resolved — the sending
-  /// parent executed in an earlier window).
+  /// ordered against local events by its schedule-time `key` (see the file
+  /// comment). The pieces of one split broadcast share a key; they land on
+  /// different shards and merge in shard order.
   // Inline storage sized for the fleet's hub deliveries (a Frame with its
   // payload pooled out-of-line, a destination NIC and the sender MAC): the
   // per-delivery heap allocation the std::function closure used to pay is
@@ -252,7 +94,7 @@ class ShardedEngine {
   using ForeignFn = util::InlineFunction<void(), 96>;
   struct ForeignEvent {
     std::int64_t at_ns = 0;
-    PushKey key;
+    std::uint64_t key = 0;
     ForeignFn fn;
   };
 
@@ -270,10 +112,14 @@ class ShardedEngine {
     return shards_[shard]->sim;
   }
   obs::Tracer& tracer(std::uint32_t shard) { return shards_[shard]->tracer; }
-  OrderingJournal& journal(std::uint32_t shard) {
-    return shards_[shard]->journal;
-  }
   std::int64_t lookahead_ns() const { return options_.lookahead_ns; }
+
+  /// Ordering key of the event `shard` is executing right now (worker
+  /// thread of that shard only). A boundary capture records it so the
+  /// coordinator can replay captures in single-queue order.
+  std::uint64_t executing_key(std::uint32_t shard) const {
+    return shards_[shard]->exec_key;
+  }
 
   /// Qualified id of an event scheduled on `shard` (uniqueness across the
   /// whole engine; see GlobalEventId).
@@ -283,25 +129,17 @@ class ShardedEngine {
 
   // -- serialized setup ------------------------------------------------------
   // Construction and start() of the sharded system run on the caller's
-  // thread, interleaved across shards in the exact order the legacy
-  // single-simulator build would have used. Wrap every step that touches a
-  // shard in a segment so its trace emissions land in the merged trace at
-  // the legacy position.
-  void begin_setup();
+  // thread, interleaved across shards in the order the single-simulator
+  // build would use. Wrap every step that touches a shard in a segment so
+  // its trace emissions land in the merged trace at the same position.
   void begin_setup_segment(std::uint32_t shard);
   void end_setup_segment();
-  /// One shared setup rank (for actions mirrored into several shards).
-  std::uint64_t consume_setup_rank() { return ++setup_counter_; }
-  void force_setup_idx(std::uint32_t shard, std::uint64_t idx) {
-    shards_[shard]->journal.force_next_setup_idx(idx);
-  }
-  void end_setup();
 
   // -- cross-shard traffic ---------------------------------------------------
   /// Coordinator-side only (call from the merge hook): enqueues a foreign
   /// event. Must not land inside the window being merged — the conservative
   /// bound guarantees arrivals fall at or after the next window's start, and
-  /// check_windows records the margin.
+  /// min_foreign_margin_ns() records the margin.
   void add_foreign(std::uint32_t shard, ForeignEvent event);
 
   /// Batched hand-off: moves every staged event into the shard's inbox in one
@@ -310,10 +148,9 @@ class ShardedEngine {
   /// window after window without allocating.
   void add_foreign_batch(std::uint32_t shard, std::vector<ForeignEvent>& staged);
 
-  /// Runs on the coordinator at every window barrier, after gseqs are
-  /// assigned and traces merged, before window state is cleared: resolve
-  /// boundary offers (journal(s).resolve), replay shared-medium state, and
-  /// add_foreign the resulting deliveries.
+  /// Runs on the coordinator at every window barrier, after the window's
+  /// traces are merged: replay the boundary captures of the window over the
+  /// shared-medium state, and add_foreign the resulting deliveries.
   using MergeHook = std::function<void(std::int64_t window_start_ns,
                                        std::int64_t window_end_ns)>;
   void set_merge_hook(MergeHook hook) { merge_hook_ = std::move(hook); }
@@ -328,8 +165,7 @@ class ShardedEngine {
 
   /// Runs on the coordinator right before each window [start, end) is
   /// released to the workers: flush oracle-held deliveries landing inside the
-  /// window into the inboxes (they were created by earlier merges, so their
-  /// keys are final).
+  /// window into the inboxes (they were created by earlier merges).
   using FlushHook = std::function<void(std::int64_t window_start_ns,
                                        std::int64_t window_end_ns)>;
   void set_flush_hook(FlushHook hook) { flush_hook_ = std::move(hook); }
@@ -354,13 +190,16 @@ class ShardedEngine {
   void run_until(util::SimTime deadline);
 
   /// The merged trace: every shard's emissions interleaved in global
-  /// execution (gseq) order — byte-identical to the legacy single-tracer
+  /// (time, key) execution order — byte-identical to the single-tracer
   /// stream. Grows across run_until calls.
   const std::vector<obs::TraceEvent>& merged_trace() const { return merged_; }
 
   std::uint64_t windows_run() const { return windows_run_; }
   std::uint64_t events_executed() const;
-  /// check_windows results: events observed executing outside their window.
+  /// Events that executed before their window's start or out of (time, key)
+  /// order on their shard — always counted, and always 0 when the lookahead
+  /// and keying contracts hold. In-order execution is the precondition of
+  /// the plain trace merge.
   std::uint64_t window_violations() const;
   /// Min over foreign events of (arrival - start of the earliest window that
   /// could still execute when the event was enqueued). Conservative sync
@@ -384,16 +223,29 @@ class ShardedEngine {
   const std::vector<obs::WindowSpan>& window_spans() const { return spans_; }
 
  private:
+  /// One executed event that emitted trace events: its span of the shard's
+  /// tracer ends at `trace_end` and begins where the previous entry (or the
+  /// window's drained offset) ended.
+  struct Emission {
+    std::int64_t t_ns = 0;
+    std::uint64_t key = 0;
+    std::uint64_t trace_end = 0;
+  };
+
   struct Shard {
     Simulator sim;
     obs::Tracer tracer;
-    OrderingJournal journal;
     std::vector<ForeignEvent> inbox;  // sorted by (at_ns, key) past cursor
     std::size_t inbox_cursor = 0;
     std::uint64_t inbox_added = 0;  // appended since last sort
+    // (time, key) of the event executing now, or executed last: boundary
+    // captures read the key, and the in-order check compares against both.
+    std::int64_t exec_t_ns = std::numeric_limits<std::int64_t>::min();
+    std::uint64_t exec_key = 0;
+    std::vector<Emission> emissions;  // this window's, in execution order
+    std::uint64_t trace_drained = 0;  // tracer emitted() already merged
     std::vector<obs::TraceEvent> window_events;  // drain scratch
-    std::uint64_t window_trace_base = 0;         // drained offset at merge
-    std::uint64_t violations = 0;  // check_windows: out-of-window executions
+    std::uint64_t violations = 0;  // out-of-window or out-of-order executions
     std::uint64_t window_events_count = 0;  // events executed inside windows
     // Written by this shard's worker between the release and arrival
     // barriers (coordinator-owned while workers are parked, like all shard
@@ -412,11 +264,7 @@ class ShardedEngine {
   void worker_loop(std::uint32_t shard);
   void start_workers();
   void stop_workers();
-  bool traced() const {
-    return options_.ordering == Ordering::kCertified &&
-           options_.trace_capacity > 0;
-  }
-  bool certified() const { return options_.ordering == Ordering::kCertified; }
+  bool traced() const { return options_.trace_capacity > 0; }
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -426,15 +274,12 @@ class ShardedEngine {
   EotHook eot_hook_;
 
   // Setup state (single-threaded phase).
-  bool in_setup_ = false;
-  std::uint64_t setup_counter_ = 0;
   std::optional<std::uint32_t> open_segment_;
 
   // Merge state.
-  std::uint64_t next_gseq_ = kGseqBase;
   std::vector<obs::TraceEvent> merged_;
-  std::vector<std::pair<std::uint32_t, std::size_t>> merge_order_;  // scratch
-  std::vector<std::size_t> merge_pos_;                              // scratch
+  std::vector<std::size_t> merge_pos_;         // scratch: next emission
+  std::vector<std::uint64_t> merge_begin_;     // scratch: next span begin
   std::uint64_t windows_run_ = 0;
   std::uint64_t windows_coalesced_ = 0;
   std::vector<obs::WindowSpan> spans_;

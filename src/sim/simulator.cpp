@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sim/sharded.hpp"
-
 namespace drs::sim {
 
 bool EventHandle::pending() const {
@@ -43,6 +41,7 @@ std::uint64_t Simulator::run_until(util::SimTime deadline) {
     auto ev = queue_.pop();
     assert(ev.time >= now_);
     now_ = ev.time;
+    enter_entity_of(ev.key);
     ev.fn();
     ++executed_;
     ++count;
@@ -62,19 +61,11 @@ bool Simulator::step() {
   auto ev = queue_.pop();
   assert(ev.time >= now_);
   now_ = ev.time;
+  enter_entity_of(ev.key);
   // Transitive boundary propagation: a tagged event's children are tagged.
   // Untagged events clear the scope, so a stray raised flag cannot leak.
   queue_.set_boundary_scope(ev.boundary);
-  if (journal_ != nullptr) {
-    // The slot was released by pop() but its journal meta survives until the
-    // slot's next push, which cannot happen before ev.fn() runs below.
-    journal_->begin_event(ev.time.ns(),
-                          static_cast<std::uint32_t>(ev.id & 0xFFFFFFFFu));
-    ev.fn();
-    journal_->end_event();
-  } else {
-    ev.fn();
-  }
+  ev.fn();
   queue_.set_boundary_scope(false);
   ++executed_;
   return true;

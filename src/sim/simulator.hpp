@@ -1,9 +1,16 @@
 // The discrete-event simulator: a monotonic clock plus the event queue.
 //
 // Single-threaded by design — determinism is the property everything above
-// (protocol validation, Monte-Carlo replay) depends on. Parallelism in this
-// project happens *across* independent simulations (see drs::mc), never
-// inside one.
+// (protocol validation, Monte-Carlo replay) depends on. Parallelism happens
+// across independent simulations (see drs::mc), or across shards that each
+// own a Simulator (sim/sharded.hpp).
+//
+// Same-time events order by a key fixed at schedule time: (entity, counter)
+// — see sim/event_queue.hpp. An executing event's pushes inherit its entity;
+// EntityScope designates one for setup code; net::Host and net::Backplane
+// re-enter the entity they were built in. A simulation that never designates
+// an entity runs entirely in entity 0, where the key is the push sequence
+// number and same-time events run FIFO.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +24,6 @@ class Tracer;
 }
 
 namespace drs::sim {
-
-class OrderingJournal;
 
 /// Move-only cancellation token for a scheduled event. Default-constructed
 /// (or fired, or moved-from) handles are inert. Non-owning of the simulator.
@@ -102,6 +107,11 @@ class Simulator {
   EventHandle schedule_at_ranked(util::SimTime t, EventCallback fn,
                                  std::uint64_t rank);
 
+  /// The scheduling entity new events are keyed under (see the file
+  /// comment). Executing an event switches to the event's own entity.
+  Entity entity() const { return queue_.entity(); }
+  void set_entity(Entity entity) { queue_.set_entity(entity); }
+
   bool cancel(EventId id) { return queue_.cancel(id); }
   bool is_pending(EventId id) const;
 
@@ -134,21 +144,11 @@ class Simulator {
 
   // -- sharded execution (see sim/sharded.hpp) ------------------------------
   // These hooks let a ShardedEngine drive one shard's simulator as a window
-  // worker. They are inert (journal_ == nullptr, never called) in
-  // single-threaded runs; run_until — the hot path — is untouched either way.
+  // worker. Single-threaded runs never call them.
 
-  /// Attaches the lineage journal: every push/claim records its ordering
-  /// pedigree, and step() logs each executed event. Non-owning.
-  void set_journal(OrderingJournal* journal) {
-    journal_ = journal;
-    queue_.set_journal(journal);
-  }
-  OrderingJournal* journal() const { return journal_; }
-
-  /// Earliest pending event's (time, queue slot) without popping; false when
-  /// idle. The slot keys the journal's pending-event metadata.
-  bool peek_next(std::int64_t& t_ns, std::uint32_t& slot) const {
-    return queue_.peek(t_ns, slot);
+  /// Earliest pending event's (time, key) without popping; false when idle.
+  bool peek_next(std::int64_t& t_ns, std::uint64_t& key) const {
+    return queue_.peek(t_ns, key);
   }
 
   /// Boundary scope for the adaptive-lookahead protocol: while raised, every
@@ -163,14 +163,16 @@ class Simulator {
   /// Earliest pending boundary-tagged event, INT64_MAX when none.
   std::int64_t next_boundary_ns() const { return queue_.next_boundary_ns(); }
 
-  /// Runs a cross-shard event at `t` as if it had been popped from the local
-  /// queue: clock advance + executed_events() accounting. The caller (the
-  /// engine) orders these against local events and journals them. Foreign
-  /// deliveries execute under the boundary scope: anything they schedule
-  /// (e.g. an echo reply's timeout) may reach the relay again.
+  /// Runs a cross-shard event at `t` under its ordering `key` as if it had
+  /// been popped from the local queue: clock advance, the key's entity, and
+  /// executed_events() accounting. The caller (the engine) orders these
+  /// against local events. Foreign deliveries execute under the boundary
+  /// scope: anything they schedule (e.g. an echo reply's timeout) may reach
+  /// the relay again.
   template <typename Fn>
-  void execute_foreign(util::SimTime t, Fn&& fn) {
+  void execute_foreign(util::SimTime t, std::uint64_t key, Fn&& fn) {
     now_ = t;
+    enter_entity_of(key);
     queue_.set_boundary_scope(true);
     fn();
     queue_.set_boundary_scope(false);
@@ -184,13 +186,40 @@ class Simulator {
   }
 
  private:
+  /// An executing event's pushes inherit its entity; the switch is skipped
+  /// when the entity does not change.
+  void enter_entity_of(std::uint64_t key) {
+    if (entity_of(key) != queue_.entity()) queue_.set_entity(entity_of(key));
+  }
+
   util::SimTime now_ = util::SimTime::zero();
   EventQueue queue_;
   std::uint64_t executed_ = 0;
   obs::Tracer* tracer_ = nullptr;
-  OrderingJournal* journal_ = nullptr;
   util::Arena owned_arena_;
   util::Arena* arena_ = &owned_arena_;
+};
+
+/// RAII entity scope: keys everything scheduled inside it under `entity`,
+/// then restores the previous entity. Setup code that builds one entity's
+/// components (a fleet cluster, the relay hub) wraps itself in one; Host and
+/// Backplane use it to re-enter the entity they were built in. Switching to
+/// the current entity is a no-op.
+class EntityScope {
+ public:
+  EntityScope(Simulator& sim, Entity entity)
+      : sim_(sim), prev_(sim.entity()) {
+    if (entity != prev_) sim_.set_entity(entity);
+  }
+  ~EntityScope() {
+    if (sim_.entity() != prev_) sim_.set_entity(prev_);
+  }
+  EntityScope(const EntityScope&) = delete;
+  EntityScope& operator=(const EntityScope&) = delete;
+
+ private:
+  Simulator& sim_;
+  Entity prev_;
 };
 
 /// RAII boundary scope: raised for the duration of a setup segment that

@@ -145,9 +145,9 @@ TEST(ZeroAllocSteadyState, ShardedFleetReusesWarmedUpStoragePerShard) {
   // The sharded fleet must hold the zero-alloc guarantee per shard: every
   // shard's queue and arena reach their peak during warmup and stay flat
   // while probes keep flowing, and the aggregated gauges (summed over
-  // shards) stay flat too. Windows keep running, so the journal/merge
-  // machinery is also covered by the "no growth" check — its scratch
-  // vectors retain capacity across windows.
+  // shards) stay flat too. Windows keep running, so the window execution
+  // and merge machinery is also covered by the "no growth" check — its
+  // scratch vectors retain capacity across windows.
   cluster::ShardedFleetConfig config;
   config.fleet.clusters = 8;
   config.fleet.nodes_per_cluster = 4;

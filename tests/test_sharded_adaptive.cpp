@@ -1,22 +1,16 @@
-// The adaptive-lookahead (earliest-output-time) window protocol and the
-// counter-equal fast lane, tested where the differential corpus cannot see:
+// The adaptive-lookahead (earliest-output-time) window protocol, tested
+// where the differential corpus cannot see:
 //   - coalescing invariance: adaptive windows change ONLY the window count —
 //     the merged trace and semantic metrics are byte-identical to the
 //     fixed-lookahead protocol (windows capped at the lookahead), while the
 //     window count shrinks >= 5x;
-//   - counter-equal contract: with the journal and merge elided, event
-//     counts, probe totals, semantic metric snapshots and invariant outcomes
-//     still equal the legacy single-queue run at every shard count (and no
-//     merged trace is produced);
-//   - counter-equal refuses lossy relays (the loss RNG draw order is only
-//     certified under the journaled merge);
+//   - the window cap bounds window width;
 //   - window spans: recorded spans tile the run (monotone, non-overlapping),
 //     account for every executed event, and export to Chrome trace format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/sharded.hpp"
-#include "sim/simulator.hpp"
 #include "util/time.hpp"
 
 namespace drs {
@@ -98,14 +91,11 @@ void schedule_mixed_outages(cluster::ShardedFleet& fleet) {
 
 /// `max_window_ns` = 0 runs uncapped adaptive windows; lookahead_ns gives the
 /// fixed-lookahead protocol.
-FleetRun run_fleet(std::uint32_t shards, sim::Ordering ordering,
-                   std::int64_t max_window_ns = 0) {
+FleetRun run_fleet(std::uint32_t shards, std::int64_t max_window_ns = 0) {
   cluster::ShardedFleetConfig config;
   config.fleet = fleet_config(4, 4);
   config.shards = shards;
   config.trace_capacity = std::size_t{1} << 16;
-  config.check_windows = true;
-  config.ordering = ordering;
   config.max_window_ns = max_window_ns;
   config.record_window_spans = max_window_ns > 0;
   cluster::ShardedFleet fleet(config);
@@ -142,12 +132,11 @@ TEST(ShardedAdaptive, CoalescingChangesOnlyTheWindowCount) {
   // widening step never coalesces and no window is wider than one lookahead.
   const std::int64_t lookahead_ns =
       fleet_config(4, 4).relay_backplane.propagation_delay.ns();
-  const FleetRun fixed =
-      run_fleet(4, sim::Ordering::kCertified, /*max_window_ns=*/lookahead_ns);
+  const FleetRun fixed = run_fleet(4, /*max_window_ns=*/lookahead_ns);
   ASSERT_EQ(fixed.lookahead_ns, lookahead_ns);
   ASSERT_EQ(fixed.window_spans, fixed.windows_run);
   EXPECT_LE(fixed.widest_window_ns, fixed.lookahead_ns);
-  const FleetRun adaptive = run_fleet(4, sim::Ordering::kCertified);
+  const FleetRun adaptive = run_fleet(4);
 
   // Identical observable output...
   EXPECT_EQ(fixed.trace_json, adaptive.trace_json);
@@ -175,7 +164,6 @@ TEST(ShardedAdaptive, MaxWindowCapBoundsWindowWidth) {
     cluster::ShardedFleetConfig config;
     config.fleet = fleet_config(2, 4);
     config.shards = 2;
-    config.check_windows = true;
     config.record_window_spans = true;
     config.max_window_ns = max_window_ns;
     cluster::ShardedFleet fleet(config);
@@ -198,77 +186,6 @@ TEST(ShardedAdaptive, MaxWindowCapBoundsWindowWidth) {
   EXPECT_GT(uncapped_widest, cap_ns);
   EXPECT_LE(capped_widest, cap_ns);
   EXPECT_GT(capped_windows, uncapped_windows);
-}
-
-// -- the counter-equal fast lane ---------------------------------------------
-
-TEST(ShardedAdaptive, CounterEqualMatchesLegacyTotals) {
-  // Legacy oracle run (single simulator, untraced — counter-equal runs
-  // produce no trace, so totals are the whole comparison surface).
-  cluster::FleetConfig legacy_config = fleet_config(4, 4);
-  sim::Simulator sim;
-  cluster::Fleet legacy(sim, legacy_config);
-  legacy.start();
-  struct Action {
-    util::SimTime at;
-    net::ComponentIndex component;
-    bool fail;
-  };
-  const net::ComponentIndex relay = legacy.relay_backplane_component();
-  const net::ComponentIndex gateway1 = legacy.gateway_component(1);
-  for (const Action& action :
-       {Action{at_ms(120), relay, true}, Action{at_ms(180), relay, false},
-        Action{at_ms(250), gateway1, true},
-        Action{at_ms(400), gateway1, false}}) {
-    cluster::Fleet* target = &legacy;
-    sim.schedule_at(action.at, [target, action] {
-      target->set_component_failed(action.component, action.fail);
-    });
-  }
-  sim.run_until(at_ms(600));
-  obs::MetricRegistry legacy_registry;
-  legacy.collect_metrics(legacy_registry);
-  const std::string legacy_metrics =
-      semantic_only(legacy_registry.to_json());
-
-  // Event-count reference: a certified sharded run, not the legacy one —
-  // relay transitions are oracle-owned shared state in sharded mode (no
-  // shard event), so the sharded total is legacy minus the relay injections
-  // regardless of ordering mode.
-  const FleetRun certified =
-      run_fleet(2, sim::Ordering::kCertified);
-
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    cluster::ShardedFleetConfig config;
-    config.fleet = fleet_config(4, 4);
-    config.shards = shards;
-    config.ordering = sim::Ordering::kCounterEqual;
-    config.check_windows = true;
-    cluster::ShardedFleet fleet(config);
-    fleet.start();
-    schedule_mixed_outages(fleet);
-    fleet.run_until(at_ms(600));
-
-    EXPECT_EQ(fleet.engine().window_violations(), 0u);
-    EXPECT_GE(fleet.engine().min_foreign_margin_ns(), 0);
-    // The contract: counts and totals, not traces.
-    EXPECT_TRUE(fleet.merged_trace().empty());
-    EXPECT_EQ(fleet.engine().events_executed(), certified.executed_events);
-    EXPECT_EQ(fleet.total_probes_sent(), legacy.total_probes_sent());
-    EXPECT_EQ(fleet.all_pristine(), legacy.all_pristine());
-    obs::MetricRegistry registry;
-    fleet.collect_metrics(registry);
-    EXPECT_EQ(semantic_only(registry.to_json()), legacy_metrics);
-  }
-}
-
-TEST(ShardedAdaptive, CounterEqualRefusesLossyRelay) {
-  cluster::ShardedFleetConfig config;
-  config.fleet = fleet_config(2, 4);
-  config.fleet.relay_backplane.frame_loss_rate = 0.01;
-  config.ordering = sim::Ordering::kCounterEqual;
-  EXPECT_THROW(cluster::ShardedFleet{config}, std::invalid_argument);
 }
 
 // -- window spans -------------------------------------------------------------

@@ -4,7 +4,9 @@
 // Every scenario runs once on a legacy cluster::Fleet (one Simulator, one
 // tracer — the oracle) and once per shard count in {1, 2, 4, 8} on a
 // cluster::ShardedFleet, with identical configs and identical injection
-// schedules. The comparison is the strongest the topology admits:
+// schedules (both through schedule_component_failure, which keys each
+// injection under the entity owning the component). The comparison is the
+// strongest the topology admits:
 //   - the full protocol trace (every TraceEventKind except kQueueHighWater,
 //     which reports per-queue occupancy and is per-shard by design),
 //     serialized to canonical JSON and compared as bytes — send instants,
@@ -14,11 +16,14 @@
 //     sharding intentionally changes);
 //   - probe totals and the pristine flag.
 //
-// The corpus covers 20 scenarios across four shapes: healthy fleets of
+// The corpus covers 22 scenarios across five shapes: healthy fleets of
 // varying geometry, targeted component failures (cluster NICs and
 // backplanes, gateway NICs, the shared relay hub — failed and healed),
-// seeded chaos schedules over the fleet's flat component space, and the
-// 27-cluster fleet_smoke deployment shape. docs/SHARDING.md explains why
+// seeded chaos schedules over the fleet's flat component space, the
+// 27-cluster fleet_smoke deployment shape, and the relay's own ordering: a
+// lossy relay (loss draws follow the oracle's replay order) and a relay
+// tuned so hub deliveries land on the same nanosecond as gateway ticks
+// (same-instant ties between entities). docs/SHARDING.md explains why
 // equality is exact rather than statistical.
 #include <gtest/gtest.h>
 
@@ -125,12 +130,7 @@ Observed run_legacy(const Scenario& scenario) {
   cluster::Fleet fleet(sim, scenario.fleet);
   fleet.start();
   for (const net::FailureAction& action : scenario.actions) {
-    cluster::Fleet* target = &fleet;
-    const net::ComponentIndex component = action.component;
-    const bool fail = action.fail;
-    sim.schedule_at(action.at, [target, component, fail] {
-      target->set_component_failed(component, fail);
-    });
+    fleet.schedule_component_failure(action.at, action.component, action.fail);
   }
   sim.run_until(util::SimTime::zero() + scenario.run);
   EXPECT_EQ(tracer.evicted(), 0u)
@@ -150,13 +150,14 @@ Observed run_sharded(const Scenario& scenario, std::uint32_t shards) {
   config.fleet = scenario.fleet;
   config.shards = shards;
   config.trace_capacity = std::size_t{1} << 16;
-  config.check_windows = true;
   cluster::ShardedFleet fleet(config);
   fleet.start();
   for (const net::FailureAction& action : scenario.actions) {
     fleet.schedule_component_failure(action.at, action.component, action.fail);
   }
   fleet.run_until(util::SimTime::zero() + scenario.run);
+  // Window containment and in-order execution (the trace merge's
+  // precondition) are counted on every run.
   EXPECT_EQ(fleet.engine().window_violations(), 0u) << scenario.name;
   // EOT conservativeness across the whole corpus: adaptive windows are on by
   // default, and no cross-shard arrival may land in sim-time its destination
@@ -315,6 +316,40 @@ TEST(ShardedDifferential, FleetSmokeShape) {
                  {at_ms(200), gateway13, false}};
     run_scenario(s);
   }
+}
+
+// -- shape 5: the relay's own ordering (2 scenarios) -------------------------
+
+TEST(ShardedDifferential, LossyRelay) {
+  // Every relay frame draws from the loss RNG, so the oracle must replay
+  // offers in exactly Fleet's transmit order for the lost set — and with it
+  // every echo counter and trace line — to match.
+  Scenario s{"relay-lossy", fleet_config(4, 4), {},
+             util::Duration::millis(1500)};
+  s.fleet.relay_backplane.frame_loss_rate = 0.05;
+  run_scenario(s);
+
+  // The scenario is only a check if frames are actually lost.
+  sim::Simulator sim;
+  cluster::Fleet fleet(sim, s.fleet);
+  fleet.start();
+  sim.run_until(util::SimTime::zero() + s.run);
+  EXPECT_GT(fleet.relay_backplane().counters().lost_random, 0u);
+}
+
+TEST(ShardedDifferential, RelayTies) {
+  // A 64-byte frame serializes in 5 us at 102.4 Mb/s; with 95 us of
+  // propagation and a 100 us echo cadence, the first frame a tick puts on
+  // the relay is delivered on the exact nanosecond of the next tick. Hub
+  // deliveries and cluster events at one instant, and the relay offers both
+  // make, must then order by key — the only corpus scenario where they meet.
+  Scenario s{"relay-ties", fleet_config(4, 4), {},
+             util::Duration::millis(30)};
+  s.fleet.relay_backplane.bits_per_second = 102.4e6;
+  s.fleet.relay_backplane.propagation_delay = util::Duration::micros(95);
+  s.fleet.gateway_probe_interval = util::Duration::micros(100);
+  s.fleet.gateway_probe_timeout = util::Duration::millis(1);
+  run_scenario(s);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Invariants of the sharded engine that the differential corpus relies on
 // but does not observe directly:
-//   - window containment: with check_windows on, no event ever executes
-//     outside the window its shard was released for;
+//   - window containment: no event ever executes outside the window its
+//     shard was released for, or out of (time, key) order;
 //   - conservative arrivals: no cross-shard event is ever enqueued for a
 //     sim-time the destination shard may already have executed past
 //     (min_foreign_margin_ns >= 0);
-//   - the merged trace is globally time-ordered (gseq order refines time
-//     order, so a sorted merge is an invariant, not a post-processing step);
+//   - the merged trace is globally time-ordered ((time, key) order refines
+//     time order, so a sorted merge is an invariant, not a post-processing
+//     step);
 //   - GlobalEventId keeps identities distinct across shard namespaces even
 //     where per-queue 32-bit generations wrap and local ids collide.
 #include <gtest/gtest.h>
@@ -81,14 +82,12 @@ TEST(ShardedProperty, NoEventExecutesOutsideItsWindow) {
   sim::ShardedEngine::Options options;
   options.shards = 4;
   options.lookahead_ns = 5000;
-  options.check_windows = true;
   // Fixed-lookahead windows on purpose (capped at the lookahead): these
   // chains are untagged (no boundary events at all), so uncapped windows
   // would legally collapse the whole run into one window and containment
   // would be tested vacuously.
   options.max_window_ns = options.lookahead_ns;
   sim::ShardedEngine engine(options);
-  engine.begin_setup();
 
   std::vector<Chain> chains(options.shards);
   for (std::uint32_t s = 0; s < options.shards; ++s) {
@@ -125,7 +124,6 @@ TEST(ShardedProperty, FleetForeignArrivalsRespectLookahead) {
   config.fleet.nodes_per_cluster = 4;
   config.fleet.drs = chaos::fast_campaign_drs_config();
   config.shards = 4;
-  config.check_windows = true;
   cluster::ShardedFleet fleet(config);
   fleet.start();
   // Exercise the oracle's failure path too: a relay blip plus a gateway
@@ -150,8 +148,8 @@ TEST(ShardedProperty, FleetForeignArrivalsRespectLookahead) {
             std::numeric_limits<std::int64_t>::max());
   EXPECT_GE(engine.min_foreign_margin_ns(), 0);
 
-  // gseq order refines time order: the merged stream is non-decreasing in
-  // at_ns with no post-sort.
+  // (time, key) order refines time order: the merged stream is
+  // non-decreasing in at_ns with no post-sort.
   const std::vector<obs::TraceEvent>& trace = fleet.merged_trace();
   ASSERT_FALSE(trace.empty());
   for (std::size_t i = 1; i < trace.size(); ++i) {

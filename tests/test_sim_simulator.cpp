@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "net/backplane.hpp"
+#include "net/host.hpp"
 #include "sim/timer.hpp"
 
 namespace drs::sim {
@@ -138,6 +141,129 @@ TEST(Simulator, StepExecutesExactlyOne) {
   EXPECT_EQ(runs, 1);
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
+}
+
+// -- same-time ordering keys -------------------------------------------------
+
+TEST(Simulator, UnscopedSameTimeEventsPopInPushOrder) {
+  // The contract every single-entity simulation relies on: without an
+  // EntityScope everything runs in entity 0 and same-time events are FIFO.
+  Simulator sim;
+  std::vector<int> order;
+  const SimTime t = SimTime::zero() + 1_ms;
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule_at(t, [&order, i] { order.push_back(i); });
+  }
+  sim.schedule_at(SimTime::zero(), [&] {
+    sim.schedule_at(t, [&order] { order.push_back(6); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(sim.entity(), 0u);
+}
+
+TEST(Simulator, SameTimeEventsOrderByEntityThenPushOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const SimTime t = SimTime::zero() + 1_ms;
+  {
+    const EntityScope scope(sim, 3);
+    sim.schedule_at(t, [&] { order.push_back(30); });
+  }
+  {
+    const EntityScope scope(sim, 2);
+    sim.schedule_at(t, [&] { order.push_back(20); });
+  }
+  sim.schedule_at(t, [&] { order.push_back(0); });
+  {
+    const EntityScope scope(sim, 3);
+    sim.schedule_at(t, [&] { order.push_back(31); });
+  }
+  sim.run_until(t);
+  EXPECT_EQ(order, (std::vector<int>{0, 20, 30, 31}));
+}
+
+TEST(Simulator, EntityScopeNestsAndRestores) {
+  Simulator sim;
+  EXPECT_EQ(sim.entity(), 0u);
+  {
+    const EntityScope outer(sim, 4);
+    EXPECT_EQ(sim.entity(), 4u);
+    {
+      const EntityScope inner(sim, 7);
+      EXPECT_EQ(sim.entity(), 7u);
+      {
+        const EntityScope same(sim, 7);
+        EXPECT_EQ(sim.entity(), 7u);
+      }
+      EXPECT_EQ(sim.entity(), 7u);
+    }
+    EXPECT_EQ(sim.entity(), 4u);
+  }
+  EXPECT_EQ(sim.entity(), 0u);
+}
+
+TEST(Simulator, ChildrenInheritTheirParentsEntity) {
+  // step() (via run) and the run_until hot loop apply the popped event's
+  // entity the same way.
+  for (const bool stepped : {true, false}) {
+    SCOPED_TRACE(stepped ? "step" : "run_until");
+    Simulator sim;
+    std::vector<Entity> seen;
+    {
+      const EntityScope scope(sim, 5);
+      sim.schedule_after(1_ms, [&] {
+        seen.push_back(sim.entity());
+        sim.schedule_after(1_ms, [&] { seen.push_back(sim.entity()); });
+      });
+    }
+    sim.schedule_after(3_ms, [&] { seen.push_back(sim.entity()); });
+    if (stepped) {
+      sim.run();
+    } else {
+      sim.run_until(SimTime::zero() + 5_ms);
+    }
+    EXPECT_EQ(seen, (std::vector<Entity>{5, 5, 0}));
+  }
+}
+
+TEST(Simulator, FrameIntoAnotherEntitysHostSchedulesUnderThatEntity) {
+  // A shared medium (entity 0) delivers a broadcast to a host built under
+  // entity 6: the receive path and everything it schedules run under 6.
+  Simulator sim;
+  net::Backplane medium(sim, net::kNetworkA);
+  const auto make_host = [&](net::NodeId id) {
+    auto host = std::make_unique<net::Host>(sim, id);
+    const auto index = static_cast<net::ClusterId>(id);
+    auto nic = std::make_unique<net::Nic>(id, net::kNetworkA,
+                                          net::fleet_relay_mac(index),
+                                          net::fleet_relay_ip(index), *host);
+    medium.attach(*nic);
+    net::HostAssembler::install_nic(*host, net::kNetworkA, std::move(nic));
+    return host;
+  };
+  std::unique_ptr<net::Host> sender = make_host(0);
+  std::unique_ptr<net::Host> receiver;
+  {
+    const EntityScope scope(sim, 6);
+    receiver = make_host(1);
+  }
+  std::vector<Entity> seen;
+  receiver->register_handler(
+      net::Protocol::kUdp, [&](const net::Packet&, net::NetworkId) {
+        seen.push_back(sim.entity());
+        sim.schedule_after(1_ms, [&] { seen.push_back(sim.entity()); });
+      });
+  sim.schedule_after(1_ms, [&] {
+    net::Packet packet;
+    packet.dst = net::Ipv4Addr(0xFFFFFFFFu);
+    packet.protocol = net::Protocol::kUdp;
+    sender->broadcast_on(net::kNetworkA, packet);
+    seen.push_back(sim.entity());
+  });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<Entity>{0, 6, 6}));
+  EXPECT_EQ(sim.entity(), 6u);  // the last event executed ran under 6
 }
 
 TEST(PeriodicTimer, TicksAtPeriod) {
