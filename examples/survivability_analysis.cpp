@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   auto flags = util::Flags::parse(
       argc, argv,
       {{"failures", "failure count f (default 3)"},
-       {"max-nodes", "largest N in the series (default 64)"},
+       {"max-nodes", "largest N in the series, at most 95 (default 64)"},
        {"iterations", "Monte-Carlo iterations per N; 0 = analytic only"},
        {"target", "threshold target probability (default 0.99)"},
        {"seed", "Monte-Carlo seed"},
@@ -24,6 +24,15 @@ int main(int argc, char** argv) {
 
   const std::int64_t failures = flags->get_int("failures", 3);
   const std::int64_t max_nodes = flags->get_int("max-nodes", 64);
+  if (const auto error = analytic::validate_failure_domain(max_nodes, 0)) {
+    std::fprintf(stderr, "--max-nodes: %s\n", error->c_str());
+    return 1;
+  }
+  if (failures < 0) {
+    std::fprintf(stderr, "--failures: f = %lld must be >= 0\n",
+                 static_cast<long long>(failures));
+    return 1;
+  }
   const auto iterations =
       static_cast<std::uint64_t>(flags->get_int("iterations", 0));
   const double target = flags->get_double("target", 0.99);

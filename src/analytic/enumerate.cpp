@@ -1,6 +1,7 @@
 #include "analytic/enumerate.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "analytic/survivability.hpp"
 
@@ -10,6 +11,22 @@ std::int64_t ComponentSet::count() const {
   std::int64_t total = 0;
   for (auto word : words_) total += __builtin_popcountll(word);
   return total;
+}
+
+std::optional<std::string> validate_failure_domain(std::int64_t nodes,
+                                                   std::int64_t failures) {
+  if (nodes < 2 || nodes > ComponentSet::kMaxNodes) {
+    const std::string limit = std::to_string(ComponentSet::kMaxNodes);
+    return "N = " + std::to_string(nodes) + " is outside [2, " + limit +
+           "] (the " + limit + "-node limit: 2N+2 components must fit the " +
+           std::to_string(ComponentSet::kMaxComponents) + "-bit ComponentSet)";
+  }
+  if (failures < 0 || failures > component_count(nodes)) {
+    return "f = " + std::to_string(failures) + " is outside [0, 2N+2 = " +
+           std::to_string(component_count(nodes)) + "] for N = " +
+           std::to_string(nodes);
+  }
+  return std::nullopt;
 }
 
 namespace {
@@ -70,7 +87,9 @@ bool all_live_pairs_connected(std::int64_t nodes, const ComponentSet& failed) {
 }
 
 EnumerationResult enumerate_success_count(std::int64_t nodes, std::int64_t failures) {
-  assert(nodes >= 2);
+  if (const auto error = validate_failure_domain(nodes, failures)) {
+    throw std::invalid_argument("enumerate_success_count: " + *error);
+  }
   EnumerationResult result;
   result.total = for_each_subset(
       component_count(nodes), failures, [&](const ComponentSet& failed) {

@@ -12,6 +12,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "analytic/combinatorics.hpp"
 
@@ -21,6 +23,7 @@ namespace drs::analytic {
 class ComponentSet {
  public:
   static constexpr std::int64_t kMaxComponents = 192;
+  static constexpr std::int64_t kMaxNodes = (kMaxComponents - 2) / 2;
 
   void set(std::int64_t index) { words_[word(index)] |= bit(index); }
   void reset(std::int64_t index) { words_[word(index)] &= ~bit(index); }
@@ -37,6 +40,14 @@ class ComponentSet {
   }
   std::array<std::uint64_t, 3> words_{};
 };
+
+/// Why a ComponentSet cannot hold f failures among an N-node cluster's 2N+2
+/// components, or nullopt when it can: N must lie in [2, 95] (the 95-node
+/// limit keeps 2N+2 within 192 bits) and f in [0, 2N+2]. Every entry point
+/// that fills a ComponentSet from (N, f) calls this once, before any work,
+/// and throws std::invalid_argument with the message.
+[[nodiscard]] std::optional<std::string> validate_failure_domain(
+    std::int64_t nodes, std::int64_t failures);
 
 /// True iff nodes `a` and `b` can communicate under DRS with the components
 /// in `failed` down: a direct link on either backplane, or a one-hop relay
@@ -59,6 +70,7 @@ struct EnumerationResult {
 
 /// Exhaustively enumerates all C(2N+2, f) failure subsets and counts those
 /// where pair (0, 1) stays connected. O(C(2N+2, f)); intended for N <= 10.
+/// Throws std::invalid_argument when validate_failure_domain rejects (N, f).
 EnumerationResult enumerate_success_count(std::int64_t nodes, std::int64_t failures);
 
 /// Visits every size-f subset of {0..m-1}; the visitor receives the subset

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "analytic/enumerate.hpp"
 
@@ -77,6 +78,9 @@ double p_success_unconditional(std::int64_t nodes, double q) {
 }
 
 u128 all_pairs_success_count(std::int64_t nodes, std::int64_t failures) {
+  if (const auto error = validate_failure_domain(nodes, failures)) {
+    throw std::invalid_argument("all_pairs_success_count: " + *error);
+  }
   u128 successes = 0;
   for_each_subset(component_count(nodes), failures,
                   [&](const ComponentSet& failed) {

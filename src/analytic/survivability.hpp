@@ -80,10 +80,11 @@ std::vector<SeriesPoint> success_series(std::int64_t failures, std::int64_t n_mi
 // Monte-Carlo layer for large N (drs::mc::estimate_system_success).
 
 /// Exhaustive count of size-f failure subsets where all live pairs stay
-/// connected. O(C(2N+2, f)); intended for N <= 10.
+/// connected. O(C(2N+2, f)); intended for N <= 10. Throws
+/// std::invalid_argument when validate_failure_domain rejects (N, f).
 u128 all_pairs_success_count(std::int64_t nodes, std::int64_t failures);
 
-/// all_pairs_success_count / C(2N+2, f).
+/// all_pairs_success_count / C(2N+2, f); 0 when that total is 0.
 [[nodiscard]] double p_all_pairs_success(std::int64_t nodes, std::int64_t failures);
 
 }  // namespace drs::analytic

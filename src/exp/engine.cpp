@@ -1,6 +1,8 @@
 #include "exp/engine.hpp"
 
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "util/cache.hpp"
@@ -135,6 +137,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
   util::DiskCache cache(scenario->cacheable ? options.cache_dir
                                             : std::string{});
+  // A cell whose model rejects its inputs is recorded by index and cached
+  // nowhere; an exception must not escape a worker thread.
+  std::vector<std::optional<std::string>> rejected(result.cells.size());
   result.results = util::run_indexed_jobs(
       result.cells.size(), options.threads, [&](std::uint64_t i) {
         const Cell& cell = result.cells[i];
@@ -150,12 +155,24 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
             }
           }
         }
-        out.outputs = scenario->run(
-            ScenarioContext{.cell = cell, .seed = spec.seed,
-                            .config = base_config});
+        try {
+          out.outputs = scenario->run(
+              ScenarioContext{.cell = cell, .seed = spec.seed,
+                              .config = base_config});
+        } catch (const std::invalid_argument& error) {
+          rejected[i] = error.what();
+          return out;
+        }
         if (cache.enabled()) cache.put(key, serialize_outputs(out.outputs));
         return out;
       });
+  // The lowest rejected index names the error, whatever the thread count.
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    if (rejected[i]) {
+      result.error = "cell " + result.cells[i].canonical() + ": " + *rejected[i];
+      break;
+    }
+  }
 
   // Aggregate sequentially; the counters come from the results, not the
   // cache's internal stats, so a corrupt-entry retry cannot skew them.

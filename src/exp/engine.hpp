@@ -50,7 +50,10 @@ struct ExperimentResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Non-empty when the spec was rejected (unknown family, missing required
-  /// axis, invalid config); no cells were run in that case.
+  /// axis, invalid config), in which case no cells were run, or when a
+  /// cell's model threw std::invalid_argument (e.g. N above the 95-node
+  /// limit). A rejected cell has no outputs and is not cached; the error
+  /// names the lowest rejected cell, so it is the same at any thread count.
   std::string error;
 
   [[nodiscard]] bool ok() const { return error.empty(); }
@@ -82,9 +85,10 @@ struct ExperimentResult {
   [[nodiscard]] util::Table to_table() const;
 };
 
-/// Runs one spec to completion. Never throws on a bad spec — the error lands
-/// in ExperimentResult::error (scenario functions may still throw, e.g. on a
-/// DrsConfig the family itself rejects).
+/// Runs one spec to completion. Never throws on a bad spec or on a cell whose
+/// inputs its model rejects with std::invalid_argument (a DrsConfig the
+/// family itself rejects, an (N, f) outside the model's domain) — the error
+/// lands in ExperimentResult::error.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec,
                                               const EngineOptions& options = {});
 

@@ -1,7 +1,6 @@
 #include "montecarlo/component_model.hpp"
 
 #include <cassert>
-#include <vector>
 
 #include "analytic/survivability.hpp"
 
@@ -11,12 +10,13 @@ void sample_failures(std::int64_t nodes, std::int64_t failures, util::Rng& rng,
                      analytic::ComponentSet& out) {
   assert(failures >= 0 && failures <= analytic::component_count(nodes));
   out.clear();
-  // thread_local scratch keeps the hot Monte-Carlo loop allocation-free.
-  // drs-lint: shared-state-ok(thread-confined scratch buffer; contents never outlive one call)
-  thread_local std::vector<std::uint32_t> picks;
-  rng.sample_distinct(static_cast<std::uint64_t>(analytic::component_count(nodes)),
-                      static_cast<std::size_t>(failures), picks);
-  for (std::uint32_t c : picks) out.set(c);
+  // Floyd's algorithm; the bitset is its membership test.
+  const std::int64_t components = analytic::component_count(nodes);
+  for (std::int64_t j = components - failures; j < components; ++j) {
+    const auto t =
+        static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(j + 1)));
+    out.set(out.test(t) ? j : t);
+  }
 }
 
 bool trial_pair_connected(std::int64_t nodes, std::int64_t failures, util::Rng& rng) {

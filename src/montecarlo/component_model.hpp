@@ -12,7 +12,12 @@
 
 namespace drs::mc {
 
-/// Draws exactly `failures` distinct failed components into `out`.
+/// Draws exactly `failures` distinct failed components into `out`, by
+/// Floyd's algorithm with `out` as the membership test. The draws, their
+/// number and the resulting subset are exactly those of
+/// `rng.sample_distinct(2N+2, failures, …)`, so every estimate built on it is
+/// unchanged from the list-based sampler. Requires 0 <= failures <= 2N+2 and
+/// N <= 95; callers check (N, f) once per estimate, not per trial.
 void sample_failures(std::int64_t nodes, std::int64_t failures, util::Rng& rng,
                      analytic::ComponentSet& out);
 

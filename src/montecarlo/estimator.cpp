@@ -1,7 +1,9 @@
 #include "montecarlo/estimator.hpp"
 
+#include <stdexcept>
 #include <vector>
 
+#include "analytic/enumerate.hpp"
 #include "montecarlo/component_model.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -35,6 +37,9 @@ template <typename Trial>
 Estimate run_estimate(std::int64_t nodes, std::int64_t failures,
                       const EstimateOptions& options, std::uint64_t salt,
                       Trial&& trial) {
+  if (const auto error = analytic::validate_failure_domain(nodes, failures)) {
+    throw std::invalid_argument("Monte Carlo estimate: " + *error);
+  }
   const std::uint64_t block_size = options.block_size == 0 ? 4096 : options.block_size;
   const std::uint64_t blocks = (options.iterations + block_size - 1) / block_size;
 

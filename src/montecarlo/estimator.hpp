@@ -31,6 +31,12 @@ struct Estimate {
 };
 
 /// Estimates P[pair (0,1) connected | exactly f component failures].
+///
+/// Both estimators take 2 <= N <= 95 (the failure bitset holds the 2N+2
+/// components of at most 95 nodes) and 0 <= f <= 2N+2. They check this once,
+/// on the calling thread before any worker starts, and throw
+/// std::invalid_argument naming the rejected value otherwise
+/// (analytic::validate_failure_domain).
 Estimate estimate_p_success(std::int64_t nodes, std::int64_t failures,
                             const EstimateOptions& options);
 

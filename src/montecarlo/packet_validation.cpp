@@ -1,6 +1,7 @@
 #include "montecarlo/packet_validation.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "analytic/enumerate.hpp"
 #include "analytic/survivability.hpp"
@@ -26,6 +27,10 @@ std::string Disagreement::to_string() const {
 
 PacketValidationResult validate_against_packet_level(
     const PacketValidationOptions& options) {
+  if (const auto error =
+          analytic::validate_failure_domain(options.nodes, options.failures)) {
+    throw std::invalid_argument("validate_against_packet_level: " + *error);
+  }
   PacketValidationResult result;
   util::Rng rng(options.seed, 0x9ACEDULL);
   std::vector<std::uint32_t> picks;

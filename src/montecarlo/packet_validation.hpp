@@ -47,6 +47,8 @@ struct PacketValidationResult {
   bool perfect() const { return agreements == samples; }
 };
 
+/// Throws std::invalid_argument when analytic::validate_failure_domain
+/// rejects (options.nodes, options.failures).
 PacketValidationResult validate_against_packet_level(
     const PacketValidationOptions& options);
 

@@ -1,5 +1,6 @@
 #include "montecarlo/time_availability.hpp"
 
+#include <stdexcept>
 #include <vector>
 
 #include "analytic/enumerate.hpp"
@@ -10,6 +11,9 @@ namespace drs::mc {
 
 TimeAvailabilityResult simulate_time_availability(
     const TimeAvailabilityOptions& options) {
+  if (const auto error = analytic::validate_failure_domain(options.nodes, 0)) {
+    throw std::invalid_argument("simulate_time_availability: " + *error);
+  }
   const std::int64_t components = analytic::component_count(options.nodes);
   util::Rng rng(options.seed);
 

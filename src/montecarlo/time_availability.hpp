@@ -35,6 +35,7 @@ struct TimeAvailabilityResult {
   double any_component_down = 0.0;
 };
 
+/// Throws std::invalid_argument unless 2 <= options.nodes <= 95.
 TimeAvailabilityResult simulate_time_availability(const TimeAvailabilityOptions& options);
 
 }  // namespace drs::mc

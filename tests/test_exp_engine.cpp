@@ -253,6 +253,38 @@ TEST(Engine, OutputIsInvariantToThreadCount) {
   EXPECT_EQ(a.to_json(), b.to_json());
 }
 
+TEST(Engine, ReportsACellTheModelRejects) {
+  // N=100 and N=96 exceed the Monte Carlo bitset's 95-node limit. Their
+  // cells are reported instead of terminating a worker; the lowest rejected
+  // cell names the error at any thread count, and only the good cell is
+  // cached.
+  exp::ExperimentSpec spec;
+  spec.family = "mc_estimate";
+  spec.grid.ints("n", {100}).ints("f", {3});
+  exp::ExperimentSpec mixed;
+  mixed.family = "mc_estimate";
+  mixed.grid.ints("n", {4, 100, 96}).ints("f", {3}).ints("iterations", {50});
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string dir = temp_dir("rejected");
+    exp::EngineOptions options;
+    options.threads = threads;
+    options.cache_dir = dir;
+    const auto result = exp::run_experiment(spec, options);
+    EXPECT_FALSE(result.ok()) << threads << " threads";
+    EXPECT_NE(result.error.find("95-node limit"), std::string::npos)
+        << result.error;
+
+    const auto cold = exp::run_experiment(mixed, options);
+    EXPECT_FALSE(cold.ok());
+    EXPECT_EQ(cold.error.find("cell n=i:100|"), 0u) << cold.error;
+    EXPECT_EQ(cold.output_int(0, "trials"), 50);
+    const auto warm = exp::run_experiment(mixed, options);
+    EXPECT_EQ(warm.error, cold.error);
+    EXPECT_EQ(warm.cache_hits, 1u) << threads << " threads";
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(Engine, ConcurrentShardedWritersShareOneCacheSafely) {
   // Two engines race the same grid into the same cache directory on many
   // threads. Under DRS_SANITIZE=thread this is the sharded-writers race; the

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analytic/enumerate.hpp"
 #include "analytic/survivability.hpp"
+#include "golden_file.hpp"
 #include "montecarlo/component_model.hpp"
 #include "montecarlo/convergence.hpp"
+#include "montecarlo/packet_validation.hpp"
+#include "montecarlo/time_availability.hpp"
 
 namespace drs::mc {
 namespace {
@@ -25,6 +34,122 @@ TEST(Sampling, ZeroFailuresLeavesEverythingUp) {
   set.set(3);
   sample_failures(10, 0, rng, set);
   EXPECT_EQ(set.count(), 0);  // clear happened
+}
+
+// sample_failures must draw exactly what Rng::sample_distinct draws: the same
+// subset, from the same number of RNG calls (the next draw agrees).
+TEST(Sampling, MatchesSampleDistinctDrawForDraw) {
+  for (std::int64_t nodes = 2; nodes <= 95; ++nodes) {
+    const std::int64_t m = analytic::component_count(nodes);
+    for (const std::int64_t k : {std::int64_t{0}, std::int64_t{1}, nodes, m}) {
+      util::Rng reference(static_cast<std::uint64_t>(nodes << 8 | k));
+      util::Rng rng = reference;
+      std::vector<std::uint32_t> picks;
+      for (int rep = 0; rep < 3; ++rep) {
+        reference.sample_distinct(static_cast<std::uint64_t>(m),
+                                  static_cast<std::size_t>(k), picks);
+        analytic::ComponentSet expected;
+        for (const std::uint32_t c : picks) expected.set(c);
+        analytic::ComponentSet set;
+        sample_failures(nodes, k, rng, set);
+        EXPECT_EQ(set.count(), k) << "N=" << nodes << " k=" << k;
+        for (std::int64_t c = 0; c < m; ++c) {
+          ASSERT_EQ(set.test(c), expected.test(c))
+              << "N=" << nodes << " k=" << k << " rep=" << rep << " c=" << c;
+        }
+        ASSERT_EQ(rng.next_u64(), reference.next_u64())
+            << "N=" << nodes << " k=" << k << " rep=" << rep;
+      }
+    }
+  }
+}
+
+// Pair and system successes per cell, over a grid that reaches the bitset's
+// last bit (N=95, f=192) and runs a partial final block (20,011 iterations)
+// both inline and fanned out over 4 threads. Pins every estimate bit for bit.
+// The all-pairs predicate costs O(N^2) per trial, so each (N, f) runs in two
+// (block size, threads) configurations rather than all four.
+std::string estimate_corpus() {
+  struct Config {
+    std::uint64_t block_size;
+    unsigned threads;
+  };
+  std::string out;
+  for (const std::int64_t nodes : {2, 3, 4, 8, 12, 16, 24, 32, 48, 63, 95}) {
+    const std::int64_t m = analytic::component_count(nodes);
+    for (const std::int64_t f : std::set<std::int64_t>{0, 2, m / 2, m - 1, m}) {
+      for (const Config config : {Config{4096, 1}, Config{1000, 4}}) {
+        EstimateOptions options;
+        options.iterations = 20'011;
+        options.seed = 0xC0FFEEULL;
+        options.block_size = config.block_size;
+        options.threads = config.threads;
+        const Estimate pair = estimate_p_success(nodes, f, options);
+        const Estimate system = estimate_system_success(nodes, f, options);
+        out += "N=" + std::to_string(nodes) + " f=" + std::to_string(f) +
+               " block=" + std::to_string(config.block_size) +
+               " threads=" + std::to_string(config.threads) +
+               " pair=" + std::to_string(pair.successes) +
+               " system=" + std::to_string(system.successes) + "\n";
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Estimator, ReproducesThePinnedCorpus) {
+  check_golden("mc_corpus.txt", estimate_corpus(), "Monte Carlo estimate corpus",
+               " — regenerate with DRS_UPDATE_GOLDEN=1 only if the sampled "
+               "failure sets are meant to change");
+}
+
+// Every entry point that fills a ComponentSet from (N, f) rejects a cell the
+// 192-bit set cannot hold, on the calling thread before any worker starts
+// (threads = 4 would otherwise terminate), and the domain's edge still runs.
+TEST(Domain, RejectsCellsTheBitsetCannotHold) {
+  EstimateOptions options;
+  options.iterations = 100;
+  options.threads = 4;
+  const std::pair<std::int64_t, std::int64_t> outside[] = {
+      {96, 3}, {100, 10}, {1, 1}, {8, -1}, {8, 19}};
+  for (const auto& [nodes, failures] : outside) {
+    EXPECT_TRUE(analytic::validate_failure_domain(nodes, failures).has_value());
+    EXPECT_THROW(estimate_p_success(nodes, failures, options), std::invalid_argument)
+        << "N=" << nodes << " f=" << failures;
+    EXPECT_THROW(estimate_system_success(nodes, failures, options),
+                 std::invalid_argument)
+        << "N=" << nodes << " f=" << failures;
+    EXPECT_THROW(analytic::enumerate_success_count(nodes, failures),
+                 std::invalid_argument)
+        << "N=" << nodes << " f=" << failures;
+    EXPECT_THROW(analytic::all_pairs_success_count(nodes, failures),
+                 std::invalid_argument)
+        << "N=" << nodes << " f=" << failures;
+    PacketValidationOptions packet;
+    packet.nodes = nodes;
+    packet.failures = failures;
+    EXPECT_THROW(validate_against_packet_level(packet), std::invalid_argument)
+        << "N=" << nodes << " f=" << failures;
+  }
+  EXPECT_THROW((void)analytic::p_all_pairs_success(100, 1), std::invalid_argument);
+  TimeAvailabilityOptions availability;
+  availability.nodes = 96;
+  EXPECT_THROW(simulate_time_availability(availability), std::invalid_argument);
+
+  try {
+    estimate_p_success(96, 3, options);
+    ADD_FAILURE() << "N=96 accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("N = 96"), std::string::npos) << what;
+    EXPECT_NE(what.find("95-node limit"), std::string::npos) << what;
+  }
+
+  EXPECT_FALSE(analytic::validate_failure_domain(95, 192).has_value());
+  EXPECT_EQ(estimate_p_success(95, 192, options).successes, 0u);
+  // Every host is down, so no live pair can be cut.
+  EXPECT_EQ(estimate_system_success(95, 192, options).successes, 100u);
+  EXPECT_EQ(analytic::enumerate_success_count(95, 192).total, 1u);
 }
 
 TEST(Estimator, DeterministicForFixedSeed) {
