@@ -8,7 +8,7 @@
 // subnet (10.200.0.0/24), so inter-cluster reachability is continuously
 // measured the same way DRS measures intra-cluster links.
 //
-// Isolation invariant: cluster-local subnets (10.1.0.0/24, 10.2.0.0/24) are
+// Isolation invariant: cluster-local subnets (10.1.0.0/16, 10.2.0.0/16) are
 // reused verbatim in every cluster — the clusters are disjoint L2 islands,
 // so a fleet member cluster behaves (and traces) byte-identically to a
 // standalone cluster of the same size. Cross-cluster traffic travels only

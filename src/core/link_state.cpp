@@ -22,6 +22,10 @@ LinkStateTable::LinkStateTable(net::NodeId self, std::uint16_t node_count,
       entries_(static_cast<std::size_t>(node_count) * net::kNetworksPerHost) {
   if (policy_.failures_to_down == 0) policy_.failures_to_down = 1;
   if (policy_.successes_to_up == 0) policy_.successes_to_up = 1;
+  if (policy_.flap_threshold > 0) {
+    suppressed_until_.resize(entries_.size());
+    recent_downs_.resize(entries_.size());
+  }
 }
 
 LinkStateTable::LinkStateTable(net::NodeId self, std::uint16_t node_count,
@@ -41,7 +45,7 @@ bool LinkStateTable::record_probe(net::NodeId peer, net::NetworkId network,
     ++e.consecutive_successes;
     // Flap damping: while suppressed, successes are recorded but the link
     // is not allowed back UP — it must prove itself after the hold.
-    const bool held = policy_.flap_threshold > 0 && now < e.suppressed_until;
+    const bool held = suppressed(peer, network, now);
     if (!held) {
       if (e.state == LinkState::kSuspect) {
         e.state = LinkState::kUp;
@@ -56,14 +60,15 @@ bool LinkStateTable::record_probe(net::NodeId peer, net::NetworkId network,
     if (e.consecutive_failures >= policy_.failures_to_down) {
       if (e.state != LinkState::kDown && policy_.flap_threshold > 0) {
         // A fresh DOWN verdict: account it against the flap budget.
+        const std::size_t index = link(peer, network);
+        std::deque<util::SimTime>& downs = recent_downs_[index];
         // drs-lint: hotpath-purity-ok(runs only on a DOWN transition; deque stays bounded by the flap window)
-        e.recent_downs.push_back(now);
-        while (!e.recent_downs.empty() &&
-               now - e.recent_downs.front() > policy_.flap_window) {
-          e.recent_downs.pop_front();
+        downs.push_back(now);
+        while (!downs.empty() && now - downs.front() > policy_.flap_window) {
+          downs.pop_front();
         }
-        if (e.recent_downs.size() > policy_.flap_threshold) {
-          e.suppressed_until = now + policy_.flap_hold;
+        if (downs.size() > policy_.flap_threshold) {
+          suppressed_until_[index] = now + policy_.flap_hold;
           ++suppressions_;
         }
       }
@@ -97,7 +102,8 @@ std::size_t LinkStateTable::down_count() const {
 
 bool LinkStateTable::suppressed(net::NodeId peer, net::NetworkId network,
                                 util::SimTime now) const {
-  return policy_.flap_threshold > 0 && now < entry(peer, network).suppressed_until;
+  return policy_.flap_threshold > 0 &&
+         now < suppressed_until_[link(peer, network)];
 }
 
 }  // namespace drs::core

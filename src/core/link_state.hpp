@@ -7,6 +7,10 @@
 // Optional flap damping: a link whose UP->DOWN verdict flips too often
 // within a window has its recovery suppressed for a hold period, so a
 // marginal transceiver cannot make the whole cluster re-route every second.
+//
+// Layout: one 12-byte hot entry per link, read by every probe outcome. The
+// damping state lives in side lanes that are only sized while damping is on
+// (flap_threshold > 0), so the default configuration pays nothing for it.
 #pragma once
 
 #include <cstdint>
@@ -84,26 +88,30 @@ class LinkStateTable {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  /// The per-probe state of one link: 12 bytes, no heap.
   struct Entry {
     LinkState state = LinkState::kUp;
     std::uint32_t consecutive_failures = 0;
     std::uint32_t consecutive_successes = 0;
-    std::deque<util::SimTime> recent_downs;  // for flap damping
-    util::SimTime suppressed_until;          // zero = not suppressed
   };
+  static std::size_t link(net::NodeId peer, net::NetworkId network) {
+    return static_cast<std::size_t>(peer) * net::kNetworksPerHost + network;
+  }
   Entry& entry(net::NodeId peer, net::NetworkId network) {
-    return entries_[static_cast<std::size_t>(peer) * net::kNetworksPerHost +
-                    network];
+    return entries_[link(peer, network)];
   }
   const Entry& entry(net::NodeId peer, net::NetworkId network) const {
-    return entries_[static_cast<std::size_t>(peer) * net::kNetworksPerHost +
-                    network];
+    return entries_[link(peer, network)];
   }
 
   net::NodeId self_;
   std::uint16_t node_count_;
   LinkPolicy policy_;
   std::vector<Entry> entries_;  // [peer * 2 + network]
+  // Flap-damping lanes, indexed like entries_; empty unless
+  // flap_threshold > 0.
+  std::vector<util::SimTime> suppressed_until_;  // zero = not suppressed
+  std::vector<std::deque<util::SimTime>> recent_downs_;
   std::vector<LinkTransition> history_;
   std::uint64_t suppressions_ = 0;
   obs::Tracer* tracer_ = nullptr;

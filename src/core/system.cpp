@@ -22,9 +22,11 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
   const std::uint16_t n = network_.node_count();
   icmp_.reserve(n);
   daemons_.reserve(n);
-  // Pre-size the hot-path tables from the known monitoring fan-out so warmup
-  // runs without a single table regrow (asserted by the zero-allocation
-  // test). The probe sweep keeps O(nodes) events pending.
+  // Pre-size the tables every sweep probe touches, from the known monitoring
+  // fan-out, so warmup runs without a single regrow (asserted by the
+  // zero-allocation test). The probe sweep keeps O(nodes) events pending.
+  // Sweep probes are raw echoes and never enter an IcmpService's
+  // outstanding table, so that table is not pre-sized.
   const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
   network_.simulator().reserve_events(recommended_event_reserve(n));
   // Timeout records linger for about one probe timeout past their send
@@ -33,7 +35,6 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
   sweeper_.reserve(2u * n * probes_per_node);
   for (net::NodeId i = 0; i < n; ++i) {
     icmp_.push_back(std::make_unique<proto::IcmpService>(network_.host(i)));
-    icmp_.back()->reserve(2u * probes_per_node);
     // Daemons share one timeout sweeper: probe expiries pop in claimed-rank
     // (= send) order across the whole system.
     daemons_.push_back(std::make_unique<DrsDaemon>(network_.host(i),

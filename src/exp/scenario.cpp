@@ -378,7 +378,7 @@ std::vector<Scenario> build_registry() {
   const auto add = [&](Scenario s) { all.push_back(std::move(s)); };
 
   add({.family = "policy_shootout",
-       .version = "v1",
+       .version = "v2",  // v2: distinct cluster addresses past node 253
        .help = "Every registered routing policy vs the seeded chaos failure "
                "corpus: recovery rate, detection time, application outage, "
                "detour stretch and control-message overhead, ranked; "
@@ -388,7 +388,7 @@ std::vector<Scenario> build_registry() {
        .uses_config = true,
        .run = run_policy_shootout});
   add({.family = "fleet_smoke",
-       .version = "v1",
+       .version = "v2",  // v2: distinct cluster addresses past node 253
        .help = "Multi-cluster fleet smoke: k clusters of n nodes plus the "
                "gateway relay mesh; probe totals, echo counters, pristine "
                "check, and an end-to-end relay reachability probe; the "
@@ -410,7 +410,7 @@ std::vector<Scenario> build_registry() {
        .required = {"deadline", "budget"},
        .run = run_fig1_max_nodes});
   add({.family = "fig1_measured",
-       .version = "v1",
+       .version = "v2",  // v2: distinct cluster addresses past node 253
        .help = "Packet-level cross-check of the Fig. 1 closed form: live "
                "daemons probing for `cycles` cycles at `interval_ms`",
        .required = {"n"},
@@ -474,21 +474,24 @@ std::vector<Scenario> build_registry() {
        .uses_config = true,
        .run = run_ablation_packet_agreement});
   add({.family = "ablation_spread",
-       .version = "v2",  // v2: obs metrics snapshot in outputs
+       .version = "v3",  // v2: obs metrics snapshot in outputs;
+                         // v3: distinct cluster addresses past node 253
        .help = "Probe spreading on/off: failed probes and medium "
                "utilization under a deliberately tight interval",
        .required = {"spread"},
        .uses_config = true,
        .run = run_ablation_spread});
   add({.family = "ablation_warm_standby",
-       .version = "v2",  // v2: obs metrics snapshot in outputs
+       .version = "v3",  // v2: obs metrics snapshot in outputs;
+                         // v3: distinct cluster addresses past node 253
        .help = "Warm-standby relays: delay from DOWN verdict to relay mode "
                "on the second cross-split failure",
        .required = {"warm"},
        .uses_config = true,
        .run = run_ablation_warm_standby});
   add({.family = "ablation_detector",
-       .version = "v2",  // v2: obs metrics snapshot in outputs
+       .version = "v3",  // v2: obs metrics snapshot in outputs;
+                         // v3: distinct cluster addresses past node 253
        .help = "failures_to_down tuning: false failovers under frame loss "
                "vs detection latency on a clean medium",
        .required = {"threshold"},

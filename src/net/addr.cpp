@@ -28,11 +28,11 @@ bool parse_cluster_ip(Ipv4Addr ip, NetworkId& network, NodeId& node) {
   if (((v >> 24) & 0xFF) != 10) return false;
   const std::uint32_t net_octet = (v >> 16) & 0xFF;
   if (net_octet != 1 && net_octet != 2) return false;
-  if (((v >> 8) & 0xFF) != 0) return false;
   const std::uint32_t host_octet = v & 0xFF;
-  if (host_octet == 0) return false;
+  if (host_octet == 0 || host_octet == 0xFF) return false;
   network = static_cast<NetworkId>(net_octet - 1);
-  node = static_cast<NodeId>(host_octet - 1);
+  node = static_cast<NodeId>(((v >> 8) & 0xFF) * kClusterHostsPerOctet +
+                             host_octet - 1);
   return true;
 }
 

@@ -2,12 +2,14 @@
 //
 // The deployment the paper models is a closed server cluster: N dual-homed
 // hosts on two non-meshed backplanes. Addresses follow that shape — network k
-// (k = 0, 1) is the IPv4 subnet 10.(k+1).0.0/24 and node i owns host address
-// 10.(k+1).0.(i+1) on it. MACs are synthesized from (node, network).
+// (k = 0, 1) is the IPv4 subnet 10.(k+1).0.0/16 and node i owns host address
+// 10.(k+1).(i / 254).(i % 254 + 1) on it, so nodes 0..253 sit at
+// 10.(k+1).0.1 .. 10.(k+1).0.254 and the plan holds up to 254 * 256 nodes.
+// No node gets a .0 or .255 last octet: 10.(k+1).0.255 is the cluster
+// broadcast address. MACs are synthesized from (node, network).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace drs::net {
@@ -67,19 +69,27 @@ class MacAddr {
   std::uint64_t value_ = 0;
 };
 
+/// Host addresses per third octet: last octets 1..254.
+inline constexpr std::uint32_t kClusterHostsPerOctet = 254;
+/// Largest cluster the addressing plan can number without aliasing.
+inline constexpr std::uint32_t kMaxClusterNodes = kClusterHostsPerOctet * 256;
+
 /// The cluster addressing plan (see file comment). Constexpr: these run on
 /// per-frame paths (broadcast checks, probe addressing), so they must fold
 /// to constants rather than cost a call.
 constexpr Ipv4Addr cluster_ip(NetworkId network, NodeId node) {
-  return Ipv4Addr::octets(10, static_cast<std::uint8_t>(network + 1), 0,
-                          static_cast<std::uint8_t>(node + 1));
+  return Ipv4Addr::octets(
+      10, static_cast<std::uint8_t>(network + 1),
+      static_cast<std::uint8_t>(node / kClusterHostsPerOctet),
+      static_cast<std::uint8_t>(node % kClusterHostsPerOctet + 1));
 }
 constexpr Ipv4Addr cluster_subnet(NetworkId network) {
   return Ipv4Addr::octets(10, static_cast<std::uint8_t>(network + 1), 0, 0);
 }
-inline constexpr std::uint8_t kClusterPrefixLen = 24;
+inline constexpr std::uint8_t kClusterPrefixLen = 16;
 
-/// Inverse of cluster_ip; returns false if `ip` is not a cluster host address.
+/// Inverse of cluster_ip; returns false if `ip` is not a cluster host address
+/// (outside both subnets, or a .0 or .255 last octet).
 bool parse_cluster_ip(Ipv4Addr ip, NetworkId& network, NodeId& node);
 
 constexpr MacAddr cluster_mac(NetworkId network, NodeId node) {
@@ -110,10 +120,3 @@ constexpr MacAddr fleet_relay_mac(ClusterId cluster) {
 }
 
 }  // namespace drs::net
-
-template <>
-struct std::hash<drs::net::Ipv4Addr> {
-  std::size_t operator()(const drs::net::Ipv4Addr& a) const noexcept {
-    return std::hash<std::uint32_t>{}(a.value());
-  }
-};

@@ -48,15 +48,15 @@ bool Host::broadcast_on(NetworkId ifindex, Packet packet) {
 }
 
 bool Host::transmit(NetworkId ifindex, Ipv4Addr next_hop, const Packet& packet) {
-  auto arp = arp_.find(next_hop);
-  if (arp == arp_.end()) {
+  const MacAddr* mac = arp_.find(next_hop.value());
+  if (mac == nullptr) {
     ++counters_.drop_no_arp;
     // drs-lint: hotpath-purity-ok(debug log formats only when DRS_DEBUG compiled in; drop path)
     DRS_DEBUG("host", "node %u: no ARP entry for %s", id_, next_hop.to_string().c_str());
     return false;
   }
   Nic& out = *nics_.at(ifindex);
-  out.send(Frame{out.mac(), arp->second, packet});
+  out.send(Frame{out.mac(), *mac, packet});
   return true;
 }
 

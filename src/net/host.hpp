@@ -11,12 +11,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "net/backplane.hpp"
 #include "net/nic.hpp"
 #include "net/routing_table.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_map.hpp"
 
 namespace drs::net {
 
@@ -24,7 +24,8 @@ namespace drs::net {
 /// Bound once per protocol at service construction, then only invoked.
 using PacketHandler = std::function<void(const Packet&, NetworkId in_ifindex)>;
 
-/// True for the limited broadcast and the cluster subnet broadcasts.
+/// True for the limited broadcast and the cluster broadcasts 10.(k+1).0.255,
+/// whose .255 last octet no node holds (see net/addr.hpp).
 /// Inline: checked once per received frame; with constexpr cluster_subnet
 /// this folds to a handful of constant compares.
 inline bool is_broadcast_ip(Ipv4Addr ip) {
@@ -61,7 +62,7 @@ class Host : public FrameSink {
   RoutingTable& routing_table() { return routing_table_; }
   const RoutingTable& routing_table() const { return routing_table_; }
 
-  void add_arp_entry(Ipv4Addr ip, MacAddr mac) { arp_[ip] = mac; }
+  void add_arp_entry(Ipv4Addr ip, MacAddr mac) { arp_[ip.value()] = mac; }
 
   /// Replaces the handler for `protocol` (one handler per protocol, as in a
   /// kernel dispatch table).
@@ -112,8 +113,7 @@ class Host : public FrameSink {
   sim::Entity entity_;
   std::array<std::unique_ptr<Nic>, kNetworksPerHost> nics_;
   RoutingTable routing_table_;
-  // drs-lint: unordered-ok(ARP lookups by destination IP only; never iterated)
-  std::unordered_map<Ipv4Addr, MacAddr> arp_;
+  util::FlatMap<std::uint32_t, MacAddr> arp_;  // keyed by IP value
   /// Kernel-style flat dispatch table indexed by protocol number. An empty
   /// slot means "no handler" — checked on every delivery, so this stays an
   /// array (no hashing) on the per-packet hot path.

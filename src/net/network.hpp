@@ -69,6 +69,8 @@ class ClusterNetwork : public FailureDomain {
     Backplane::Config backplane;
   };
 
+  /// Throws std::invalid_argument unless 2 <= node_count <=
+  /// kMaxClusterNodes.
   ClusterNetwork(sim::Simulator& sim, Config config);
 
   sim::Simulator& simulator() override { return sim_; }

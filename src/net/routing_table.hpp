@@ -3,7 +3,7 @@
 // Lookup is longest-prefix-first, then lowest metric, then most recently
 // installed. DRS works by installing /32 host routes ("point-to-point routes
 // around the failed portion of the network" in the paper's words), which
-// therefore override the /24 subnet routes installed at boot.
+// therefore override the /16 subnet routes installed at boot.
 #pragma once
 
 #include <cstdint>

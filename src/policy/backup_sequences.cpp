@@ -142,7 +142,7 @@ void install_backup_routes(const BackupSequences& sequences,
           out_network == addr_net && next_hop == net::cluster_ip(addr_net, dst);
       if (out_network >= net::kNetworksPerHost || direct_default) {
         // Unreachable under `failed` (honest blackhole until the failure
-        // set shrinks), or the boot /24 route already matches the arc.
+        // set shrinks), or the boot subnet route already matches the arc.
         table.remove(address, 32, net::RouteOrigin::kPolicy);
         continue;
       }

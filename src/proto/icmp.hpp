@@ -99,8 +99,8 @@ class IcmpService {
   std::uint64_t probes_timed_out() const { return timed_out_; }
   std::size_t outstanding() const { return outstanding_.size(); }
 
-  /// Pre-sizes the outstanding-probe table (DrsSystem passes the expected
-  /// concurrent probe count so warmup does not regrow it).
+  /// Pre-sizes the outstanding table for `probes` concurrent managed pings.
+  /// Only ping() enters that table; send_echo() probes never do.
   void reserve(std::size_t probes) { outstanding_.reserve(probes); }
 
  private:

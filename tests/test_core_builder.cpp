@@ -164,7 +164,7 @@ TEST(DrsSystemBuilderPolicy, BuildsAnyRegisteredPolicyByName) {
                      .build();
   EXPECT_FALSE(cluster.has_system());
   ASSERT_TRUE(cluster.has_policy());
-  EXPECT_EQ(cluster.policy().name(), "static_resilient");
+  EXPECT_STREQ(cluster.policy().name(), "static_resilient");
   cluster.settle(1_s);
   EXPECT_TRUE(cluster.test_reachability(0, 1));
 }

@@ -192,6 +192,29 @@ TEST(DrsSystem, SteadyStateHasZeroRoutingChurn) {
   }
 }
 
+TEST(DrsSystem, ClusterPastNode253ProbesCleanly) {
+  // Node 254 and up get addresses on the next third octet. When the last
+  // octet wrapped instead, node 254 held the subnet broadcast, node 255 the
+  // network address and node 256 node 0's address, and most probes of a
+  // 300-node cluster went unanswered.
+  constexpr std::uint16_t kNodes = 300;
+  sim::Simulator sim;
+  net::ClusterNetwork network(sim, {.node_count = kNodes, .backplane = {}});
+  DrsConfig config;
+  config.probe_interval = 4_s;
+  DrsSystem system(network, config);
+  system.start();
+  system.settle(9_s);  // two full monitoring cycles and part of a third
+  const std::uint64_t per_cycle = 2u * kNodes * (kNodes - 1u);
+  EXPECT_GE(system.total_probes_sent(), 2 * per_cycle);
+  std::uint64_t failed = 0;
+  for (net::NodeId i = 0; i < kNodes; ++i) {
+    failed += system.daemon(i).metrics().probes_failed;
+  }
+  EXPECT_EQ(failed, 0u);
+  EXPECT_TRUE(system.all_pristine());
+}
+
 TEST(DrsSystem, ControlTrafficOnlyUnderFailures) {
   sim::Simulator sim;
   net::ClusterNetwork network(sim, {.node_count = 4, .backplane = {}});

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "net/addr.hpp"
 #include "net/packet.hpp"
 
@@ -53,15 +56,44 @@ TEST_P(ClusterIpRoundTrip, ParseInvertsFormat) {
 
 INSTANTIATE_TEST_SUITE_P(AllCorners, ClusterIpRoundTrip,
                          ::testing::Combine(::testing::Values(0, 1),
-                                            ::testing::Values(0, 1, 7, 63, 89)));
+                                            ::testing::Values(0, 1, 7, 63, 89,
+                                                              253, 254, 255,
+                                                              256, 65023)));
 
 TEST(ClusterAddressing, ParseRejectsForeignAddresses) {
   NetworkId network;
   NodeId node;
   EXPECT_FALSE(parse_cluster_ip(Ipv4Addr::octets(192, 168, 0, 1), network, node));
   EXPECT_FALSE(parse_cluster_ip(Ipv4Addr::octets(10, 3, 0, 1), network, node));
-  EXPECT_FALSE(parse_cluster_ip(Ipv4Addr::octets(10, 1, 1, 1), network, node));
+  EXPECT_FALSE(parse_cluster_ip(Ipv4Addr::octets(10, 1, 0, 255), network, node));
   EXPECT_FALSE(parse_cluster_ip(Ipv4Addr::octets(10, 1, 0, 0), network, node));
+}
+
+TEST(ClusterAddressing, EveryNodeOwnsItsOwnHostAddress) {
+  // Past node 253 the plan moves to the next third octet instead of
+  // wrapping the last one: no two nodes share an address, and no node holds
+  // the cluster broadcast or a .0 network address.
+  EXPECT_EQ(cluster_ip(0, 253).to_string(), "10.1.0.254");
+  EXPECT_EQ(cluster_ip(0, 254).to_string(), "10.1.1.1");
+  EXPECT_EQ(cluster_ip(1, 256).to_string(), "10.2.1.3");
+  EXPECT_EQ(cluster_ip(0, kMaxClusterNodes - 1).to_string(), "10.1.255.254");
+  std::vector<bool> seen(std::size_t{1} << 16, false);
+  for (std::uint32_t i = 0; i < kMaxClusterNodes; ++i) {
+    const auto node = static_cast<NodeId>(i);
+    const Ipv4Addr ip = cluster_ip(0, node);
+    const std::uint32_t host_octet = ip.value() & 0xFFu;
+    ASSERT_NE(host_octet, 0u) << "node " << i;
+    ASSERT_NE(host_octet, 0xFFu) << "node " << i;
+    ASSERT_TRUE(ip.in_prefix(cluster_subnet(0), kClusterPrefixLen));
+    const std::uint32_t low = ip.value() & 0xFFFFu;
+    ASSERT_FALSE(seen[low]) << "node " << i << " aliases " << ip.to_string();
+    seen[low] = true;
+    NetworkId parsed_network = 9;
+    NodeId parsed_node = 0;
+    ASSERT_TRUE(parse_cluster_ip(ip, parsed_network, parsed_node));
+    ASSERT_EQ(parsed_network, 0);
+    ASSERT_EQ(parsed_node, node);
+  }
 }
 
 TEST(ClusterAddressing, MacsAreUniquePerNic) {

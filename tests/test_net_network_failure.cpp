@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace drs::net {
 namespace {
@@ -15,6 +16,18 @@ class ClusterNetworkTest : public ::testing::Test {
   sim::Simulator sim;
   ClusterNetwork network;
 };
+
+TEST(ClusterNetworkSize, RejectsSizesTheAddressPlanCannotNumber) {
+  sim::Simulator sim;
+  EXPECT_THROW(ClusterNetwork(sim, {.node_count = 0, .backplane = {}}),
+               std::invalid_argument);
+  EXPECT_THROW(ClusterNetwork(sim, {.node_count = 1, .backplane = {}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      ClusterNetwork(sim, {.node_count = kMaxClusterNodes + 1, .backplane = {}}),
+      std::invalid_argument);
+  EXPECT_NO_THROW(ClusterNetwork(sim, {.node_count = 2, .backplane = {}}));
+}
 
 TEST_F(ClusterNetworkTest, ComponentCountMatchesModel) {
   EXPECT_EQ(network.component_count(), 2u * 6 + 2);
