@@ -63,11 +63,6 @@ u128 binomial(std::int64_t n, std::int64_t k) {
   return result;
 }
 
-double binomial_double(std::int64_t n, std::int64_t k) {
-  if (k < 0 || k > n || n < 0) return 0.0;
-  return std::exp(log_binomial(n, k));
-}
-
 double log_binomial(std::int64_t n, std::int64_t k) {
   if (k < 0 || k > n || n < 0) return -std::numeric_limits<double>::infinity();
   return std::lgamma(static_cast<double>(n) + 1.0) -

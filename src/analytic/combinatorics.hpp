@@ -3,8 +3,8 @@
 // Counts are exact in unsigned __int128. For the paper's parameter ranges
 // (N <= 64 nodes => 2N+2 = 130 components, f <= 10 failures) every quantity
 // fits comfortably; `binomial` asserts if an intermediate would overflow so a
-// silent precision loss is impossible. A lgamma-based double path is provided
-// for out-of-range exploratory use.
+// silent precision loss is impossible. The lgamma-based `log_binomial` serves
+// the unconditional model's pmf, whose terms leave the exact range.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +18,6 @@ __extension__ typedef unsigned __int128 u128;  // silence -Wpedantic: GCC extens
 /// formula relies on so out-of-domain terms vanish). Exact; aborts on
 /// overflow (n up to 130 with k <= 40 is safe).
 u128 binomial(std::int64_t n, std::int64_t k);
-
-/// C(n, k) as a double via lgamma; for k beyond the exact path's range.
-double binomial_double(std::int64_t n, std::int64_t k);
 
 /// ln C(n, k); -inf for out-of-domain.
 double log_binomial(std::int64_t n, std::int64_t k);

@@ -95,14 +95,4 @@ double p_all_pairs_success(std::int64_t nodes, std::int64_t failures) {
   return to_double(all_pairs_success_count(nodes, failures)) / to_double(total);
 }
 
-std::vector<SeriesPoint> success_series(std::int64_t failures, std::int64_t n_min,
-                                        std::int64_t n_max) {
-  std::vector<SeriesPoint> series;
-  for (std::int64_t n = std::max<std::int64_t>(2, n_min); n <= n_max; ++n) {
-    if (failures > component_count(n)) continue;
-    series.push_back(SeriesPoint{n, p_success(n, failures)});
-  }
-  return series;
-}
-
 }  // namespace drs::analytic

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "analytic/combinatorics.hpp"
 
@@ -40,15 +39,6 @@ u128 total_count(std::int64_t nodes, std::int64_t failures);
 /// p_success(N, f) >= target. The paper reports 18/32/45 for f=2/3/4 at 0.99.
 std::int64_t threshold_nodes(std::int64_t failures, double target = 0.99,
                              std::int64_t max_nodes = 4096);
-
-struct SeriesPoint {
-  std::int64_t nodes = 0;
-  double p = 0.0;
-};
-
-/// The Fig. 2 series: p_success for N in [n_min, n_max].
-std::vector<SeriesPoint> success_series(std::int64_t failures, std::int64_t n_min,
-                                        std::int64_t n_max);
 
 // ---------------------------------------------------------------------------
 // Unconditional model (the paper's q framing)

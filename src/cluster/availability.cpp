@@ -1,8 +1,6 @@
 #include "cluster/availability.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 namespace drs::cluster {
 
@@ -22,17 +20,6 @@ void AvailabilityTracker::add_sample(util::SimTime at, bool ok) {
   }
 }
 
-double AvailabilityTracker::availability() const {
-  if (samples_ == 0) return 1.0;
-  return static_cast<double>(samples_ - failures_) / static_cast<double>(samples_);
-}
-
-double AvailabilityTracker::nines() const {
-  const double a = availability();
-  if (a >= 1.0) return 9.0;
-  return std::min(9.0, -std::log10(1.0 - a));
-}
-
 util::Duration AvailabilityTracker::longest_outage() const {
   util::Duration longest = util::Duration::zero();
   for (const auto& outage : outages_) longest = std::max(longest, outage.length());
@@ -43,15 +30,6 @@ util::Duration AvailabilityTracker::total_outage() const {
   util::Duration total = util::Duration::zero();
   for (const auto& outage : outages_) total += outage.length();
   return total;
-}
-
-std::string AvailabilityTracker::summary() const {
-  std::ostringstream out;
-  out << "availability=" << availability() << " (" << nines() << " nines), "
-      << outages_.size() << " outages, longest "
-      << util::to_string(longest_outage()) << ", total "
-      << util::to_string(total_outage());
-  return out.str();
 }
 
 }  // namespace drs::cluster

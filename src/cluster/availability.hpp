@@ -1,9 +1,8 @@
 // Availability accounting: turns a timeline of success/failure samples into
-// outage intervals, availability fractions and "nines".
+// outage intervals.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/time.hpp"
@@ -23,11 +22,6 @@ class AvailabilityTracker {
 
   std::uint64_t samples() const { return samples_; }
   std::uint64_t failures() const { return failures_; }
-  /// Fraction of successful samples.
-  double availability() const;
-  /// log10-based "nines" of availability (capped at 9 for a clean report
-  /// when no failure was observed).
-  double nines() const;
 
   /// Closed outage intervals (first failed sample to first subsequent
   /// success). An outage still open at the end of the run is reported by
@@ -36,8 +30,6 @@ class AvailabilityTracker {
   bool outage_open() const { return in_outage_; }
   util::Duration longest_outage() const;
   util::Duration total_outage() const;
-
-  std::string summary() const;
 
  private:
   std::uint64_t samples_ = 0;

@@ -5,15 +5,6 @@
 
 namespace drs::cluster {
 
-const char* to_string(FailureClass c) {
-  switch (c) {
-    case FailureClass::kNic: return "nic";
-    case FailureClass::kBackplane: return "backplane";
-    case FailureClass::kOther: return "other";
-  }
-  return "?";
-}
-
 std::vector<TraceEvent> generate_trace(const TraceConfig& config) {
   assert(config.network_share >= 0.0 && config.network_share <= 1.0);
   util::Rng rng(config.seed);

@@ -25,8 +25,6 @@ enum class FailureClass : std::uint8_t {
   kOther,      // disk/memory/cpu/psu — not simulated, recorded for statistics
 };
 
-const char* to_string(FailureClass c);
-
 struct TraceEvent {
   util::SimTime at;
   FailureClass failure_class = FailureClass::kOther;

@@ -200,7 +200,6 @@ struct ShardedFleet::RelayOracle {
   }
 
   void add_transition(std::int64_t t_ns, bool fail) {
-    assert(!prepared && "relay transitions must be scheduled before run_until");
     transitions.push_back(Transition{t_ns, next_hub_key(), fail});
   }
 
@@ -461,11 +460,12 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
     throw std::invalid_argument(
         "ShardedFleet requires a kHub relay backplane with zero jitter");
   }
+  if (config.fleet.clusters == 0) {
+    throw std::invalid_argument("ShardedFleet requires at least one cluster");
+  }
   sim::ShardedEngine::Options options;
   std::uint32_t shards = config.shards == 0 ? 1u : config.shards;
-  if (config.fleet.clusters > 0 && shards > config.fleet.clusters) {
-    shards = config.fleet.clusters;
-  }
+  if (shards > config.fleet.clusters) shards = config.fleet.clusters;
   options.shards = shards;
   // Conservative lookahead: a frame offered at t anywhere cannot be delivered
   // before t + serialization + propagation > t + propagation.
@@ -478,7 +478,6 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
 
 ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     : config_(config), engine_(engine_options(config_)) {
-  assert(config_.fleet.clusters >= 1);
   const std::uint16_t k = config_.fleet.clusters;
   const std::uint16_t n = config_.fleet.nodes_per_cluster;
   const std::uint32_t shards = engine_.shard_count();
@@ -645,7 +644,16 @@ void ShardedFleet::start() {
 void ShardedFleet::schedule_component_failure(util::SimTime at,
                                               net::ComponentIndex index,
                                               bool failed) {
-  assert(started_ && "schedule injections after start(), like Fleet");
+  if (!started_ || oracle_->prepared) {
+    // The oracle must know every relay transition before its first replay.
+    throw std::logic_error(
+        "ShardedFleet: schedule injections after start() and before the "
+        "first run_until()");
+  }
+  if (index >= component_count()) {
+    throw std::out_of_range("ShardedFleet: component index " +
+                            std::to_string(index) + " is past component_count()");
+  }
   if (index == relay_backplane_component()) {
     // The relay is oracle-owned shared state: no shard event at all. The
     // transition draws the hub key Fleet's injection event is pushed under.
@@ -657,7 +665,6 @@ void ShardedFleet::schedule_component_failure(util::SimTime at,
   const bool gateway = index >= cluster_span;
   const auto c = static_cast<net::ClusterId>(
       gateway ? index - cluster_span : index / cluster_stride());
-  assert(c < config_.fleet.clusters);
   const std::uint32_t s = shard_of_[c];
   sim::Simulator& sim = engine_.simulator(s);
   // The segment drains the push's queue_high_water emission, if any, at the
@@ -700,21 +707,6 @@ std::uint64_t ShardedFleet::total_probes_sent() const {
 net::ComponentIndex ShardedFleet::component_count() const {
   return static_cast<net::ComponentIndex>(
       config_.fleet.clusters * cluster_stride() + config_.fleet.clusters + 1u);
-}
-
-bool ShardedFleet::component_failed(net::ComponentIndex index) const {
-  const net::ComponentIndex cluster_span =
-      config_.fleet.clusters * cluster_stride();
-  if (index < cluster_span) {
-    return clusters_.at(index / cluster_stride())
-        ->component_failed(index % cluster_stride());
-  }
-  const net::ComponentIndex tail = index - cluster_span;
-  if (tail < config_.fleet.clusters) {
-    return gateways_.at(tail)->nic(net::kNetworkA).failed();
-  }
-  assert(tail == config_.fleet.clusters);
-  return oracle_->failed;
 }
 
 void ShardedFleet::collect_metrics(obs::MetricRegistry& registry) const {

@@ -73,6 +73,8 @@ struct ShardedFleetConfig {
 /// and (semantic) counters vs. Fleet; see the file comment.
 class ShardedFleet {
  public:
+  /// Throws std::invalid_argument for zero clusters, or for a relay that is
+  /// not a zero-jitter kHub.
   explicit ShardedFleet(ShardedFleetConfig config);
   ~ShardedFleet();
   ShardedFleet(const ShardedFleet&) = delete;
@@ -102,7 +104,9 @@ class ShardedFleet {
 
   /// Schedules a component fail/restore at absolute time `at` under the
   /// entity that owns the component, like Fleet::schedule_component_failure.
-  /// Must be called after start() and before the first run_until().
+  /// Must be called after start() and before the first run_until(), or it
+  /// throws std::logic_error; an index past component_count() throws
+  /// std::out_of_range.
   void schedule_component_failure(util::SimTime at, net::ComponentIndex index,
                                   bool failed);
 
@@ -121,7 +125,6 @@ class ShardedFleet {
 
   // -- flat component space (identical numbering to Fleet) -------------------
   net::ComponentIndex component_count() const;
-  bool component_failed(net::ComponentIndex index) const;
   net::ComponentIndex cluster_component(net::ClusterId c,
                                         net::ComponentIndex local) const {
     return static_cast<net::ComponentIndex>(c * cluster_stride() + local);

@@ -1,19 +1,10 @@
 #include "cluster/scenario.hpp"
 
 #include <memory>
-#include <sstream>
 
 #include "net/failure.hpp"
 
 namespace drs::cluster {
-
-std::string StudyResult::summary() const {
-  std::ostringstream out;
-  out << policy << ": requests=" << workload.requests_sent
-      << " success=" << workload.success_rate() << " "
-      << availability.summary() << " protocol-msgs=" << protocol_messages;
-  return out.str();
-}
 
 StudyResult run_study(const StudyConfig& config) {
   sim::Simulator simulator;

@@ -38,8 +38,6 @@ struct StudyResult {
   AvailabilityTracker availability;  // one sample per request completion
   /// Via the uniform RoutingPolicy::control_messages() hook.
   std::uint64_t protocol_messages = 0;
-
-  std::string summary() const;
 };
 
 /// Runs one cluster study; the trace's network events are injected at their

@@ -1,151 +1,21 @@
 #include "core/builder.hpp"
 
-#include <stdexcept>
-
-#include "policy/adapters.hpp"
-#include "proto/icmp.hpp"
-
 namespace drs::core {
-
-DrsSystem& DrsDeployment::system() {
-  if (system_view_ == nullptr) {
-    throw std::logic_error(
-        "DrsDeployment::system(): deployment runs policy '" +
-        std::string(policy_ ? policy_->name() : "?") +
-        "' with no DrsSystem — use policy() instead");
-  }
-  return *system_view_;
-}
-
-const DrsSystem& DrsDeployment::system() const {
-  return const_cast<DrsDeployment*>(this)->system();
-}
-
-policy::RoutingPolicy& DrsDeployment::policy() {
-  if (policy_ == nullptr) {
-    throw std::logic_error(
-        "DrsDeployment::policy(): deployment was built without "
-        "with_policy() — use system() for the direct-DRS path");
-  }
-  return *policy_;
-}
-
-void DrsDeployment::settle(util::Duration warmup) {
-  if (system_view_ != nullptr) {
-    system_view_->settle(warmup);
-    return;
-  }
-  simulator_->run_for(warmup);
-}
-
-bool DrsDeployment::test_reachability(net::NodeId a, net::NodeId b) {
-  if (system_view_ != nullptr) return system_view_->test_reachability(a, b);
-  // Generic data-plane check: one echo through the policy's ICMP service,
-  // mirroring DrsSystem::test_reachability's 250 ms budget.
-  bool reachable = false;
-  proto::PingOptions options;
-  options.timeout = util::Duration::millis(250);
-  policy_->icmp(a).ping(net::cluster_ip(net::kNetworkA, b), options,
-                        [&reachable](const proto::PingResult& r) {
-                          reachable = r.success;
-                        });
-  simulator_->run_for(options.timeout + util::Duration::millis(1));
-  return reachable;
-}
 
 DrsSystemBuilder& DrsSystemBuilder::node_count(std::uint16_t n) {
   node_count_ = n;
   return *this;
 }
 
-DrsSystemBuilder& DrsSystemBuilder::config(DrsConfig c) {
-  params_.drs = std::move(c);
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::probe_interval(util::Duration d) {
-  params_.drs.probe_interval = d;
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::probe_timeout(util::Duration d) {
-  params_.drs.probe_timeout = d;
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::failures_to_down(std::uint32_t n) {
-  params_.drs.failures_to_down = n;
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::allow_relay(bool on) {
-  params_.drs.allow_relay = on;
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::warm_standby(bool on) {
-  params_.drs.warm_standby = on;
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::adaptive_timeout(bool on) {
-  params_.drs.adaptive_timeout = on;
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::with_policy(std::string name,
-                                                policy::PolicyParams params) {
-  policy_name_ = std::move(name);
-  params_ = std::move(params);
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::backplane(net::Backplane::Config c) {
-  backplane_ = c;
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::fail_component(net::ComponentIndex component) {
-  pre_failed_.push_back(component);
-  return *this;
-}
-
-DrsSystemBuilder& DrsSystemBuilder::auto_start(bool on) {
-  auto_start_ = on;
-  return *this;
-}
-
 DrsDeployment DrsSystemBuilder::build() const {
   auto simulator = std::make_unique<sim::Simulator>();
   auto network = std::make_unique<net::ClusterNetwork>(
-      *simulator,
-      net::ClusterNetwork::Config{.node_count = node_count_,
-                                  .backplane = backplane_});
-  if (policy_name_.empty()) {
-    // Classic direct-DRS path, byte-identical to the pre-registry builder.
-    // DrsSystem's constructor runs DrsConfig::validate and throws on
-    // inconsistent knobs; pre-seeded failures land before the daemons start
-    // so their very first probe cycle sees the degraded hardware.
-    auto system = std::make_unique<DrsSystem>(*network, params_.drs);
-    for (const net::ComponentIndex component : pre_failed_) {
-      network->set_component_failed(component, true);
-    }
-    if (auto_start_) system->start();
-    return DrsDeployment(std::move(simulator), std::move(network),
-                         std::move(system));
-  }
-  std::unique_ptr<policy::RoutingPolicy> routing_policy =
-      policy::make_policy(policy_name_, *network, params_);
-  for (const net::ComponentIndex component : pre_failed_) {
-    network->set_component_failed(component, true);
-  }
-  if (auto_start_) routing_policy->start();
-  // Policies start() against the live (possibly pre-degraded) state; the
-  // DRS adapter still exposes its DrsSystem for system()-based callers.
-  auto* drs_adapter = dynamic_cast<policy::DrsPolicy*>(routing_policy.get());
-  DrsSystem* system_view = drs_adapter ? &drs_adapter->system() : nullptr;
+      *simulator, net::ClusterNetwork::Config{.node_count = node_count_,
+                                              .backplane = {}});
+  auto system = std::make_unique<DrsSystem>(*network, DrsConfig{});
+  system->start();
   return DrsDeployment(std::move(simulator), std::move(network),
-                       std::move(routing_policy), system_view);
+                       std::move(system));
 }
 
 }  // namespace drs::core

@@ -5,15 +5,6 @@
 
 namespace drs::core {
 
-const char* to_string(LinkState s) {
-  switch (s) {
-    case LinkState::kUp: return "up";
-    case LinkState::kSuspect: return "suspect";
-    case LinkState::kDown: return "down";
-  }
-  return "?";
-}
-
 LinkStateTable::LinkStateTable(net::NodeId self, std::uint16_t node_count,
                                LinkPolicy policy)
     : self_(self),
@@ -27,14 +18,6 @@ LinkStateTable::LinkStateTable(net::NodeId self, std::uint16_t node_count,
     recent_downs_.resize(entries_.size());
   }
 }
-
-LinkStateTable::LinkStateTable(net::NodeId self, std::uint16_t node_count,
-                               std::uint32_t failures_to_down,
-                               std::uint32_t successes_to_up)
-    : LinkStateTable(self, node_count,
-                     LinkPolicy{failures_to_down, successes_to_up, 0,
-                                util::Duration::seconds(10),
-                                util::Duration::seconds(5)}) {}
 
 bool LinkStateTable::record_probe(net::NodeId peer, net::NetworkId network,
                                   bool success, util::SimTime now) {

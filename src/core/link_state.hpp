@@ -28,8 +28,6 @@ namespace drs::core {
 
 enum class LinkState : std::uint8_t { kUp, kSuspect, kDown };
 
-const char* to_string(LinkState s);
-
 struct LinkTransition {
   util::SimTime at;
   net::NodeId peer = 0;
@@ -52,9 +50,6 @@ struct LinkPolicy {
 class LinkStateTable {
  public:
   LinkStateTable(net::NodeId self, std::uint16_t node_count, LinkPolicy policy);
-  /// Convenience: thresholds only, damping off.
-  LinkStateTable(net::NodeId self, std::uint16_t node_count,
-                 std::uint32_t failures_to_down, std::uint32_t successes_to_up);
 
   /// Records a probe outcome; returns true iff the UP/DOWN verdict changed
   /// (SUSPECT does not count as a verdict change).

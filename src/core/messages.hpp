@@ -25,8 +25,6 @@ enum class DrsMessageType : std::uint8_t {
   kStatusReply,
 };
 
-const char* to_string(DrsMessageType t);
-
 struct DrsControlPayload final : net::Payload {
   static constexpr net::PayloadKind kKind = net::PayloadKind::kDrsControl;
   DrsControlPayload() : net::Payload(kKind) {}
@@ -43,8 +41,9 @@ struct DrsControlPayload final : net::Payload {
   std::uint16_t detours = 0;       // peers currently routed via a detour
   std::uint16_t leases_held = 0;   // relay leases this node serves
 
+  /// 'D' 'R' version type (4 bytes), request_id (8), requester, target,
+  /// relay and the three status counters (6 x 2).
   std::uint32_t wire_size() const override { return 24; }
-  std::string describe() const override;
 };
 
 }  // namespace drs::core

@@ -1,7 +1,5 @@
 #include "core/metrics.hpp"
 
-#include <sstream>
-
 namespace drs::core {
 
 const char* to_string(PeerRouteMode m) {
@@ -13,17 +11,6 @@ const char* to_string(PeerRouteMode m) {
     case PeerRouteMode::kUnreachable: return "unreachable";
   }
   return "?";
-}
-
-std::string DaemonMetrics::summary() const {
-  std::ostringstream out;
-  out << "probes=" << probes_sent << " (failed " << probes_failed << ")"
-      << " down=" << links_declared_down << " up=" << links_declared_up
-      << " discoveries=" << discoveries_started
-      << " relays=" << relays_selected
-      << " installs=" << route_installs
-      << " control-msgs=" << control_messages_sent;
-  return out.str();
 }
 
 }  // namespace drs::core

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "net/addr.hpp"
@@ -45,8 +44,6 @@ struct DaemonMetrics {
   std::uint64_t control_messages_sent = 0;
   std::uint64_t leases_expired = 0;       // relay side
   std::vector<RouteChange> route_changes;
-
-  std::string summary() const;
 };
 
 }  // namespace drs::core

@@ -10,9 +10,8 @@
 // survivability models, the Fig. 1 cost model, the cluster workloads, the
 // chaos harness, and the declarative experiment engine.
 //
-// Headers not reachable from here (internal protocol codecs, per-module
-// implementation details) are not part of the supported surface and may
-// change without notice.
+// Headers not reachable from here (per-module implementation details) are
+// not part of the supported surface and may change without notice.
 #pragma once
 
 // Utilities: time, RNG, stats, tables, flags, JSON, hashing, caching,

@@ -35,16 +35,4 @@ ConvergencePoint convergence_point(std::int64_t failures, std::uint64_t iteratio
   return point;
 }
 
-std::vector<ConvergencePoint> run_convergence(const ConvergenceOptions& options) {
-  std::vector<ConvergencePoint> points;
-  points.reserve(options.failure_counts.size() * options.iteration_counts.size());
-  for (std::int64_t f : options.failure_counts) {
-    for (std::uint64_t iterations : options.iteration_counts) {
-      points.push_back(convergence_point(f, iterations, options.n_limit,
-                                         options.seed, options.threads));
-    }
-  }
-  return points;
-}
-
 }  // namespace drs::mc

@@ -9,20 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "montecarlo/estimator.hpp"
 
 namespace drs::mc {
-
-struct ConvergenceOptions {
-  std::vector<std::int64_t> failure_counts = {2, 3, 4, 5, 6, 7, 8, 9, 10};
-  std::vector<std::uint64_t> iteration_counts = {10, 100, 1000, 10000, 100000};
-  /// N ranges over f < N < n_limit (the paper uses 64).
-  std::int64_t n_limit = 64;
-  std::uint64_t seed = 0x5EED5EEDULL;
-  unsigned threads = 1;
-};
 
 struct ConvergencePoint {
   std::int64_t failures = 0;
@@ -31,10 +21,7 @@ struct ConvergencePoint {
   double max_abs_deviation = 0.0;
 };
 
-/// Runs the full sweep; points ordered by (failures, iterations).
-std::vector<ConvergencePoint> run_convergence(const ConvergenceOptions& options);
-
-/// One cell of the sweep.
+/// One cell of the sweep: N ranges over f < N < n_limit (the paper uses 64).
 ConvergencePoint convergence_point(std::int64_t failures, std::uint64_t iterations,
                                    std::int64_t n_limit, std::uint64_t seed,
                                    unsigned threads);

@@ -11,18 +11,6 @@ std::string Ipv4Addr::to_string() const {
   return buf;
 }
 
-std::string MacAddr::to_string() const {
-  char buf[18];
-  std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x",
-                static_cast<unsigned>((value_ >> 40) & 0xFF),
-                static_cast<unsigned>((value_ >> 32) & 0xFF),
-                static_cast<unsigned>((value_ >> 24) & 0xFF),
-                static_cast<unsigned>((value_ >> 16) & 0xFF),
-                static_cast<unsigned>((value_ >> 8) & 0xFF),
-                static_cast<unsigned>(value_ & 0xFF));
-  return buf;
-}
-
 bool parse_cluster_ip(Ipv4Addr ip, NetworkId& network, NodeId& node) {
   const std::uint32_t v = ip.value();
   if (((v >> 24) & 0xFF) != 10) return false;

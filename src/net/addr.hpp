@@ -63,8 +63,6 @@ class MacAddr {
   constexpr bool is_broadcast() const { return value_ == 0xFFFFFFFFFFFFull; }
   constexpr auto operator<=>(const MacAddr&) const = default;
 
-  std::string to_string() const;
-
  private:
   std::uint64_t value_ = 0;
 };

@@ -11,9 +11,6 @@ Backplane::Backplane(sim::Simulator& sim, NetworkId id, Config config)
       config_(config),
       rng_(config.seed, id) {}
 
-Backplane::Backplane(sim::Simulator& sim, NetworkId id)
-    : Backplane(sim, id, Config{}) {}
-
 void Backplane::attach(Nic& nic) {
   attached_.push_back(&nic);
   if (!by_mac_.insert(nic.mac().value(), &nic)) mac_collision_ = true;

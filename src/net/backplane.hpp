@@ -85,7 +85,6 @@ class Backplane {
   };
 
   Backplane(sim::Simulator& sim, NetworkId id, Config config);
-  Backplane(sim::Simulator& sim, NetworkId id);
 
   NetworkId id() const { return id_; }
   const Config& config() const { return config_; }

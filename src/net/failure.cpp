@@ -4,13 +4,8 @@
 
 namespace drs::net {
 
-FailureInjector::FailureInjector(FailureDomain& domain) : domain_(domain) {}
-
-FailureInjector::FailureInjector(ClusterNetwork& network)
-    : domain_(network), cluster_(&network) {}
-
 void FailureInjector::schedule(FailureAction action) {
-  domain_.simulator().schedule_at(action.at, [this, action] {
+  network_.simulator().schedule_at(action.at, [this, action] {
     apply_now(action.component, action.fail);
   });
 }
@@ -24,12 +19,12 @@ void FailureInjector::schedule_outage(util::SimTime at, ComponentIndex component
 }
 
 void FailureInjector::apply_now(ComponentIndex component, bool fail) {
-  domain_.set_component_failed(component, fail);
-  const auto now = domain_.simulator().now();
+  network_.set_component_failed(component, fail);
+  const auto now = network_.simulator().now();
   log_.push_back(LogEntry{now, component, fail});
   DRS_INFO("failure", "t=%s %s %s", util::to_string(now).c_str(),
            fail ? "FAIL" : "RESTORE",
-           domain_.describe_component(component).c_str());
+           network_.describe_component(component).c_str());
   if (observer_) observer_(log_.back());
 }
 
@@ -37,21 +32,10 @@ void FailureInjector::schedule_script(const std::vector<FailureAction>& actions)
   for (const FailureAction& action : actions) schedule(action);
 }
 
-std::vector<ComponentIndex> FailureInjector::schedule_random_failures(
-    util::SimTime at, std::size_t count, util::Rng& rng) {
-  std::vector<std::uint32_t> picks;
-  rng.sample_distinct(domain_.component_count(), count, picks);
-  std::vector<ComponentIndex> components(picks.begin(), picks.end());
-  for (ComponentIndex c : components) {
-    schedule(FailureAction{at, c, /*fail=*/true});
-  }
-  return components;
-}
-
 std::size_t FailureInjector::currently_failed() const {
   std::size_t failed = 0;
-  for (ComponentIndex c = 0; c < domain_.component_count(); ++c) {
-    if (domain_.component_failed(c)) ++failed;
+  for (ComponentIndex c = 0; c < network_.component_count(); ++c) {
+    if (network_.component_failed(c)) ++failed;
   }
   return failed;
 }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "util/rng.hpp"
 
 namespace drs::net {
 
@@ -24,10 +23,7 @@ struct FailureAction {
 
 class FailureInjector {
  public:
-  /// Injects into any failure domain — a single cluster or a whole fleet.
-  explicit FailureInjector(FailureDomain& domain);
-  /// Cluster convenience overload; additionally enables network().
-  explicit FailureInjector(ClusterNetwork& network);
+  explicit FailureInjector(ClusterNetwork& network) : network_(network) {}
 
   /// Schedules one action; may be called before or during the run.
   void schedule(FailureAction action);
@@ -44,12 +40,6 @@ class FailureInjector {
   /// replayable schedules arrive this way). Actions may be in any order.
   void schedule_script(const std::vector<FailureAction>& actions);
 
-  /// Draws `count` distinct components to fail at `at`, uniformly over all
-  /// 2N+2 components — exactly the survivability model's failure draw.
-  std::vector<ComponentIndex> schedule_random_failures(util::SimTime at,
-                                                       std::size_t count,
-                                                       util::Rng& rng);
-
   struct LogEntry {
     util::SimTime at;
     ComponentIndex component;
@@ -57,10 +47,7 @@ class FailureInjector {
   };
   const std::vector<LogEntry>& log() const { return log_; }
   std::size_t currently_failed() const;
-  FailureDomain& domain() { return domain_; }
-  /// The cluster this injector drives; only valid when constructed from a
-  /// ClusterNetwork (the invariant checkers' single-cluster entry point).
-  ClusterNetwork& network() { return *cluster_; }
+  ClusterNetwork& network() { return network_; }
 
   /// Observation hook: called after every applied action (scheduled or
   /// immediate), with the entry just logged. Runtime invariant checkers use
@@ -69,8 +56,7 @@ class FailureInjector {
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
  private:
-  FailureDomain& domain_;
-  ClusterNetwork* cluster_ = nullptr;
+  ClusterNetwork& network_;
   std::vector<LogEntry> log_;
   Observer observer_;
 };

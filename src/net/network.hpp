@@ -24,8 +24,7 @@ using ComponentIndex = std::uint32_t;
 /// Anything failure injection can address: a flat, dense component space with
 /// per-component fail/restore. ClusterNetwork exposes one cluster's 2N+2
 /// components; cluster::Fleet composes k clusters plus its gateways and the
-/// inter-cluster relay backplane into one space, so the same FailureInjector
-/// (and every chaos schedule built on it) drives either topology.
+/// inter-cluster relay backplane into one space.
 class FailureDomain {
  public:
   virtual ~FailureDomain() = default;

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "net/addr.hpp"
 
@@ -23,8 +22,6 @@ enum class Protocol : std::uint8_t {
   kRip,         // reactive distance-vector baseline
   kOspf,        // reactive link-state baseline (hello + LSA)
 };
-
-const char* to_string(Protocol p);
 
 // On-wire size constants (bytes). Classic Ethernet II + IPv4 numbers — the
 // hardware generation the paper's clusters ran on.
@@ -59,8 +56,6 @@ class Payload {
   explicit Payload(PayloadKind kind) : kind_(kind) {}
   virtual ~Payload() = default;
   virtual std::uint32_t wire_size() const = 0;
-  /// Short human-readable rendering for traces.
-  virtual std::string describe() const = 0;
 
   PayloadKind kind() const { return kind_; }
 

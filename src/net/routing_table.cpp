@@ -1,29 +1,8 @@
 #include "net/routing_table.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace drs::net {
-
-const char* to_string(RouteOrigin origin) {
-  switch (origin) {
-    case RouteOrigin::kStatic: return "static";
-    case RouteOrigin::kDrs: return "drs";
-    case RouteOrigin::kRip: return "rip";
-    case RouteOrigin::kOspf: return "ospf";
-    case RouteOrigin::kPolicy: return "policy";
-  }
-  return "?";
-}
-
-std::string Route::to_string() const {
-  std::ostringstream out;
-  out << prefix.to_string() << "/" << static_cast<int>(prefix_len) << " dev nic"
-      << static_cast<int>(out_ifindex);
-  if (!next_hop.is_unspecified()) out << " via " << next_hop.to_string();
-  out << " metric " << metric << " [" << drs::net::to_string(origin) << "]";
-  return out.str();
-}
 
 void RoutingTable::install(const Route& route) {
   ++version_;
@@ -86,12 +65,6 @@ std::optional<Route> RoutingTable::lookup(Ipv4Addr dst) const {
   }
   if (best == nullptr) return std::nullopt;
   return *best;
-}
-
-std::string RoutingTable::to_string() const {
-  std::ostringstream out;
-  for (const auto& r : routes_) out << r.to_string() << "\n";
-  return out.str();
 }
 
 }  // namespace drs::net

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "net/addr.hpp"
@@ -23,8 +22,6 @@ enum class RouteOrigin : std::uint8_t {
   kPolicy,  // installed by a precomputed policy (policy/ module)
 };
 
-const char* to_string(RouteOrigin origin);
-
 struct Route {
   Ipv4Addr prefix;
   std::uint8_t prefix_len = 32;
@@ -35,7 +32,6 @@ struct Route {
   RouteOrigin origin = RouteOrigin::kStatic;
 
   bool matches(Ipv4Addr dst) const { return dst.in_prefix(prefix, prefix_len); }
-  std::string to_string() const;
 };
 
 class RoutingTable {
@@ -55,7 +51,6 @@ class RoutingTable {
   std::optional<Route> lookup(Ipv4Addr dst) const;
 
   const std::vector<Route>& routes() const { return routes_; }
-  std::string to_string() const;
 
   /// Monotonic counter bumped on every mutation; lets daemons detect churn.
   std::uint64_t version() const { return version_; }

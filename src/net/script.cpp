@@ -2,42 +2,53 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 namespace drs::net {
 
 namespace {
 
-/// Parses "1.5s", "200ms", "40us", "7ns" into a Duration. Returns false on
-/// malformed input.
-bool parse_duration(const std::string& token, util::Duration& out) {
+/// Parses a decimal integer in [0, limit) that spans all of `text`.
+bool parse_index(std::string_view text, std::int64_t limit, std::int64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end && out >= 0 && out < limit;
+}
+
+/// Parses "1.5s", "200ms", "40us", "7ns" into a non-negative Duration.
+/// Returns false on malformed input or when the nanoseconds overflow int64.
+bool parse_duration(std::string_view token, util::Duration& out) {
   std::size_t suffix = 0;
   while (suffix < token.size() &&
          (std::isdigit(static_cast<unsigned char>(token[suffix])) ||
-          token[suffix] == '.' || token[suffix] == '-')) {
+          token[suffix] == '.')) {
     ++suffix;
   }
-  if (suffix == 0 || suffix == token.size()) return false;
+  const char* end = token.data() + suffix;
   double value = 0.0;
-  try {
-    value = std::stod(token.substr(0, suffix));
-  } catch (...) {
-    return false;
-  }
-  const std::string unit = token.substr(suffix);
-  double scale = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), end, value, std::chars_format::fixed);
+  if (ec != std::errc() || ptr != end) return false;
+  const std::string_view unit = token.substr(suffix);
+  double ns_per_unit = 0.0;
   if (unit == "s") {
-    scale = 1.0;
+    ns_per_unit = 1e9;
   } else if (unit == "ms") {
-    scale = 1e-3;
+    ns_per_unit = 1e6;
   } else if (unit == "us") {
-    scale = 1e-6;
+    ns_per_unit = 1e3;
   } else if (unit == "ns") {
-    scale = 1e-9;
+    ns_per_unit = 1.0;
   } else {
     return false;
   }
-  out = util::Duration::from_seconds(value * scale);
+  const double ns = value * ns_per_unit;
+  // 2^63 is exact in a double; at or past it the cast below would overflow.
+  if (!(ns < 0x1p63)) return false;
+  out = util::Duration::nanos(static_cast<std::int64_t>(ns + 0.5));
   return true;
 }
 
@@ -54,14 +65,14 @@ bool parse_component(const std::vector<std::string>& tokens, std::size_t start,
       error = "nic needs <node> <net>";
       return false;
     }
-    const long node = std::strtol(tokens[start + 1].c_str(), nullptr, 10);
-    const long network = std::strtol(tokens[start + 2].c_str(), nullptr, 10);
-    if (node < 0 || node >= node_count) {
-      error = "node index out of range: " + tokens[start + 1];
+    std::int64_t node = 0;
+    std::int64_t network = 0;
+    if (!parse_index(tokens[start + 1], node_count, node)) {
+      error = "bad node index: " + tokens[start + 1];
       return false;
     }
-    if (network < 0 || network >= kNetworksPerHost) {
-      error = "network index out of range: " + tokens[start + 2];
+    if (!parse_index(tokens[start + 2], kNetworksPerHost, network)) {
+      error = "bad network index: " + tokens[start + 2];
       return false;
     }
     out = ComponentRef{ComponentRef::Kind::kNic, static_cast<NodeId>(node),
@@ -74,9 +85,9 @@ bool parse_component(const std::vector<std::string>& tokens, std::size_t start,
       error = "backplane needs <net>";
       return false;
     }
-    const long network = std::strtol(tokens[start + 1].c_str(), nullptr, 10);
-    if (network < 0 || network >= kNetworksPerHost) {
-      error = "network index out of range: " + tokens[start + 1];
+    std::int64_t network = 0;
+    if (!parse_index(tokens[start + 1], kNetworksPerHost, network)) {
+      error = "bad network index: " + tokens[start + 1];
       return false;
     }
     out = ComponentRef{ComponentRef::Kind::kBackplane, 0,
@@ -123,8 +134,7 @@ ScriptParseResult parse_failure_script(const std::string& text,
       return result;
     }
     util::Duration offset;
-    if (!parse_duration(tokens[0].substr(1), offset) ||
-        offset < util::Duration::zero()) {
+    if (!parse_duration(std::string_view(tokens[0]).substr(1), offset)) {
       fail_at("bad time offset '" + tokens[0] + "'");
       return result;
     }
@@ -157,17 +167,21 @@ ScriptParseResult parse_failure_script(const std::string& text,
         return result;
       }
       util::Duration period;
-      long count = -1;
+      std::int64_t count = 0;
       for (std::size_t i = 2 + consumed; i < tokens.size(); ++i) {
         const std::string& option = tokens[i];
         if (option.rfind("period=", 0) == 0) {
-          if (!parse_duration(option.substr(7), period) ||
+          if (!parse_duration(std::string_view(option).substr(7), period) ||
               period <= util::Duration::zero()) {
             fail_at("bad flap period '" + option + "'");
             return result;
           }
         } else if (option.rfind("count=", 0) == 0) {
-          count = std::strtol(option.c_str() + 6, nullptr, 10);
+          if (!parse_index(std::string_view(option).substr(6),
+                           std::numeric_limits<std::int64_t>::max(), count)) {
+            fail_at("bad flap count '" + option + "'");
+            return result;
+          }
         } else {
           fail_at("unknown flap option '" + option + "'");
           return result;
@@ -177,7 +191,14 @@ ScriptParseResult parse_failure_script(const std::string& text,
         fail_at("flap requires period=<duration> and count=<n>");
         return result;
       }
-      for (long i = 0; i < count; ++i) {
+      // The last restore lands at offset + (2 * count - 1) * period.
+      const std::int64_t room =
+          (std::numeric_limits<std::int64_t>::max() - offset.ns()) / period.ns();
+      if (count > room / 2 + room % 2) {
+        fail_at("flap runs past the end of simulated time");
+        return result;
+      }
+      for (std::int64_t i = 0; i < count; ++i) {
         const util::Duration base = offset + period * (2 * i);
         result.actions.push_back(ScriptAction{base, component, true});
         result.actions.push_back(ScriptAction{base + period, component, false});
@@ -204,22 +225,6 @@ void schedule_script(FailureInjector& injector,
         flat_index(action.component, injector.network().node_count()),
         action.fail});
   }
-}
-
-std::string format_script(const std::vector<ScriptAction>& actions) {
-  std::ostringstream out;
-  for (const ScriptAction& action : actions) {
-    out << "@" << action.at.ns() << "ns " << (action.fail ? "fail" : "restore")
-        << " ";
-    if (action.component.kind == ComponentRef::Kind::kNic) {
-      out << "nic " << action.component.node << " "
-          << static_cast<int>(action.component.network);
-    } else {
-      out << "backplane " << static_cast<int>(action.component.network);
-    }
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace drs::net

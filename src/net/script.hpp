@@ -40,7 +40,4 @@ ScriptParseResult parse_failure_script(const std::string& text,
 void schedule_script(FailureInjector& injector, const std::vector<ScriptAction>& actions,
                      util::SimTime base);
 
-/// Renders actions back into the DSL (round-trips through the parser).
-std::string format_script(const std::vector<ScriptAction>& actions);
-
 }  // namespace drs::net

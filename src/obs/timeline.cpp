@@ -32,16 +32,6 @@ struct TimelineFold {
 
 }  // namespace
 
-FailoverTimeline reconstruct_failover(const std::vector<TraceEvent>& events,
-                                      std::int64_t failure_at_ns,
-                                      std::int64_t recovered_at_ns) {
-  TimelineFold fold;
-  fold.timeline.failure_at_ns = failure_at_ns;
-  fold.timeline.recovered_at_ns = recovered_at_ns;
-  for (const TraceEvent& event : events) fold.feed(event);
-  return fold.timeline;
-}
-
 FailoverTimeline reconstruct_failover(const Tracer& tracer,
                                       std::int64_t failure_at_ns,
                                       std::int64_t recovered_at_ns) {

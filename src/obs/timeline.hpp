@@ -47,12 +47,8 @@ struct FailoverTimeline {
   }
 };
 
-/// Folds `events` (chronological) into the timeline of one failure episode.
-FailoverTimeline reconstruct_failover(const std::vector<TraceEvent>& events,
-                                      std::int64_t failure_at_ns,
-                                      std::int64_t recovered_at_ns);
-
-/// Same, scanning a live tracer's ring without copying it.
+/// Folds a tracer's retained events (chronological, scanned in place) into
+/// the timeline of one failure episode.
 FailoverTimeline reconstruct_failover(const Tracer& tracer,
                                       std::int64_t failure_at_ns,
                                       std::int64_t recovered_at_ns);

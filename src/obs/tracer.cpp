@@ -1,7 +1,5 @@
 #include "obs/tracer.hpp"
 
-#include <algorithm>
-
 namespace drs::obs {
 
 std::atomic<std::uint64_t> Tracer::rings_allocated_{0};
@@ -28,20 +26,6 @@ std::vector<TraceEvent> Tracer::events() const {
   out.reserve(ring_.size());
   for_each([&out](const TraceEvent& event) { out.push_back(event); });
   return out;
-}
-
-const TraceEvent* Tracer::first_since(
-    std::int64_t from_ns, std::initializer_list<TraceEventKind> kinds) const {
-  const auto matches = [&](const TraceEvent& event) {
-    if (event.at_ns < from_ns) return false;
-    if (kinds.size() == 0) return true;
-    return std::find(kinds.begin(), kinds.end(), event.kind) != kinds.end();
-  };
-  const TraceEvent* best = nullptr;
-  for_each([&](const TraceEvent& event) {
-    if (best == nullptr && matches(event)) best = &event;
-  });
-  return best;
 }
 
 void Tracer::clear() {

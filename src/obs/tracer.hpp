@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -60,12 +59,6 @@ class Tracer {
       for (const TraceEvent& event : ring_) fn(event);
     }
   }
-
-  /// Earliest retained event with at_ns >= from_ns whose kind is in `kinds`
-  /// (empty = any kind); nullptr when none. The pointer is invalidated by
-  /// the next emit().
-  const TraceEvent* first_since(std::int64_t from_ns,
-                                std::initializer_list<TraceEventKind> kinds = {}) const;
 
   /// Drops retained events; emitted()/evicted() keep counting, the ring
   /// storage stays allocated.

@@ -76,8 +76,6 @@ std::string known_names() {
 
 }  // namespace
 
-const std::vector<PolicyFactory>& policies() { return registry(); }
-
 const PolicyFactory* find_policy(std::string_view name) {
   for (const PolicyFactory& factory : registry()) {
     if (name == factory.name) return &factory;

@@ -5,8 +5,8 @@
 // style: nullopt = fine, otherwise a human-readable complaint) and a
 // factory. PolicyParams carries one parameter struct per registered policy;
 // a factory reads only its own. make_policy() is the single entry point the
-// comparison harness, the cluster study driver, DrsSystemBuilder and the
-// policy_shootout experiment family all construct through — unknown names
+// comparison harness, the cluster study driver and the policy_shootout
+// experiment family all construct through — unknown names
 // fail with the registered-name list in the message.
 //
 // See docs/POLICIES.md for the registration walkthrough.
@@ -45,9 +45,6 @@ struct PolicyFactory {
   std::unique_ptr<RoutingPolicy> (*create)(net::ClusterNetwork& network,
                                            const PolicyParams& params);
 };
-
-/// Every registered policy, sorted by name.
-const std::vector<PolicyFactory>& policies();
 
 /// Registry lookup; nullptr when unknown.
 const PolicyFactory* find_policy(std::string_view name);

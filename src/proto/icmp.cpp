@@ -1,21 +1,12 @@
 #include "proto/icmp.hpp"
 
 #include <cassert>
-#include <sstream>
 
 #include "obs/macros.hpp"
 #include "util/arena.hpp"
 #include "util/log.hpp"
 
 namespace drs::proto {
-
-std::string IcmpPayload::describe() const {
-  // Debug-path only: nothing on the probe hot path calls describe().
-  std::ostringstream out;
-  out << (type == Type::kEchoRequest ? "echo-request" : "echo-reply")
-      << " ident=" << ident << " seq=" << seq;
-  return out.str();
-}
 
 IcmpService::IcmpService(net::Host& host)
     : host_(host), ident_(static_cast<std::uint16_t>(host.id() + 1)) {

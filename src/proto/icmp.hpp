@@ -27,7 +27,6 @@ struct IcmpPayload final : net::Payload {
   std::uint32_t data_bytes = 0;  // echo payload beyond the 8-byte ICMP header
 
   std::uint32_t wire_size() const override { return 8 + data_bytes; }
-  std::string describe() const override;
 };
 
 struct PingResult {

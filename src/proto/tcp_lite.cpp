@@ -2,26 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 #include "obs/macros.hpp"
 #include "util/arena.hpp"
 #include "util/log.hpp"
 
 namespace drs::proto {
-
-std::string TcpSegment::describe() const {
-  // Debug-path only: trace rendering, never called while segments move.
-  std::ostringstream out;
-  out << "tcp " << src_port << "->" << dst_port;
-  if (syn) out << " SYN";
-  if (fin) out << " FIN";
-  if (rst) out << " RST";
-  out << " seq=" << seq;
-  if (ack) out << " ack=" << ack_no;
-  if (data_bytes) out << " len=" << data_bytes;
-  return out.str();
-}
 
 // ---------------------------------------------------------------------------
 // TcpConnection

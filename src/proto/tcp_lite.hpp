@@ -36,7 +36,6 @@ struct TcpSegment final : net::Payload {
   std::uint32_t data_bytes = 0;
 
   std::uint32_t wire_size() const override { return 20 + data_bytes; }
-  std::string describe() const override;
 };
 
 struct TcpConfig {

@@ -1,16 +1,8 @@
 #include "proto/udp.hpp"
 
-#include <sstream>
-
 #include "util/arena.hpp"
 
 namespace drs::proto {
-
-std::string UdpPayload::describe() const {
-  std::ostringstream out;
-  out << "udp " << src_port << "->" << dst_port << " " << data_bytes << "B";
-  return out.str();
-}
 
 UdpService::UdpService(net::Host& host) : host_(host) {
   host_.register_handler(net::Protocol::kUdp,
@@ -22,8 +14,6 @@ UdpService::UdpService(net::Host& host) : host_(host) {
 void UdpService::open(std::uint16_t port, UdpHandler handler) {
   ports_[port] = std::move(handler);
 }
-
-void UdpService::close(std::uint16_t port) { ports_.erase(port); }
 
 bool UdpService::send(net::Ipv4Addr dst, std::uint16_t dst_port,
                       std::uint16_t src_port, std::uint32_t data_bytes,

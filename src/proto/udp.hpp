@@ -24,7 +24,6 @@ struct UdpPayload final : net::Payload {
   std::any message;
 
   std::uint32_t wire_size() const override { return 8 + data_bytes; }
-  std::string describe() const override;
 };
 
 struct UdpDatagram {
@@ -46,7 +45,6 @@ class UdpService {
 
   /// Binds a handler to a local port; replaces any existing binding.
   void open(std::uint16_t port, UdpHandler handler);
-  void close(std::uint16_t port);
 
   /// Sends a datagram via the routing table. Returns false if dropped
   /// locally.

@@ -1,23 +1,10 @@
 #include "reactive/ospf_lite.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/log.hpp"
 
 namespace drs::reactive {
-
-std::string OspfHello::describe() const {
-  std::ostringstream out;
-  out << "ospf-hello from " << advertiser;
-  return out.str();
-}
-
-std::string OspfLsa::describe() const {
-  std::ostringstream out;
-  out << "ospf-lsa origin=" << origin << " seq=" << sequence;
-  return out.str();
-}
 
 OspfDaemon::OspfDaemon(net::Host& host, std::uint16_t node_count, OspfConfig config)
     : host_(host),

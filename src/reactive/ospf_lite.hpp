@@ -60,7 +60,6 @@ struct OspfHello final : net::Payload {
 
   net::NodeId advertiser = 0;
   std::uint32_t wire_size() const override { return 44; }  // RFC 2328 sizing
-  std::string describe() const override;
 };
 
 /// Router-LSA: the originator's live adjacencies as one bitmask per network
@@ -73,7 +72,6 @@ struct OspfLsa final : net::Payload {
   std::uint32_t sequence = 0;
   std::array<std::uint64_t, net::kNetworksPerHost> neighbors{};
   std::uint32_t wire_size() const override { return 20 + 16; }
-  std::string describe() const override;
 };
 
 class OspfDaemon {

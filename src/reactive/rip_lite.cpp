@@ -1,18 +1,11 @@
 #include "reactive/rip_lite.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "net/network.hpp"
 #include "util/log.hpp"
 
 namespace drs::reactive {
-
-std::string RipPayload::describe() const {
-  std::ostringstream out;
-  out << "rip from " << advertiser << " (" << entries.size() << " routes)";
-  return out.str();
-}
 
 RipDaemon::RipDaemon(net::Host& host, std::uint16_t node_count, RipConfig config)
     : host_(host),

@@ -63,7 +63,6 @@ struct RipPayload final : net::Payload {
   std::uint32_t wire_size() const override {
     return 4 + 20 * static_cast<std::uint32_t>(entries.size());
   }
-  std::string describe() const override;
 };
 
 class RipDaemon {

@@ -46,14 +46,6 @@ void ShardedEngine::drain_setup_segment(std::uint32_t shard_index) {
   sh.tracer.clear();
 }
 
-void ShardedEngine::add_foreign(std::uint32_t shard, ForeignEvent event) {
-  Shard& sh = *shards_[shard];
-  const std::int64_t margin = event.at_ns - foreign_floor_ns_;
-  if (margin < min_foreign_margin_ns_) min_foreign_margin_ns_ = margin;
-  sh.inbox.push_back(std::move(event));
-  ++sh.inbox_added;
-}
-
 void ShardedEngine::add_foreign_batch(std::uint32_t shard,
                                       std::vector<ForeignEvent>& staged) {
   if (staged.empty()) return;

@@ -136,21 +136,18 @@ class ShardedEngine {
   void end_setup_segment();
 
   // -- cross-shard traffic ---------------------------------------------------
-  /// Coordinator-side only (call from the merge hook): enqueues a foreign
-  /// event. Must not land inside the window being merged — the conservative
-  /// bound guarantees arrivals fall at or after the next window's start, and
-  /// min_foreign_margin_ns() records the margin.
-  void add_foreign(std::uint32_t shard, ForeignEvent event);
-
-  /// Batched hand-off: moves every staged event into the shard's inbox in one
-  /// call (margins are scored per event, as add_foreign would). The staging
-  /// vector is cleared but keeps its capacity, so an oracle can reuse it
-  /// window after window without allocating.
+  /// Coordinator-side only (call from the merge hook): moves every staged
+  /// foreign event into the shard's inbox in one call. No event may land
+  /// inside the window being merged — the conservative bound guarantees
+  /// arrivals fall at or after the next window's start, and
+  /// min_foreign_margin_ns() records each event's margin. The staging vector
+  /// is cleared but keeps its capacity, so an oracle can reuse it window
+  /// after window without allocating.
   void add_foreign_batch(std::uint32_t shard, std::vector<ForeignEvent>& staged);
 
   /// Runs on the coordinator at every window barrier, after the window's
   /// traces are merged: replay the boundary captures of the window over the
-  /// shared-medium state, and add_foreign the resulting deliveries.
+  /// shared-medium state, and add_foreign_batch the resulting deliveries.
   using MergeHook = std::function<void(std::int64_t window_start_ns,
                                        std::int64_t window_end_ns)>;
   void set_merge_hook(MergeHook hook) { merge_hook_ = std::move(hook); }
@@ -287,7 +284,7 @@ class ShardedEngine {
       std::numeric_limits<std::int64_t>::max();
   /// Earliest sim-time a foreign event enqueued right now may legally carry:
   /// the upcoming window's start during the flush phase, the merged window's
-  /// end during the merge phase. add_foreign scores margins against it.
+  /// end during the merge phase. add_foreign_batch scores margins against it.
   std::int64_t foreign_floor_ns_ = 0;
 
   // Worker pool: created on the first run_until, parked between windows at a

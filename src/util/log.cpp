@@ -1,7 +1,6 @@
 #include "util/log.hpp"
 
 #include <cstdio>
-#include <vector>
 
 #include "util/time.hpp"
 
@@ -10,7 +9,6 @@ namespace drs::util {
 namespace {
 // drs-lint: shared-state-ok(process-wide log threshold, set once at startup before simulations run)
 LogLevel g_level = LogLevel::kWarn;
-std::function<void(LogLevel, const std::string&)> g_sink;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -28,24 +26,13 @@ const char* level_name(LogLevel level) {
 void set_log_level(LogLevel level) { g_level = level; }
 LogLevel log_level() { return g_level; }
 
-void set_log_sink(std::function<void(LogLevel, const std::string&)> sink) {
-  g_sink = std::move(sink);
-}
-
 void log_message(LogLevel level, const char* component, const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
   char body[1024];
   std::vsnprintf(body, sizeof body, fmt, args);
   va_end(args);
-
-  char line[1200];
-  std::snprintf(line, sizeof line, "[%s] %s: %s", level_name(level), component, body);
-  if (g_sink) {
-    g_sink(level, line);
-  } else {
-    std::fprintf(stderr, "%s\n", line);
-  }
+  std::fprintf(stderr, "[%s] %s: %s\n", level_name(level), component, body);
 }
 
 std::string to_string(Duration d) {

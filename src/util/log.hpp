@@ -1,13 +1,11 @@
 // Lightweight leveled logging.
 //
 // The simulator is deterministic and single-threaded per run, so the logger
-// is intentionally simple: a global level, printf-style formatting, and an
-// optional capture sink used by tests to assert on protocol behaviour.
+// is intentionally simple: a global level, printf-style formatting, and
+// stderr output.
 #pragma once
 
 #include <cstdarg>
-#include <functional>
-#include <string>
 
 namespace drs::util {
 
@@ -16,10 +14,6 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 /// Sets the global threshold; messages below it are dropped.
 void set_log_level(LogLevel level);
 LogLevel log_level();
-
-/// Replaces stderr output with `sink` (nullptr restores stderr). The sink
-/// receives fully formatted lines without the trailing newline.
-void set_log_sink(std::function<void(LogLevel, const std::string&)> sink);
 
 /// printf-style log call; prefer the LOG_* macros below which skip argument
 /// evaluation when the level is disabled.

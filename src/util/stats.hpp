@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace drs::util {
@@ -13,15 +12,12 @@ namespace drs::util {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   /// Unbiased sample variance; 0 for fewer than two samples.
   double variance() const;
   double stddev() const;
-  /// Standard error of the mean; 0 for fewer than two samples.
-  double stderror() const;
   double min() const { return min_; }
   double max() const { return max_; }
   double sum() const { return mean_ * static_cast<double>(n_); }
@@ -50,8 +46,6 @@ class Histogram {
   double bucket_hi(std::size_t i) const;
   /// Linear-interpolated quantile estimate, q in [0, 1].
   double quantile(double q) const;
-  /// Multi-line ASCII rendering for logs and examples.
-  std::string to_ascii(std::size_t width = 50) const;
 
  private:
   double lo_;

@@ -136,24 +136,6 @@ TEST(Equation1, MoreFailuresNeverHelp) {
   }
 }
 
-TEST(Series, CoversRequestedRangeInOrder) {
-  const auto series = success_series(3, 4, 64);
-  ASSERT_EQ(series.size(), 61u);
-  EXPECT_EQ(series.front().nodes, 4);
-  EXPECT_EQ(series.back().nodes, 64);
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    EXPECT_EQ(series[i].nodes, series[i - 1].nodes + 1);
-  }
-}
-
-TEST(Series, SkipsInfeasibleSmallClusters) {
-  // f=10 needs at least 2N+2 >= 10 components.
-  const auto series = success_series(10, 2, 10);
-  for (const auto& point : series) {
-    EXPECT_GE(component_count(point.nodes), 10);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Connectivity predicate unit behaviour (beyond the aggregate counts).
 // ---------------------------------------------------------------------------

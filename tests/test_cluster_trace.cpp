@@ -84,12 +84,6 @@ TEST(FailureTrace, NodeAndNetworkFieldsInRange) {
   }
 }
 
-TEST(FailureClassNames, Strings) {
-  EXPECT_STREQ(to_string(FailureClass::kNic), "nic");
-  EXPECT_STREQ(to_string(FailureClass::kBackplane), "backplane");
-  EXPECT_STREQ(to_string(FailureClass::kOther), "other");
-}
-
 TEST(TraceStats, EmptyTraceFractionIsZero) {
   EXPECT_EQ(summarize({}).network_fraction(), 0.0);
 }

@@ -19,8 +19,8 @@ util::SimTime at(std::int64_t ms) {
 TEST(AvailabilityTracker, AllUpIsPerfect) {
   AvailabilityTracker tracker;
   for (int i = 0; i < 100; ++i) tracker.add_sample(at(i), true);
-  EXPECT_DOUBLE_EQ(tracker.availability(), 1.0);
-  EXPECT_EQ(tracker.nines(), 9.0);
+  EXPECT_EQ(tracker.samples(), 100u);
+  EXPECT_EQ(tracker.failures(), 0u);
   EXPECT_TRUE(tracker.outages().empty());
   EXPECT_FALSE(tracker.outage_open());
 }
@@ -39,7 +39,8 @@ TEST(AvailabilityTracker, OutageIntervalBoundaries) {
   EXPECT_EQ(tracker.outages()[1].length(), 10_ms);
   EXPECT_EQ(tracker.longest_outage(), 20_ms);
   EXPECT_EQ(tracker.total_outage(), 30_ms);
-  EXPECT_DOUBLE_EQ(tracker.availability(), 0.5);
+  EXPECT_EQ(tracker.samples(), 6u);
+  EXPECT_EQ(tracker.failures(), 3u);
 }
 
 TEST(AvailabilityTracker, OpenOutageReported) {
@@ -48,14 +49,6 @@ TEST(AvailabilityTracker, OpenOutageReported) {
   tracker.add_sample(at(10), false);
   EXPECT_TRUE(tracker.outage_open());
   EXPECT_TRUE(tracker.outages().empty());  // not closed yet
-}
-
-TEST(AvailabilityTracker, NinesComputation) {
-  AvailabilityTracker tracker;
-  for (int i = 0; i < 999; ++i) tracker.add_sample(at(i), true);
-  tracker.add_sample(at(999), false);
-  EXPECT_NEAR(tracker.nines(), 3.0, 0.01);
-  EXPECT_NE(tracker.summary().find("availability="), std::string::npos);
 }
 
 // --- Workload on a healthy cluster ------------------------------------------
@@ -158,7 +151,6 @@ TEST(Study, ComparativeRunsEveryRegisteredPolicy) {
             results[rip_index].workload.success_rate());
   EXPECT_GE(results[rip_index].workload.success_rate(),
             results[static_index].workload.success_rate() - 1e-9);
-  EXPECT_NE(results[drs_index].summary().find("drs"), std::string::npos);
 }
 
 }  // namespace

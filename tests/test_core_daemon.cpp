@@ -284,11 +284,12 @@ TEST_F(DaemonTest, UnmonitoredPeersNeverGetOffers) {
   EXPECT_EQ(daemons[0]->peer_mode(1), PeerRouteMode::kUnreachable);
 }
 
-TEST_F(DaemonTest, MetricsSummaryMentionsKeyCounters) {
-  sim.run_for(300_ms);
-  const std::string summary = system.daemon(0).metrics().summary();
-  EXPECT_NE(summary.find("probes="), std::string::npos);
-  EXPECT_NE(summary.find("discoveries="), std::string::npos);
+TEST(DrsControlPayload, WireSizeIsFixedWhateverTheType) {
+  DrsControlPayload payload;
+  EXPECT_EQ(payload.wire_size(), 24u);
+  payload.type = DrsMessageType::kStatusReply;
+  payload.links_down = 3;
+  EXPECT_EQ(payload.wire_size(), 24u);
 }
 
 }  // namespace

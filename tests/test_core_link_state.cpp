@@ -12,7 +12,7 @@ SimTime at(std::int64_t ms) {
 }
 
 TEST(LinkStateTable, StartsOptimisticallyUp) {
-  LinkStateTable table(0, 4, 2, 1);
+  LinkStateTable table(0, 4, {.failures_to_down = 2, .successes_to_up = 1});
   for (net::NodeId peer = 0; peer < 4; ++peer) {
     for (net::NetworkId k = 0; k < 2; ++k) {
       EXPECT_EQ(table.state(peer, k), LinkState::kUp);
@@ -23,14 +23,14 @@ TEST(LinkStateTable, StartsOptimisticallyUp) {
 }
 
 TEST(LinkStateTable, SingleLossIsOnlySuspect) {
-  LinkStateTable table(0, 4, 2, 1);
+  LinkStateTable table(0, 4, {.failures_to_down = 2, .successes_to_up = 1});
   EXPECT_FALSE(table.record_probe(1, 0, false, at(0)));
   EXPECT_EQ(table.state(1, 0), LinkState::kSuspect);
   EXPECT_TRUE(table.usable(1, 0));  // no rerouting on one lost echo
 }
 
 TEST(LinkStateTable, ConsecutiveLossesDeclareDown) {
-  LinkStateTable table(0, 4, 3, 1);
+  LinkStateTable table(0, 4, {.failures_to_down = 3, .successes_to_up = 1});
   EXPECT_FALSE(table.record_probe(1, 0, false, at(0)));
   EXPECT_FALSE(table.record_probe(1, 0, false, at(1)));
   EXPECT_TRUE(table.record_probe(1, 0, false, at(2)));  // verdict change
@@ -40,7 +40,7 @@ TEST(LinkStateTable, ConsecutiveLossesDeclareDown) {
 }
 
 TEST(LinkStateTable, SuccessClearsSuspect) {
-  LinkStateTable table(0, 4, 3, 1);
+  LinkStateTable table(0, 4, {.failures_to_down = 3, .successes_to_up = 1});
   table.record_probe(1, 0, false, at(0));
   table.record_probe(1, 0, false, at(1));
   EXPECT_FALSE(table.record_probe(1, 0, true, at(2)));  // no verdict change
@@ -52,7 +52,7 @@ TEST(LinkStateTable, SuccessClearsSuspect) {
 }
 
 TEST(LinkStateTable, RecoveryHysteresis) {
-  LinkStateTable table(0, 4, 1, 3);
+  LinkStateTable table(0, 4, {.failures_to_down = 1, .successes_to_up = 3});
   EXPECT_TRUE(table.record_probe(1, 0, false, at(0)));
   EXPECT_EQ(table.state(1, 0), LinkState::kDown);
   EXPECT_FALSE(table.record_probe(1, 0, true, at(1)));
@@ -63,7 +63,7 @@ TEST(LinkStateTable, RecoveryHysteresis) {
 }
 
 TEST(LinkStateTable, FlappingLinkBouncesThroughThresholds) {
-  LinkStateTable table(0, 4, 2, 2);
+  LinkStateTable table(0, 4, {.failures_to_down = 2, .successes_to_up = 2});
   // loss, loss -> down
   table.record_probe(1, 0, false, at(0));
   table.record_probe(1, 0, false, at(1));
@@ -79,7 +79,7 @@ TEST(LinkStateTable, FlappingLinkBouncesThroughThresholds) {
 }
 
 TEST(LinkStateTable, LinksAreIndependent) {
-  LinkStateTable table(0, 4, 1, 1);
+  LinkStateTable table(0, 4, {.failures_to_down = 1, .successes_to_up = 1});
   table.record_probe(1, 0, false, at(0));
   EXPECT_EQ(table.state(1, 0), LinkState::kDown);
   EXPECT_EQ(table.state(1, 1), LinkState::kUp);
@@ -87,7 +87,7 @@ TEST(LinkStateTable, LinksAreIndependent) {
 }
 
 TEST(LinkStateTable, HistoryRecordsTransitions) {
-  LinkStateTable table(0, 4, 2, 1);
+  LinkStateTable table(0, 4, {.failures_to_down = 2, .successes_to_up = 1});
   table.record_probe(2, 1, false, at(10));
   table.record_probe(2, 1, false, at(20));
   table.record_probe(2, 1, true, at(30));
@@ -103,17 +103,11 @@ TEST(LinkStateTable, HistoryRecordsTransitions) {
 }
 
 TEST(LinkStateTable, ZeroThresholdsClampToOne) {
-  LinkStateTable table(0, 4, 0, 0);
+  LinkStateTable table(0, 4, {.failures_to_down = 0, .successes_to_up = 0});
   EXPECT_TRUE(table.record_probe(1, 0, false, at(0)));
   EXPECT_EQ(table.state(1, 0), LinkState::kDown);
   EXPECT_TRUE(table.record_probe(1, 0, true, at(1)));
   EXPECT_EQ(table.state(1, 0), LinkState::kUp);
-}
-
-TEST(LinkStateNames, Strings) {
-  EXPECT_STREQ(to_string(LinkState::kUp), "up");
-  EXPECT_STREQ(to_string(LinkState::kSuspect), "suspect");
-  EXPECT_STREQ(to_string(LinkState::kDown), "down");
 }
 
 }  // namespace

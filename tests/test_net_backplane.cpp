@@ -13,7 +13,6 @@ struct FixedPayload final : Payload {
   std::uint32_t size;
   explicit FixedPayload(std::uint32_t s) : size(s) {}
   std::uint32_t wire_size() const override { return size; }
-  std::string describe() const override { return "fixed"; }
 };
 
 /// Records every frame delivered to it.
@@ -61,7 +60,7 @@ class BackplaneTest : public ::testing::Test {
 };
 
 TEST_F(BackplaneTest, UnicastReachesAddresseeOnly) {
-  Backplane bp(sim, 0);
+  Backplane bp(sim, 0, {});
   attach_all(bp);
   nics[0]->send(make_frame(nics[0]->mac(), nics[1]->mac(), 100, 7));
   sim.run();
@@ -76,7 +75,7 @@ TEST_F(BackplaneTest, UnicastReachesAddresseeOnly) {
 TEST_F(BackplaneTest, DuplicateMacDisablesDeliveryIndex) {
   // Two NICs sharing a MAC is outside the closed-cluster addressing plan, but
   // a hub would deliver to both — so the index must stand down and fan out.
-  Backplane bp(sim, 0);
+  Backplane bp(sim, 0, {});
   attach_all(bp);
   RecordingSink clone_sink;
   clone_sink.sim = &sim;
@@ -92,7 +91,7 @@ TEST_F(BackplaneTest, DuplicateMacDisablesDeliveryIndex) {
 }
 
 TEST_F(BackplaneTest, BroadcastReachesEveryoneElse) {
-  Backplane bp(sim, 0);
+  Backplane bp(sim, 0, {});
   attach_all(bp);
   nics[0]->send(make_frame(nics[0]->mac(), MacAddr::broadcast(), 100));
   sim.run();
@@ -134,7 +133,7 @@ TEST_F(BackplaneTest, ContentionSerializesFifo) {
 }
 
 TEST_F(BackplaneTest, FailedBackplaneDropsOffered) {
-  Backplane bp(sim, 0);
+  Backplane bp(sim, 0, {});
   attach_all(bp);
   bp.set_failed(true);
   nics[0]->send(make_frame(nics[0]->mac(), nics[1]->mac(), 10));
@@ -157,7 +156,7 @@ TEST_F(BackplaneTest, FailureLosesInFlightFrames) {
 }
 
 TEST_F(BackplaneTest, RestoreAfterFailureDeliversAgain) {
-  Backplane bp(sim, 0);
+  Backplane bp(sim, 0, {});
   attach_all(bp);
   bp.set_failed(true);
   bp.set_failed(false);
@@ -167,7 +166,7 @@ TEST_F(BackplaneTest, RestoreAfterFailureDeliversAgain) {
 }
 
 TEST_F(BackplaneTest, FailedSenderNicDrops) {
-  Backplane bp(sim, 0);
+  Backplane bp(sim, 0, {});
   attach_all(bp);
   nics[0]->set_failed(true);
   nics[0]->send(make_frame(nics[0]->mac(), nics[1]->mac(), 10));
@@ -177,7 +176,7 @@ TEST_F(BackplaneTest, FailedSenderNicDrops) {
 }
 
 TEST_F(BackplaneTest, FailedReceiverNicDrops) {
-  Backplane bp(sim, 0);
+  Backplane bp(sim, 0, {});
   attach_all(bp);
   nics[1]->set_failed(true);
   nics[0]->send(make_frame(nics[0]->mac(), nics[1]->mac(), 10));

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <stdexcept>
 
 namespace drs::net {
@@ -114,37 +113,6 @@ TEST_F(ClusterNetworkTest, InjectorCountsCurrentlyFailed) {
   EXPECT_EQ(injector.currently_failed(), 2u);
   injector.apply_now(0, false);
   EXPECT_EQ(injector.currently_failed(), 1u);
-}
-
-TEST_F(ClusterNetworkTest, RandomFailuresAreDistinctAndInRange) {
-  FailureInjector injector(network);
-  util::Rng rng(3);
-  const auto picked =
-      injector.schedule_random_failures(util::SimTime::zero() + 1_ms, 5, rng);
-  EXPECT_EQ(picked.size(), 5u);
-  std::set<ComponentIndex> unique(picked.begin(), picked.end());
-  EXPECT_EQ(unique.size(), 5u);
-  for (auto c : picked) EXPECT_LT(c, network.component_count());
-  sim.run_for(2_ms);
-  EXPECT_EQ(injector.currently_failed(), 5u);
-}
-
-TEST_F(ClusterNetworkTest, RandomFailuresFullDrawCoversEveryComponent) {
-  // The boundary draw: count == 2N+2 asks for *every* component. Floyd's
-  // sampling must terminate (no rejection loop over a full urn) and yield
-  // each component exactly once.
-  FailureInjector injector(network);
-  util::Rng rng(9);
-  const std::size_t all = network.component_count();
-  const auto picked =
-      injector.schedule_random_failures(util::SimTime::zero() + 1_ms, all, rng);
-  ASSERT_EQ(picked.size(), all);
-  std::set<ComponentIndex> unique(picked.begin(), picked.end());
-  EXPECT_EQ(unique.size(), all);
-  EXPECT_EQ(*unique.begin(), 0u);
-  EXPECT_EQ(*unique.rbegin(), static_cast<ComponentIndex>(all - 1));
-  sim.run_for(2_ms);
-  EXPECT_EQ(injector.currently_failed(), all);
 }
 
 TEST_F(ClusterNetworkTest, ScheduleScriptAppliesOutOfOrderActions) {

@@ -84,23 +84,18 @@ INSTANTIATE_TEST_SUITE_P(
                       "@1s flap nic 0 0",           // flap missing options
                       "@1s flap nic 0 0 period=0s count=2",  // zero period
                       "@1s flap nic 0 0 period=1s wat=2",    // unknown option
-                      "@-1s fail nic 0 0"));        // negative offset
-
-TEST(Script, FormatRoundTripsThroughParser) {
-  const auto original = parse_failure_script(
-      "@1s fail nic 2 1\n@2s fail backplane 0\n@3s restore nic 2 1\n", 8);
-  ASSERT_TRUE(original.ok());
-  const std::string rendered = format_script(original.actions);
-  const auto reparsed = parse_failure_script(rendered, 8);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.error;
-  ASSERT_EQ(reparsed.actions.size(), original.actions.size());
-  for (std::size_t i = 0; i < original.actions.size(); ++i) {
-    EXPECT_EQ(reparsed.actions[i].at, original.actions[i].at);
-    EXPECT_EQ(reparsed.actions[i].fail, original.actions[i].fail);
-    EXPECT_EQ(reparsed.actions[i].component.kind,
-              original.actions[i].component.kind);
-  }
-}
+                      "@-1s fail nic 0 0",          // negative offset
+                      "@1s fail nic abc 0",         // node not a number
+                      "@1s fail nic 1x 0",          // node with trailing junk
+                      "@1s fail nic 0 zz",          // network not a number
+                      "@1s fail backplane 1x",      // network with trailing junk
+                      "@1-2s fail nic 0 0",         // offset with trailing junk
+                      "@1.5.5s fail nic 0 0",       // two decimal points
+                      "@1s flap nic 0 0 period=1s count=2x",  // count junk
+                      "@9300000000s fail nic 0 0",  // offset past int64 ns
+                      // Period past int64 ns; last restore past int64 ns.
+                      "@1s flap nic 0 0 period=9300000000s count=1",
+                      "@1s flap nic 0 0 period=1000000000s count=6"));
 
 TEST(Script, ScheduleAppliesAtBasePlusOffset) {
   sim::Simulator sim;

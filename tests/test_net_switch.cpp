@@ -16,7 +16,6 @@ struct FixedPayload final : Payload {
   std::uint32_t size;
   explicit FixedPayload(std::uint32_t s) : size(s) {}
   std::uint32_t wire_size() const override { return size; }
-  std::string describe() const override { return "fixed"; }
 };
 
 struct RecordingSink final : FrameSink {

@@ -68,21 +68,6 @@ TEST(Tracer, ZeroCapacityClampsToOne) {
   EXPECT_EQ(tracer.events().front().at_ns, 2);
 }
 
-TEST(Tracer, FirstSinceFiltersByTimeAndKind) {
-  Tracer tracer(16);
-  tracer.emit(at(10, TraceEventKind::kProbeLost));
-  tracer.emit(at(20, TraceEventKind::kPingSent));
-  tracer.emit(at(30, TraceEventKind::kProbeLost));
-  const TraceEvent* any = tracer.first_since(15);
-  ASSERT_NE(any, nullptr);
-  EXPECT_EQ(any->at_ns, 20);
-  const TraceEvent* probe =
-      tracer.first_since(15, {TraceEventKind::kProbeLost});
-  ASSERT_NE(probe, nullptr);
-  EXPECT_EQ(probe->at_ns, 30);
-  EXPECT_EQ(tracer.first_since(31), nullptr);
-}
-
 TEST(Tracer, ClearDropsEventsButKeepsCounters) {
   Tracer tracer(4);
   for (std::int64_t t = 0; t < 6; ++t) {
@@ -283,16 +268,16 @@ TEST(Metrics, JsonIsSortedAndByteStable) {
 // --- Failover timelines and the detour audit ---------------------------------
 
 TEST(Timeline, ReconstructPicksFirstLandmarkOfEachKind) {
-  std::vector<TraceEvent> events;
-  events.push_back(at(50, TraceEventKind::kProbeLost));   // pre-failure: ignored
-  events.push_back(at(120, TraceEventKind::kProbeLost));  // detection
-  events.push_back(at(150, TraceEventKind::kProbeLost));  // later loss: ignored
+  Tracer tracer(16);
+  tracer.emit(at(50, TraceEventKind::kProbeLost));   // pre-failure: ignored
+  tracer.emit(at(120, TraceEventKind::kProbeLost));  // detection
+  tracer.emit(at(150, TraceEventKind::kProbeLost));  // later loss: ignored
   TraceEvent down = at(180, TraceEventKind::kLinkChange);
   down.a = kLinkSuspect;
   down.b = kLinkDown;
-  events.push_back(down);
-  events.push_back(at(200, TraceEventKind::kDetourInstall));
-  const FailoverTimeline timeline = reconstruct_failover(events, 100, 400);
+  tracer.emit(down);
+  tracer.emit(at(200, TraceEventKind::kDetourInstall));
+  const FailoverTimeline timeline = reconstruct_failover(tracer, 100, 400);
   EXPECT_TRUE(timeline.detected());
   EXPECT_TRUE(timeline.rerouted());
   EXPECT_EQ(timeline.detected_at_ns, 120);
@@ -303,8 +288,7 @@ TEST(Timeline, ReconstructPicksFirstLandmarkOfEachKind) {
 }
 
 TEST(Timeline, WithoutDetectionLatencyFallsBackToInjection) {
-  const FailoverTimeline timeline =
-      reconstruct_failover(std::vector<TraceEvent>{}, 100, 400);
+  const FailoverTimeline timeline = reconstruct_failover(Tracer(16), 100, 400);
   EXPECT_FALSE(timeline.detected());
   EXPECT_EQ(timeline.detection_latency_ns(), 0);
   EXPECT_EQ(timeline.repair_latency_ns(), 300);

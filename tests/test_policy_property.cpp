@@ -16,6 +16,7 @@
 #include "net/network.hpp"
 #include "policy/alternate_path.hpp"
 #include "policy/backup_sequences.hpp"
+#include "policy/static_resilient.hpp"
 #include "sim/simulator.hpp"
 
 namespace drs::policy {
@@ -208,6 +209,25 @@ TEST(AlternatePathPolicy, SwapsToBackupAfterNotification) {
   EXPECT_TRUE(policy.known_failed().empty());
   EXPECT_EQ(policy.control_messages(), 8u);
   policy.stop();
+}
+
+TEST(StaticResilientPolicy, PreSeededFailureVisibleAtStart) {
+  // static_resilient resolves at start() against the already-failed NIC:
+  // 0 -> 1 must come up routed over network B with zero protocol traffic.
+  sim::Simulator simulator;
+  net::ClusterNetwork network(simulator, {.node_count = 4, .backplane = {}});
+  StaticResilientPolicy policy(network, StaticResilientConfig{});
+  network.set_component_failed(net::ClusterNetwork::nic_component(1, 0), true);
+  policy.start();
+  simulator.run_for(1_s);
+  bool reachable = false;
+  policy.icmp(0).ping(net::cluster_ip(net::kNetworkA, 1), {},
+                      [&reachable](const proto::PingResult& r) {
+                        reachable = r.success;
+                      });
+  simulator.run_for(1_s);
+  EXPECT_TRUE(reachable);
+  EXPECT_EQ(policy.control_messages(), 0u);
 }
 
 }  // namespace

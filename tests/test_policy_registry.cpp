@@ -25,9 +25,11 @@ TEST(PolicyRegistry, NamesAreSortedAndComplete) {
 }
 
 TEST(PolicyRegistry, EveryFactoryHasHelpText) {
-  for (const PolicyFactory& factory : policies()) {
-    EXPECT_NE(factory.help, nullptr);
-    EXPECT_GT(std::string(factory.help).size(), 10u) << factory.name;
+  for (const std::string& name : policy_names()) {
+    const PolicyFactory* factory = find_policy(name);
+    ASSERT_NE(factory, nullptr) << name;
+    ASSERT_NE(factory->help, nullptr) << name;
+    EXPECT_GT(std::string(factory->help).size(), 10u) << name;
   }
 }
 

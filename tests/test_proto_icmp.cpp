@@ -162,7 +162,6 @@ TEST(IcmpPayload, DescribeAndSize) {
   EXPECT_EQ(payload.wire_size(), 8u);
   payload.data_bytes = 56;
   EXPECT_EQ(payload.wire_size(), 64u);
-  EXPECT_NE(payload.describe().find("echo-request"), std::string::npos);
 }
 
 }  // namespace

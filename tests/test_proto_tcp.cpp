@@ -200,7 +200,6 @@ TEST(TcpSegmentPayload, DescribeAndWireSize) {
   segment.syn = true;
   segment.data_bytes = 100;
   EXPECT_EQ(segment.wire_size(), 120u);
-  EXPECT_NE(segment.describe().find("SYN"), std::string::npos);
 }
 
 }  // namespace

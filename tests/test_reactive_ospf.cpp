@@ -67,7 +67,7 @@ TEST_F(OspfTest, HealthyClusterInstallsNoHostRoutes) {
   sim.run_for(3_s);
   for (net::NodeId i = 0; i < 5; ++i) {
     for (const auto& route : network.host(i).routing_table().routes()) {
-      EXPECT_NE(route.origin, net::RouteOrigin::kOspf) << route.to_string();
+      EXPECT_NE(route.origin, net::RouteOrigin::kOspf) << route.prefix.to_string();
     }
   }
 }
@@ -225,12 +225,10 @@ TEST(OspfPayloads, SizesAndDescriptions) {
   OspfHello hello;
   hello.advertiser = 3;
   EXPECT_EQ(hello.wire_size(), 44u);
-  EXPECT_NE(hello.describe().find("hello"), std::string::npos);
   OspfLsa lsa;
   lsa.origin = 2;
   lsa.sequence = 9;
   EXPECT_EQ(lsa.wire_size(), 36u);
-  EXPECT_NE(lsa.describe().find("seq=9"), std::string::npos);
 }
 
 }  // namespace

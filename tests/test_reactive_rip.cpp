@@ -118,7 +118,6 @@ TEST(RipPayloadSize, TwentyBytesPerEntryPlusHeader) {
   payload.entries.push_back({net::cluster_ip(0, 1), 1});
   payload.entries.push_back({net::cluster_ip(1, 1), 1});
   EXPECT_EQ(payload.wire_size(), 44u);
-  EXPECT_NE(payload.describe().find("2 routes"), std::string::npos);
 }
 
 }  // namespace

@@ -166,5 +166,28 @@ TEST(ShardedProperty, RequiresHubRelayWithZeroJitter) {
   EXPECT_THROW(cluster::ShardedFleet{config}, std::invalid_argument);
 }
 
+// The contracts hold in every build type, not only where assert() is live.
+TEST(ShardedProperty, ContractsThrowBeforeTheRun) {
+  cluster::ShardedFleetConfig config;
+  config.fleet.clusters = 0;
+  EXPECT_THROW(cluster::ShardedFleet{config}, std::invalid_argument);
+
+  config.fleet.clusters = 2;
+  config.fleet.nodes_per_cluster = 4;
+  config.fleet.drs = chaos::fast_campaign_drs_config();
+  config.shards = 2;
+  cluster::ShardedFleet fleet(config);
+  const util::SimTime at = util::SimTime::zero() + util::Duration::millis(10);
+  EXPECT_THROW(fleet.schedule_component_failure(at, 0, true), std::logic_error);
+  fleet.start();
+  const net::ComponentIndex past = fleet.component_count();
+  EXPECT_THROW(fleet.schedule_component_failure(at, past, true),
+               std::out_of_range);
+  fleet.run_until(at);
+  EXPECT_THROW(fleet.schedule_component_failure(
+                   at, fleet.relay_backplane_component(), true),
+               std::logic_error);
+}
+
 }  // namespace
 }  // namespace drs

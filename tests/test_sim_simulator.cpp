@@ -231,7 +231,7 @@ TEST(Simulator, FrameIntoAnotherEntitysHostSchedulesUnderThatEntity) {
   // A shared medium (entity 0) delivers a broadcast to a host built under
   // entity 6: the receive path and everything it schedules run under 6.
   Simulator sim;
-  net::Backplane medium(sim, net::kNetworkA);
+  net::Backplane medium(sim, net::kNetworkA, {});
   const auto make_host = [&](net::NodeId id) {
     auto host = std::make_unique<net::Host>(sim, id);
     const auto index = static_cast<net::ClusterId>(id);

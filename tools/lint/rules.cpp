@@ -19,7 +19,7 @@ const std::vector<std::string> kRules = {
     "unordered",       // unannotated unordered container
     "layer",           // include crosses the declared module DAG
     "cycle",           // include cycle
-    "dead-header",     // header no file includes
+    "dead-header",     // header no other file includes
     "pragma-once",     // header missing #pragma once
     "using-namespace", // using namespace in a header
     "float",           // float in src (doubles only: bit-exact cache keys)
@@ -588,17 +588,24 @@ void check_cycles(const std::vector<SourceFile>& files,
 
 void check_dead_headers(const std::vector<SourceFile>& files,
                         std::vector<Finding>& findings) {
+  // A header's own same-stem .cpp does not keep it alive.
+  const auto stem = [](const std::string& path) {
+    return path.substr(0, path.rfind('.'));
+  };
   std::set<std::string> included;
   for (const auto& file : files) {
-    for (const auto& edge : file.includes) included.insert(edge.target);
+    for (const auto& edge : file.includes) {
+      if (!file.header && stem(edge.target) == stem(file.rel)) continue;
+      included.insert(edge.target);
+    }
   }
   for (const auto& file : files) {
     if (!file.enforced || !file.header) continue;
     if (included.count(file.rel) == 0) {
       Emitter out{findings, file};
       out.emit("dead-header", 1,
-               "no file in the scanned trees includes this header; delete it "
-               "or wire it into the public surface");
+               "no file in the scanned trees but its own .cpp includes this "
+               "header; delete it or wire it into the public surface");
     }
   }
 }
