@@ -1,42 +1,68 @@
 #include "cluster/fleet.hpp"
 
 #include <cassert>
-#include <sstream>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 namespace drs::cluster {
 
-Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
-    : sim_(sim), config_(config) {
-  assert(config_.clusters >= 1);
+ComponentMap::Part ComponentMap::decode(net::ComponentIndex index) const {
+  if (index >= count()) {
+    throw std::out_of_range("fleet component index " + std::to_string(index) +
+                            " is past the component count " +
+                            std::to_string(count()));
+  }
+  const net::ComponentIndex cluster_span = clusters_ * stride_;
+  if (index < cluster_span) {
+    return Part{Part::Kind::kClusterPart,
+                static_cast<net::ClusterId>(index / stride_), index % stride_};
+  }
+  if (index < relay()) {
+    return Part{Part::Kind::kGateway,
+                static_cast<net::ClusterId>(index - cluster_span), 0};
+  }
+  return Part{Part::Kind::kRelay, 0, 0};
+}
+
+FleetMembers::FleetMembers(const FleetConfig& config, Placement place)
+    : config_(config),
+      components_(config.clusters, config.nodes_per_cluster),
+      place_(std::move(place)) {
+  if (config_.clusters == 0) {
+    throw std::invalid_argument("a fleet needs at least one cluster");
+  }
   const std::uint16_t k = config_.clusters;
   const std::uint16_t n = config_.nodes_per_cluster;
 
-  {
-    const sim::EntityScope scope(sim_, kRelayEntity);
-    relay_ = std::make_unique<net::Backplane>(sim_, net::kNetworkA,
-                                              config_.relay_backplane);
-  }
-
   clusters_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
-    const sim::EntityScope scope(sim_, cluster_entity(c));
-    clusters_.push_back(std::make_unique<net::ClusterNetwork>(
-        sim_, net::ClusterNetwork::Config{n, config_.backplane}));
+    place_(c, [&](ClusterSite site) {
+      const sim::EntityScope scope(site.sim, cluster_entity(c));
+      clusters_.push_back(std::make_unique<net::ClusterNetwork>(
+          site.sim, net::ClusterNetwork::Config{n, config_.backplane}));
+    });
   }
 
-  // One up-front reservation derived from the fleet geometry (k clusters of
-  // n nodes plus the gateway mesh); the per-cluster reservations DrsSystem
-  // makes below are then no-ops, since queue reservation only grows.
-  sim_.reserve_events(
-      static_cast<std::size_t>(k) *
-          core::DrsSystem::recommended_event_reserve(n) +
-      16u * k + 1024u);
+  // One up-front reservation per simulator, sized by the clusters it hosts
+  // (clusters sharing a simulator are contiguous) plus the gateway mesh; the
+  // per-cluster reservations DrsSystem makes below are then no-ops, since
+  // queue reservation only grows.
+  for (net::ClusterId c = 0; c < k;) {
+    sim::Simulator& sim = clusters_[c]->simulator();
+    std::size_t hosted = 0;
+    for (; c < k && &clusters_[c]->simulator() == &sim; ++c) ++hosted;
+    sim.reserve_events(hosted * core::DrsSystem::recommended_event_reserve(n) +
+                       16u * hosted + 1024u);
+  }
 
   systems_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
-    const sim::EntityScope scope(sim_, cluster_entity(c));
-    systems_.push_back(
-        std::make_unique<core::DrsSystem>(*clusters_[c], config_.drs));
+    place_(c, [&](ClusterSite site) {
+      const sim::EntityScope scope(site.sim, cluster_entity(c));
+      systems_.push_back(
+          std::make_unique<core::DrsSystem>(*clusters_[c], config_.drs));
+    });
   }
 
   // Gateways: one single-homed host per cluster on the shared relay hub.
@@ -46,182 +72,123 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
   gateway_icmp_.reserve(k);
   gateway_timers_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
-    const sim::EntityScope scope(sim_, cluster_entity(c));
-    const auto gateway_id = static_cast<net::NodeId>(0xF000u + c);
-    auto host = std::make_unique<net::Host>(sim_, gateway_id);
-    auto nic = std::make_unique<net::Nic>(gateway_id, net::kNetworkA,
-                                          net::fleet_relay_mac(c),
-                                          net::fleet_relay_ip(c), *host);
-    relay_->attach(*nic);
-    net::HostAssembler::install_nic(*host, net::kNetworkA, std::move(nic));
-    host->routing_table().install(net::Route{
-        .prefix = net::fleet_relay_subnet(),
-        .prefix_len = net::kFleetRelayPrefixLen,
-        .out_ifindex = net::kNetworkA,
-        .next_hop = net::Ipv4Addr{},
-        .metric = 1,
-        .origin = net::RouteOrigin::kStatic,
+    place_(c, [&](ClusterSite site) {
+      const sim::EntityScope scope(site.sim, cluster_entity(c));
+      const auto gateway_id = static_cast<net::NodeId>(0xF000u + c);
+      auto host = std::make_unique<net::Host>(site.sim, gateway_id);
+      auto nic = std::make_unique<net::Nic>(gateway_id, net::kNetworkA,
+                                            net::fleet_relay_mac(c),
+                                            net::fleet_relay_ip(c), *host);
+      site.relay.attach(*nic);
+      net::HostAssembler::install_nic(*host, net::kNetworkA, std::move(nic));
+      host->routing_table().install(net::Route{
+          .prefix = net::fleet_relay_subnet(),
+          .prefix_len = net::kFleetRelayPrefixLen,
+          .out_ifindex = net::kNetworkA,
+          .next_hop = net::Ipv4Addr{},
+          .metric = 1,
+          .origin = net::RouteOrigin::kStatic,
+      });
+      // Static ARP across the relay segment, like the clusters' boot-time
+      // config.
+      for (net::ClusterId peer = 0; peer < k; ++peer) {
+        host->add_arp_entry(net::fleet_relay_ip(peer),
+                            net::fleet_relay_mac(peer));
+      }
+      gateway_icmp_.push_back(std::make_unique<proto::IcmpService>(*host));
+      gateway_icmp_.back()->reserve(16);
+      gateways_.push_back(std::move(host));
+      // Ring echo mesh: gateway c probes its successor every interval. The
+      // managed per-probe timeout is fine here — k pings per interval is
+      // nothing next to the clusters' probe load.
+      proto::IcmpService* icmp = gateway_icmp_.back().get();
+      const net::Ipv4Addr target = net::fleet_relay_ip(
+          static_cast<net::ClusterId>((c + 1u) % k));
+      const util::Duration timeout = config_.gateway_probe_timeout;
+      gateway_timers_.push_back(std::make_unique<sim::PeriodicTimer>(
+          site.sim, config_.gateway_probe_interval, [icmp, target, timeout] {
+            proto::PingOptions options;
+            options.timeout = timeout;
+            icmp->ping(target, options, [](const proto::PingResult&) {});
+          }));
     });
-    gateways_.push_back(std::move(host));
-  }
-  // Static ARP across the relay segment, like the clusters' boot-time config.
-  for (auto& gateway : gateways_) {
-    for (net::ClusterId c = 0; c < k; ++c) {
-      gateway->add_arp_entry(net::fleet_relay_ip(c), net::fleet_relay_mac(c));
-    }
-  }
-  for (net::ClusterId c = 0; c < k; ++c) {
-    const sim::EntityScope scope(sim_, cluster_entity(c));
-    gateway_icmp_.push_back(
-        std::make_unique<proto::IcmpService>(*gateways_[c]));
-    gateway_icmp_.back()->reserve(16);
-    // Ring echo mesh: gateway c probes its successor every interval. The
-    // managed per-probe timeout is fine here — k pings per interval is
-    // nothing next to the clusters' probe load.
-    proto::IcmpService* icmp = gateway_icmp_.back().get();
-    const net::Ipv4Addr target = net::fleet_relay_ip(
-        static_cast<net::ClusterId>((c + 1u) % k));
-    const util::Duration timeout = config_.gateway_probe_timeout;
-    gateway_timers_.push_back(std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.gateway_probe_interval, [icmp, target, timeout] {
-          proto::PingOptions options;
-          options.timeout = timeout;
-          icmp->ping(target, options, [](const proto::PingResult&) {});
-        }));
   }
 }
 
-Fleet::~Fleet() { stop(); }
+FleetMembers::~FleetMembers() { stop(); }
 
-void Fleet::start() {
+void FleetMembers::start(bool boundary_seeds) {
   for (net::ClusterId c = 0; c < config_.clusters; ++c) {
-    const sim::EntityScope scope(sim_, cluster_entity(c));
-    systems_[c]->start();
+    place_(c, [&](ClusterSite site) {
+      const sim::EntityScope scope(site.sim, cluster_entity(c));
+      systems_[c]->start();
+    });
   }
   for (net::ClusterId c = 0; c < config_.clusters; ++c) {
-    const sim::EntityScope scope(sim_, cluster_entity(c));
-    if (!gateway_timers_[c]->running()) gateway_timers_[c]->start();
+    place_(c, [&](ClusterSite site) {
+      if (gateway_timers_[c]->running()) return;
+      const sim::EntityScope scope(site.sim, cluster_entity(c));
+      std::optional<sim::BoundaryScope> boundary;
+      if (boundary_seeds) boundary.emplace(site.sim);
+      gateway_timers_[c]->start();
+    });
   }
 }
 
-void Fleet::stop() {
+void FleetMembers::stop() {
   for (auto& timer : gateway_timers_) timer->stop();
   for (auto& system : systems_) system->stop();
 }
 
-void Fleet::settle(util::Duration warmup) { sim_.run_for(warmup); }
-
-sim::Entity Fleet::component_entity(net::ComponentIndex index) const {
-  const net::ComponentIndex cluster_span = config_.clusters * cluster_stride();
-  if (index < cluster_span) {
-    return cluster_entity(
-        static_cast<net::ClusterId>(index / cluster_stride()));
+void FleetMembers::set_failed(const ComponentMap::Part& part, bool failed) {
+  assert(part.kind != ComponentMap::Part::Kind::kRelay);
+  if (part.kind == ComponentMap::Part::Kind::kGateway) {
+    gateways_.at(part.cluster)->nic(net::kNetworkA).set_failed(failed);
+  } else {
+    clusters_.at(part.cluster)->set_component_failed(part.local, failed);
   }
-  const net::ComponentIndex tail = index - cluster_span;
-  if (tail < config_.clusters) {
-    return cluster_entity(static_cast<net::ClusterId>(tail));
-  }
-  return kRelayEntity;
 }
 
-void Fleet::schedule_component_failure(util::SimTime at,
-                                       net::ComponentIndex index,
-                                       bool failed) {
-  const sim::EntityScope scope(sim_, component_entity(index));
-  sim_.schedule_at(at, [this, index, failed] {
-    set_component_failed(index, failed);
+bool FleetMembers::failed(const ComponentMap::Part& part) const {
+  assert(part.kind != ComponentMap::Part::Kind::kRelay);
+  if (part.kind == ComponentMap::Part::Kind::kGateway) {
+    return gateways_.at(part.cluster)->nic(net::kNetworkA).failed();
+  }
+  return clusters_.at(part.cluster)->component_failed(part.local);
+}
+
+void FleetMembers::schedule_failure(util::SimTime at,
+                                    const ComponentMap::Part& part,
+                                    bool failed) {
+  place_(part.cluster, [&](ClusterSite site) {
+    const sim::EntityScope scope(site.sim, cluster_entity(part.cluster));
+    site.sim.schedule_at(at, [this, part, failed] { set_failed(part, failed); });
   });
 }
 
-bool Fleet::all_pristine() const {
+bool FleetMembers::all_pristine() const {
   for (const auto& system : systems_) {
     if (!system->all_pristine()) return false;
   }
   return true;
 }
 
-bool Fleet::test_relay_reachability(net::ClusterId a, net::ClusterId b,
-                                    util::Duration timeout) {
-  bool replied = false;
-  bool done = false;
-  proto::PingOptions options;
-  options.timeout = timeout;
-  gateway_icmp_.at(a)->ping(net::fleet_relay_ip(b), options,
-                            [&](const proto::PingResult& result) {
-                              replied = result.success;
-                              done = true;
-                            });
-  const util::SimTime deadline = sim_.now() + timeout + util::Duration::millis(1);
-  while (!done && sim_.now() < deadline && !sim_.idle()) {
-    sim_.step();
-  }
-  return replied;
-}
-
-net::ComponentIndex Fleet::component_count() const {
-  return static_cast<net::ComponentIndex>(config_.clusters * cluster_stride() +
-                                          config_.clusters + 1u);
-}
-
-void Fleet::set_component_failed(net::ComponentIndex index, bool failed) {
-  const net::ComponentIndex cluster_span = config_.clusters * cluster_stride();
-  if (index < cluster_span) {
-    clusters_.at(index / cluster_stride())
-        ->set_component_failed(index % cluster_stride(), failed);
-    return;
-  }
-  const net::ComponentIndex tail = index - cluster_span;
-  if (tail < config_.clusters) {
-    gateways_.at(tail)->nic(net::kNetworkA).set_failed(failed);
-    return;
-  }
-  assert(tail == config_.clusters);
-  relay_->set_failed(failed);
-}
-
-bool Fleet::component_failed(net::ComponentIndex index) const {
-  const net::ComponentIndex cluster_span = config_.clusters * cluster_stride();
-  if (index < cluster_span) {
-    return clusters_.at(index / cluster_stride())
-        ->component_failed(index % cluster_stride());
-  }
-  const net::ComponentIndex tail = index - cluster_span;
-  if (tail < config_.clusters) {
-    return gateways_.at(tail)->nic(net::kNetworkA).failed();
-  }
-  assert(tail == config_.clusters);
-  return relay_->failed();
-}
-
-std::string Fleet::describe_component(net::ComponentIndex index) const {
-  std::ostringstream out;
-  const net::ComponentIndex cluster_span = config_.clusters * cluster_stride();
-  if (index < cluster_span) {
-    out << "cluster(" << index / cluster_stride() << ")/"
-        << clusters_.at(index / cluster_stride())
-               ->describe_component(index % cluster_stride());
-  } else if (index - cluster_span < config_.clusters) {
-    out << "gateway(" << index - cluster_span << ")";
-  } else {
-    out << "relay-backplane";
-  }
-  return out.str();
-}
-
-std::uint64_t Fleet::total_probes_sent() const {
+std::uint64_t FleetMembers::total_probes_sent() const {
   std::uint64_t total = 0;
   for (const auto& system : systems_) total += system->total_probes_sent();
   return total;
 }
 
-void Fleet::collect_metrics(obs::MetricRegistry& registry) const {
+void FleetMembers::collect_metrics(obs::MetricRegistry& registry,
+                                   const net::Backplane::Counters& relay,
+                                   std::size_t relay_flight_slots) const {
   registry.gauge("fleet.clusters").set(config_.clusters);
   registry.gauge("fleet.nodes_per_cluster").set(config_.nodes_per_cluster);
 
   // Flat sum of every pool gauge that must stop growing once traffic peaks:
   // cluster backplanes' in-flight pools plus the relay hub's. A flat sum
   // proves every member flat, since the pools never shrink.
-  std::int64_t flight_slots = 0;
+  auto flight_slots = static_cast<std::int64_t>(relay_flight_slots);
 
   for (net::ClusterId c = 0; c < config_.clusters; ++c) {
     const core::DrsSystem& system = *systems_.at(c);
@@ -266,37 +233,75 @@ void Fleet::collect_metrics(obs::MetricRegistry& registry) const {
     set("echoes_answered", icmp.echo_requests_answered());
   }
 
-  const net::Backplane::Counters& relay = relay_->counters();
   registry.counter("relay.frames").add(static_cast<std::int64_t>(relay.frames));
   registry.counter("relay.bytes").add(static_cast<std::int64_t>(relay.bytes));
   registry.counter("relay.dropped_failed")
       .add(static_cast<std::int64_t>(relay.dropped_failed));
   registry.counter("relay.lost_in_flight")
       .add(static_cast<std::int64_t>(relay.lost_in_flight));
-  flight_slots += static_cast<std::int64_t>(relay_->flight_slots());
   registry.gauge("fleet.flight_slots").set(flight_slots);
+}
 
-  // Allocator-pressure metrics, same names as DrsSystem::collect_metrics so
-  // the zero-allocation audit reads either topology identically.
-  registry.gauge("sim.event_slots")
-      .set(static_cast<std::int64_t>(sim_.event_slots()));
-  registry.gauge("sim.pending_events")
-      .set(static_cast<std::int64_t>(sim_.pending_events()));
-  registry.counter("sim.scheduled_events")
-      .add(static_cast<std::int64_t>(sim_.scheduled_events()));
-  registry.counter("sim.executed_events")
-      .add(static_cast<std::int64_t>(sim_.executed_events()));
-  const util::Arena::Stats& arena = sim_.arena().stats();
-  registry.gauge("arena.chunks").set(static_cast<std::int64_t>(arena.chunks));
-  registry.gauge("arena.bytes_reserved")
-      .set(static_cast<std::int64_t>(arena.bytes_reserved));
-  registry.counter("arena.allocations")
-      .add(static_cast<std::int64_t>(arena.allocations));
-  registry.counter("arena.freelist_hits")
-      .add(static_cast<std::int64_t>(arena.freelist_hits));
-  registry.counter("arena.oversize")
-      .add(static_cast<std::int64_t>(arena.oversize));
-  registry.counter("arena.resets").add(static_cast<std::int64_t>(arena.resets));
+Fleet::Fleet(sim::Simulator& sim, FleetConfig config)
+    : sim_(sim),
+      relay_([&] {
+        const sim::EntityScope scope(sim, kRelayEntity);
+        return std::make_unique<net::Backplane>(sim, net::kNetworkA,
+                                                config.relay_backplane);
+      }()),
+      members_(config, [this](net::ClusterId, const SetupStep& step) {
+        step(ClusterSite{sim_, *relay_});
+      }) {}
+
+void Fleet::schedule_component_failure(util::SimTime at,
+                                       net::ComponentIndex index,
+                                       bool failed) {
+  const ComponentMap::Part part = members_.components().decode(index);
+  if (part.kind != ComponentMap::Part::Kind::kRelay) {
+    members_.schedule_failure(at, part, failed);
+    return;
+  }
+  const sim::EntityScope scope(sim_, kRelayEntity);
+  sim_.schedule_at(at, [this, failed] { relay_->set_failed(failed); });
+}
+
+bool Fleet::test_relay_reachability(net::ClusterId a, net::ClusterId b,
+                                    util::Duration timeout) {
+  bool replied = false;
+  bool done = false;
+  proto::PingOptions options;
+  options.timeout = timeout;
+  gateway_icmp(a).ping(net::fleet_relay_ip(b), options,
+                       [&](const proto::PingResult& result) {
+                         replied = result.success;
+                         done = true;
+                       });
+  const util::SimTime deadline = sim_.now() + timeout + util::Duration::millis(1);
+  while (!done && sim_.now() < deadline && !sim_.idle()) {
+    sim_.step();
+  }
+  return replied;
+}
+
+void Fleet::set_component_failed(net::ComponentIndex index, bool failed) {
+  const ComponentMap::Part part = members_.components().decode(index);
+  if (part.kind == ComponentMap::Part::Kind::kRelay) {
+    relay_->set_failed(failed);
+  } else {
+    members_.set_failed(part, failed);
+  }
+}
+
+bool Fleet::component_failed(net::ComponentIndex index) const {
+  const ComponentMap::Part part = members_.components().decode(index);
+  return part.kind == ComponentMap::Part::Kind::kRelay ? relay_->failed()
+                                                      : members_.failed(part);
+}
+
+void Fleet::collect_metrics(obs::MetricRegistry& registry) const {
+  members_.collect_metrics(registry, relay_->counters(), relay_->flight_slots());
+  const sim::Simulator* sims[] = {&sim_};
+  sim::collect_metrics(sims, registry);
 }
 
 }  // namespace drs::cluster

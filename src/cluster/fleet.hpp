@@ -15,19 +15,26 @@
 // gateway-to-gateway on relay addresses; cluster addresses never appear on
 // the relay segment, so replies cannot be misrouted into the wrong island.
 //
-// The Fleet is a net::FailureDomain: chaos schedules address a flat
-// component space of k*(2n+2) cluster components (cluster-major, each block
-// in ClusterNetwork's canonical numbering), then the k gateway NICs, then
-// the relay backplane.
+// Failure injection addresses a flat component space (ComponentMap): k*(2n+2)
+// cluster components (cluster-major, each block in ClusterNetwork's canonical
+// numbering), then the k gateway NICs, then the relay backplane.
 //
 // Scheduling entities (sim::EntityScope): the relay hub is one entity and
 // each cluster — its networks, DrsSystem, gateway host and echo timer — is
 // another, so same-time events of different clusters order by cluster and
 // the hub's deliveries order before all of them. That is what lets
 // cluster::ShardedFleet compute identical event keys on every shard.
+//
+// One fleet model serves both engines. FleetMembers builds, starts, fails
+// and reports every per-cluster part; it is told only where each cluster
+// lives. Fleet puts every cluster on one simulator and every gateway on one
+// relay Backplane. cluster::ShardedFleet (partition.hpp) puts each cluster on
+// its shard's simulator and relay stub, and runs the hub on an oracle that
+// holds the same net::Backplane::Medium.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -64,40 +71,166 @@ struct FleetConfig {
   util::Duration gateway_probe_timeout = util::Duration::millis(40);
 };
 
-class Fleet : public net::FailureDomain {
+/// The fleet's flat failure-component space (see the file comment). Both
+/// fleets number, decode and range-check component indices through it.
+class ComponentMap {
  public:
-  Fleet(sim::Simulator& sim, FleetConfig config);
-  ~Fleet() override;
-  Fleet(const Fleet&) = delete;
-  Fleet& operator=(const Fleet&) = delete;
+  /// What one flat index names.
+  struct Part {
+    enum class Kind : std::uint8_t { kClusterPart, kGateway, kRelay };
+    Kind kind = Kind::kRelay;
+    net::ClusterId cluster = 0;     // the owning cluster, unless kRelay
+    net::ComponentIndex local = 0;  // ClusterNetwork numbering, kClusterPart
+  };
 
-  std::uint16_t cluster_count() const { return config_.clusters; }
-  std::uint16_t nodes_per_cluster() const { return config_.nodes_per_cluster; }
+  ComponentMap(std::uint16_t clusters, std::uint16_t nodes_per_cluster)
+      : clusters_(clusters), stride_(2u * nodes_per_cluster + 2u) {}
+
+  /// k*(2n+2) cluster components + k gateway NICs + the relay backplane.
+  net::ComponentIndex count() const { return relay() + 1u; }
+  /// Flat index of cluster `c`'s local component (ClusterNetwork numbering).
+  net::ComponentIndex cluster_component(net::ClusterId c,
+                                        net::ComponentIndex local) const {
+    return static_cast<net::ComponentIndex>(c * stride_ + local);
+  }
+  net::ComponentIndex gateway(net::ClusterId c) const {
+    return static_cast<net::ComponentIndex>(clusters_ * stride_ + c);
+  }
+  net::ComponentIndex relay() const {
+    return static_cast<net::ComponentIndex>(clusters_ * stride_ + clusters_);
+  }
+
+  /// Throws std::out_of_range for an index at or past count().
+  Part decode(net::ComponentIndex index) const;
+
+ private:
+  std::uint32_t clusters_;
+  std::uint32_t stride_;
+};
+
+/// Where one cluster lives: the simulator its parts run on and the relay
+/// backplane its gateway attaches to.
+struct ClusterSite {
+  sim::Simulator& sim;
+  net::Backplane& relay;
+};
+
+/// Runs one setup step of cluster `c` at the cluster's site. Fleet runs the
+/// step in place; ShardedFleet runs it inside a setup segment of c's shard,
+/// so the step's trace emissions merge where Fleet's tracer records them.
+using SetupStep = std::function<void(ClusterSite site)>;
+using Placement = std::function<void(net::ClusterId c, const SetupStep& step)>;
+
+/// Everything a fleet owns per cluster: its ClusterNetwork and DrsSystem,
+/// and its gateway host with the ICMP service and echo-mesh timer. The relay
+/// hub is not a member: Fleet runs it as a Backplane, ShardedFleet as an
+/// oracle.
+class FleetMembers {
+ public:
+  /// Builds the clusters through `place`, every step under its cluster's
+  /// entity. Throws std::invalid_argument for a fleet of zero clusters (and
+  /// ClusterNetwork's for a node count it cannot address).
+  FleetMembers(const FleetConfig& config, Placement place);
+  ~FleetMembers();
+  FleetMembers(const FleetMembers&) = delete;
+  FleetMembers& operator=(const FleetMembers&) = delete;
+
   const FleetConfig& config() const { return config_; }
+  const ComponentMap& components() const { return components_; }
 
   net::ClusterNetwork& cluster(net::ClusterId c) { return *clusters_.at(c); }
   core::DrsSystem& system(net::ClusterId c) { return *systems_.at(c); }
-  const core::DrsSystem& system(net::ClusterId c) const { return *systems_.at(c); }
+  const core::DrsSystem& system(net::ClusterId c) const {
+    return *systems_.at(c);
+  }
   net::Host& gateway(net::ClusterId c) { return *gateways_.at(c); }
-  proto::IcmpService& gateway_icmp(net::ClusterId c) { return *gateway_icmp_.at(c); }
-  net::Backplane& relay_backplane() { return *relay_; }
+  proto::IcmpService& gateway_icmp(net::ClusterId c) {
+    return *gateway_icmp_.at(c);
+  }
 
-  /// Starts every cluster's DRS system and the gateway echo mesh.
-  void start();
+  /// Starts every cluster's DRS system, then every gateway's echo timer.
+  /// With `boundary_seeds` the timers start under sim::BoundaryScope: the
+  /// echo mesh is the only source of relay traffic, and a sharded engine's
+  /// window bound counts only tagged causes (docs/SHARDING.md). Only that
+  /// engine drains a queue's index of tagged events, so Fleet leaves them
+  /// off.
+  void start(bool boundary_seeds);
   void stop();
 
-  /// Advances the shared simulation (all clusters progress together).
-  void settle(util::Duration warmup);
-
-  /// Schedules a component fail/restore at absolute time `at`, keyed under
-  /// the entity that owns the component: its cluster for cluster components
-  /// and gateway NICs, the relay hub for the relay backplane.
-  void schedule_component_failure(util::SimTime at, net::ComponentIndex index,
-                                  bool failed);
+  /// Fails or restores a cluster part or a gateway NIC. The relay belongs
+  /// to the fleet, not to its members.
+  void set_failed(const ComponentMap::Part& part, bool failed);
+  bool failed(const ComponentMap::Part& part) const;
+  /// Schedules set_failed(part, failed) at `at` on the part's simulator,
+  /// keyed under its cluster's entity.
+  void schedule_failure(util::SimTime at, const ComponentMap::Part& part,
+                        bool failed);
 
   /// Every cluster back to the healthy steady state (see
   /// DrsSystem::all_pristine); gateways carry no per-run state to check.
   bool all_pristine() const;
+  std::uint64_t total_probes_sent() const;
+
+  /// Fleet-wide metric snapshot: per-cluster daemon aggregates
+  /// ("cluster.<c>.probes_sent", ...), per-gateway echo counters, the relay
+  /// hub's counters, and the summed "fleet.flight_slots" pool gauge
+  /// (clusters' backplanes plus `relay_flight_slots`).
+  void collect_metrics(obs::MetricRegistry& registry,
+                       const net::Backplane::Counters& relay,
+                       std::size_t relay_flight_slots) const;
+
+ private:
+  FleetConfig config_;
+  ComponentMap components_;
+  Placement place_;
+  std::vector<std::unique_ptr<net::ClusterNetwork>> clusters_;
+  std::vector<std::unique_ptr<core::DrsSystem>> systems_;
+  std::vector<std::unique_ptr<net::Host>> gateways_;
+  std::vector<std::unique_ptr<proto::IcmpService>> gateway_icmp_;
+  std::vector<std::unique_ptr<sim::PeriodicTimer>> gateway_timers_;
+};
+
+/// The fleet on one simulator: the single-queue reference the sharded fleet
+/// is proven against.
+class Fleet {
+ public:
+  /// Throws std::invalid_argument for a fleet of zero clusters.
+  Fleet(sim::Simulator& sim, FleetConfig config);
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+
+  std::uint16_t cluster_count() const { return config().clusters; }
+  std::uint16_t nodes_per_cluster() const {
+    return config().nodes_per_cluster;
+  }
+  const FleetConfig& config() const { return members_.config(); }
+
+  net::ClusterNetwork& cluster(net::ClusterId c) { return members_.cluster(c); }
+  core::DrsSystem& system(net::ClusterId c) { return members_.system(c); }
+  const core::DrsSystem& system(net::ClusterId c) const {
+    return members_.system(c);
+  }
+  net::Host& gateway(net::ClusterId c) { return members_.gateway(c); }
+  proto::IcmpService& gateway_icmp(net::ClusterId c) {
+    return members_.gateway_icmp(c);
+  }
+  net::Backplane& relay_backplane() { return *relay_; }
+
+  /// Starts every cluster's DRS system and the gateway echo mesh.
+  void start() { members_.start(false); }
+  void stop() { members_.stop(); }
+
+  /// Advances the shared simulation (all clusters progress together).
+  void settle(util::Duration warmup) { sim_.run_for(warmup); }
+
+  /// Schedules a component fail/restore at absolute time `at`, keyed under
+  /// the entity that owns the component: its cluster for cluster components
+  /// and gateway NICs, the relay hub for the relay backplane. Throws
+  /// std::out_of_range for an index past component_count().
+  void schedule_component_failure(util::SimTime at, net::ComponentIndex index,
+                                  bool failed);
+
+  bool all_pristine() const { return members_.all_pristine(); }
 
   /// End-to-end inter-cluster check: routed echo from cluster `a`'s gateway
   /// to cluster `b`'s relay address, advancing simulated time until it
@@ -105,49 +238,38 @@ class Fleet : public net::FailureDomain {
   bool test_relay_reachability(net::ClusterId a, net::ClusterId b,
                                util::Duration timeout = util::Duration::millis(250));
 
-  // -- FailureDomain ---------------------------------------------------------
-  sim::Simulator& simulator() override { return sim_; }
-  /// k*(2n+2) cluster components + k gateway NICs + the relay backplane.
-  net::ComponentIndex component_count() const override;
-  void set_component_failed(net::ComponentIndex index, bool failed) override;
-  bool component_failed(net::ComponentIndex index) const override;
-  std::string describe_component(net::ComponentIndex index) const override;
+  // -- flat component space (ComponentMap) -----------------------------------
+  net::ComponentIndex component_count() const {
+    return members_.components().count();
+  }
+  /// Both throw std::out_of_range for an index past component_count().
+  void set_component_failed(net::ComponentIndex index, bool failed);
+  bool component_failed(net::ComponentIndex index) const;
 
-  /// Flat index of cluster `c`'s local component (ClusterNetwork numbering).
   net::ComponentIndex cluster_component(net::ClusterId c,
                                         net::ComponentIndex local) const {
-    return static_cast<net::ComponentIndex>(c * cluster_stride() + local);
+    return members_.components().cluster_component(c, local);
   }
   net::ComponentIndex gateway_component(net::ClusterId c) const {
-    return static_cast<net::ComponentIndex>(config_.clusters * cluster_stride() + c);
+    return members_.components().gateway(c);
   }
   net::ComponentIndex relay_backplane_component() const {
-    return static_cast<net::ComponentIndex>(config_.clusters * cluster_stride() +
-                                            config_.clusters);
+    return members_.components().relay();
   }
 
-  /// Fleet-wide metric snapshot: per-cluster daemon aggregates
-  /// ("cluster.<c>.probes_sent", ...), per-gateway echo counters, relay
-  /// backplane counters, the summed "fleet.flight_slots" pool gauge, and the
-  /// same sim.*/arena.* allocator-pressure metrics DrsSystem reports.
+  /// FleetMembers::collect_metrics for the relay Backplane, plus the
+  /// simulator's sim.*/arena.* allocator-pressure metrics (the names
+  /// DrsSystem reports, so the zero-allocation audit reads either topology).
   void collect_metrics(obs::MetricRegistry& registry) const;
 
-  std::uint64_t total_probes_sent() const;
+  std::uint64_t total_probes_sent() const {
+    return members_.total_probes_sent();
+  }
 
  private:
-  std::uint32_t cluster_stride() const {
-    return 2u * config_.nodes_per_cluster + 2u;
-  }
-  sim::Entity component_entity(net::ComponentIndex index) const;
-
   sim::Simulator& sim_;
-  FleetConfig config_;
   std::unique_ptr<net::Backplane> relay_;
-  std::vector<std::unique_ptr<net::ClusterNetwork>> clusters_;
-  std::vector<std::unique_ptr<core::DrsSystem>> systems_;
-  std::vector<std::unique_ptr<net::Host>> gateways_;
-  std::vector<std::unique_ptr<proto::IcmpService>> gateway_icmp_;
-  std::vector<std::unique_ptr<sim::PeriodicTimer>> gateway_timers_;
+  FleetMembers members_;
 };
 
 }  // namespace drs::cluster

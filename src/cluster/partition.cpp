@@ -4,11 +4,11 @@
 #include <array>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "proto/icmp.hpp"
 #include "util/flat_map.hpp"
-#include "util/rng.hpp"
 
 namespace drs::cluster {
 
@@ -82,10 +82,11 @@ net::PayloadPtr slab_ptr(const proto::IcmpPayload* payload) {
 // thread, no locks; the coordinator reads the buffers only while workers are
 // parked at the window barrier). At every window merge the coordinator sorts
 // the window's offers into single-queue order, interleaves them with the
-// registered failure transitions by (time, key), and replays
-// Backplane::transmit_hub verbatim: FIFO serialization against busy_until,
-// the backlog bound, the loss RNG stream (same seed, same draw order), and
-// the failure accounting (dropped_failed / lost_in_flight). Successful
+// registered failure transitions by (time, key), and hands each to its
+// net::Backplane::Medium — the model Fleet's relay Backplane transmits
+// through, built from the same config and seed — so FIFO serialization, the
+// backlog bound, the loss draws (in the same order) and the failure
+// accounting are the hub's own. Successful
 // offers become pending Dues keyed from the hub entity's counter; the flush
 // hook releases each Due as a foreign event once its arrival falls inside
 // the upcoming window — unless an effective failure lands at or before the
@@ -146,26 +147,15 @@ struct ShardedFleet::RelayOracle {
   };
 
   RelayOracle(const net::Backplane::Config& relay_config, std::uint32_t shards)
-      : config(relay_config),
-        rng(relay_config.seed, net::kNetworkA),
+      : hub(relay_config, net::kNetworkA),
         offers(shards),
         staged(shards),
-        attached(shards) {
-    ser_min_ns = serialization_time(net::kMinEthFrameBytes).ns();
-  }
+        attached(shards) {}
 
   /// The hub entity's next key: what Fleet's relay claims (a delivery) or
   /// pushes (a failure injection) at the same point of the replay.
   std::uint64_t next_hub_key() {
     return (std::uint64_t{kRelayEntity} << sim::kEntityShift) | ++hub_counter;
-  }
-
-  util::Duration serialization_time(std::uint32_t wire_bytes) const {
-    // Identical arithmetic to Backplane::serialization_time — same doubles,
-    // same rounding.
-    const double bytes =
-        static_cast<double>(wire_bytes + config.per_frame_overhead_bytes);
-    return util::Duration::from_seconds(bytes * 8.0 / config.bits_per_second);
   }
 
   void register_nic(std::uint32_t shard, net::Nic* nic) {
@@ -254,17 +244,19 @@ struct ShardedFleet::RelayOracle {
   /// offer at t >= cause, where `cause` = the earliest boundary-tagged or
   /// foreign event anywhere (the engine's bound) min'd with the oracle's own
   /// pending work (a queued Due executes as a tagged foreign event; a
-  /// transition can reset the serialization clock). Legacy then serializes it
-  /// no earlier than max(cause, busy') where busy' >= min(busy_until, next
+  /// transition can reset the serialization clock). The hub then serializes
+  /// it no earlier than max(cause, busy') where busy' >= min(busy_until, next
   /// transition time) — set_failed is the only writer that moves busy_until
   /// backwards, to exactly the transition's time — and the arrival adds at
   /// least one minimum frame time plus propagation on top.
   std::int64_t eot_ns(std::int64_t engine_bound_ns) const {
     const std::int64_t never = std::numeric_limits<std::int64_t>::max();
     const std::int64_t cause = std::min(engine_bound_ns, next_pending_ns());
-    const std::int64_t margin = ser_min_ns + config.propagation_delay.ns();
+    const std::int64_t margin =
+        hub.serialization_time(net::kMinEthFrameBytes).ns() +
+        hub.config().propagation_delay.ns();
     if (cause >= never - margin) return never;
-    std::int64_t ser_start = busy_until.ns();
+    std::int64_t ser_start = hub.busy_until().ns();
     if (transition_cursor < transitions.size()) {
       ser_start = std::min(ser_start, transitions[transition_cursor].t_ns);
     }
@@ -341,7 +333,9 @@ struct ShardedFleet::RelayOracle {
   /// issues its transmit() calls and set_failed() events. A transition's
   /// hub key orders it before every same-time offer: offers come from
   /// cluster events (later entities) or from hub deliveries, whose keys were
-  /// drawn at runtime, after every transition's.
+  /// drawn at runtime, after every transition's. A failure transition drops
+  /// the live Dues as lost, like the hub's delivery stream; a surviving offer
+  /// becomes a Due under the next hub key, where the hub claims its rank.
   void on_merge(ShardedFleet& fleet, std::int64_t end_ns) {
     scratch.clear();
     for (std::uint32_t s = 0; s < fleet.engine_.shard_count(); ++s) {
@@ -366,64 +360,28 @@ struct ShardedFleet::RelayOracle {
                                        : tr.key < next.event_key;
       }
       if (take_tr) {
-        apply_transition(transitions[transition_cursor]);
-        ++transition_cursor;
+        const Transition& tr = transitions[transition_cursor++];
+        if (hub.set_failed(tr.failed, util::SimTime::from_ns(tr.t_ns),
+                           dues.size() - due_head)) {
+          dues.clear();
+          due_head = 0;
+        }
       } else {
-        apply_offer(scratch[oi].t_ns,
-                    offers[scratch[oi].shard][scratch[oi].index]);
+        Offer& offer = offers[scratch[oi].shard][scratch[oi].index];
         ++oi;
+        if (const std::optional<util::SimTime> arrival =
+                hub.offer(util::SimTime::from_ns(offer.t_ns), offer.wire_bytes)) {
+          dues.push_back(Due{arrival->ns(), next_hub_key(),
+                             std::move(offer.frame), offer.payload,
+                             offer.has_payload, offer.sender});
+        }
       }
     }
     replayed_to_ns = end_ns;
     for (auto& buffer : offers) buffer.clear();  // capacity retained
   }
 
-  void apply_transition(const Transition& tr) {
-    // Mirrors Backplane::set_failed: same-state transitions are no-ops;
-    // either direction drops the live stream and resets the medium idle.
-    if (failed == tr.failed) return;
-    failed = tr.failed;
-    busy_until = util::SimTime::from_ns(tr.t_ns);
-    counters.lost_in_flight +=
-        static_cast<std::uint64_t>(dues.size() - due_head);
-    dues.clear();
-    due_head = 0;
-  }
-
-  void apply_offer(std::int64_t t_ns, Offer& offer) {
-    // Mirrors Backplane::transmit (hub path) statement for statement.
-    if (failed) {
-      ++counters.dropped_failed;
-      return;
-    }
-    const util::SimTime now = util::SimTime::from_ns(t_ns);
-    const util::SimTime start = std::max(now, busy_until);
-    if (start - now > config.max_backlog) {
-      ++counters.dropped_backlog;
-      return;
-    }
-    const util::Duration ser = serialization_time(offer.wire_bytes);
-    busy_until = start + ser;
-    busy_seconds += ser.to_seconds();
-    ++counters.frames;
-    counters.bytes += offer.wire_bytes + config.per_frame_overhead_bytes;
-    if (config.frame_loss_rate > 0.0 &&
-        rng.next_bernoulli(config.frame_loss_rate)) {
-      ++counters.lost_random;
-      return;
-    }
-    const util::SimTime arrival = busy_until + config.propagation_delay;
-    dues.push_back(Due{arrival.ns(), next_hub_key(), std::move(offer.frame),
-                       offer.payload, offer.has_payload, offer.sender});
-  }
-
-  net::Backplane::Config config;
-  util::Rng rng;
-  bool failed = false;
-  util::SimTime busy_until = util::SimTime::zero();
-  double busy_seconds = 0.0;
-  net::Backplane::Counters counters;
-  std::int64_t ser_min_ns = 0;     // one minimum Ethernet frame on the relay
+  net::Backplane::Medium hub;      // the relay hub's state and rules
   std::uint64_t hub_counter = 0;   // the hub entity's key counter
   PayloadSlab slab;                // delivered payloads, recycled per window
 
@@ -460,9 +418,6 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
     throw std::invalid_argument(
         "ShardedFleet requires a kHub relay backplane with zero jitter");
   }
-  if (config.fleet.clusters == 0) {
-    throw std::invalid_argument("ShardedFleet requires at least one cluster");
-  }
   sim::ShardedEngine::Options options;
   std::uint32_t shards = config.shards == 0 ? 1u : config.shards;
   if (shards > config.fleet.clusters) shards = config.fleet.clusters;
@@ -476,22 +431,43 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
   return options;
 }
 
-ShardedFleet::ShardedFleet(ShardedFleetConfig config)
-    : config_(config), engine_(engine_options(config_)) {
-  const std::uint16_t k = config_.fleet.clusters;
-  const std::uint16_t n = config_.fleet.nodes_per_cluster;
-  const std::uint32_t shards = engine_.shard_count();
-
-  ranges_ = partition_clusters(k, shards);
-  shard_of_.assign(k, 0);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    for (std::uint16_t c = ranges_[s].first; c < ranges_[s].second; ++c) {
-      shard_of_[c] = s;
-    }
+std::vector<std::unique_ptr<net::Backplane>> ShardedFleet::build_relay_stubs() {
+  // Built first, like Fleet's relay, under the hub's entity; a segment per
+  // shard so any trace emission lands where Fleet's tracer records it.
+  std::vector<std::unique_ptr<net::Backplane>> stubs;
+  stubs.reserve(engine_.shard_count());
+  for (std::uint32_t s = 0; s < engine_.shard_count(); ++s) {
+    engine_.begin_setup_segment(s);
+    const sim::EntityScope scope(engine_.simulator(s), kRelayEntity);
+    auto stub = std::make_unique<net::Backplane>(
+        engine_.simulator(s), net::kNetworkA, config_.fleet.relay_backplane);
+    stub->set_boundary_hook(
+        [this, s](const net::Nic& sender, const net::Frame& frame) {
+          oracle_->capture(s, engine_, sender, frame);
+        });
+    stubs.push_back(std::move(stub));
+    engine_.end_setup_segment();
   }
+  return stubs;
+}
 
-  oracle_ = std::make_unique<RelayOracle>(config_.fleet.relay_backplane,
-                                          shards);
+ShardedFleet::ShardedFleet(ShardedFleetConfig config)
+    : config_(config),
+      engine_(engine_options(config_)),
+      ranges_(partition_clusters(config_.fleet.clusters, engine_.shard_count())),
+      oracle_(std::make_unique<RelayOracle>(config_.fleet.relay_backplane,
+                                            engine_.shard_count())),
+      relay_stubs_(build_relay_stubs()),
+      members_(config_.fleet, [this](net::ClusterId c, const SetupStep& step) {
+        const std::uint32_t s = shard_of_cluster(c);
+        engine_.begin_setup_segment(s);
+        step(ClusterSite{engine_.simulator(s), *relay_stubs_[s]});
+        engine_.end_setup_segment();
+      }) {
+  for (net::ClusterId c = 0; c < config_.fleet.clusters; ++c) {
+    oracle_->register_nic(shard_of_cluster(c),
+                          &members_.gateway(c).nic(net::kNetworkA));
+  }
   engine_.set_merge_hook([this](std::int64_t, std::int64_t end_ns) {
     oracle_->on_merge(*this, end_ns);
   });
@@ -501,143 +477,26 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   engine_.set_next_pending_hook([this] { return oracle_->next_pending_ns(); });
   engine_.set_eot_hook(
       [this](std::int64_t bound_ns) { return oracle_->eot_ns(bound_ns); });
-
-  // Everything below runs on this thread in the order Fleet's constructor
-  // builds the topology, each step under the entity Fleet uses for it and
-  // wrapped in a setup segment so trace emissions land at Fleet's positions.
-  relay_stubs_.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    engine_.begin_setup_segment(s);
-    const sim::EntityScope scope(engine_.simulator(s), kRelayEntity);
-    auto stub = std::make_unique<net::Backplane>(
-        engine_.simulator(s), net::kNetworkA, config_.fleet.relay_backplane);
-    stub->set_boundary_hook(
-        [this, s](const net::Nic& sender, const net::Frame& frame) {
-          oracle_->capture(s, engine_, sender, frame);
-        });
-    relay_stubs_.push_back(std::move(stub));
-    engine_.end_setup_segment();
-  }
-
-  clusters_.reserve(k);
-  for (net::ClusterId c = 0; c < k; ++c) {
-    engine_.begin_setup_segment(shard_of_[c]);
-    const sim::EntityScope scope(engine_.simulator(shard_of_[c]),
-                                 cluster_entity(c));
-    clusters_.push_back(std::make_unique<net::ClusterNetwork>(
-        engine_.simulator(shard_of_[c]),
-        net::ClusterNetwork::Config{n, config_.fleet.backplane}));
-    engine_.end_setup_segment();
-  }
-
-  // Per-shard share of the fleet-wide reservation Fleet makes up front.
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::size_t local_k = ranges_[s].second - ranges_[s].first;
-    engine_.simulator(s).reserve_events(
-        local_k *
-            core::DrsSystem::recommended_event_reserve(n) +
-        16u * local_k + 1024u);
-  }
-
-  systems_.reserve(k);
-  for (net::ClusterId c = 0; c < k; ++c) {
-    engine_.begin_setup_segment(shard_of_[c]);
-    const sim::EntityScope scope(engine_.simulator(shard_of_[c]),
-                                 cluster_entity(c));
-    systems_.push_back(
-        std::make_unique<core::DrsSystem>(*clusters_[c], config_.fleet.drs));
-    engine_.end_setup_segment();
-  }
-
-  gateways_.reserve(k);
-  gateway_icmp_.reserve(k);
-  gateway_timers_.reserve(k);
-  for (net::ClusterId c = 0; c < k; ++c) {
-    const std::uint32_t s = shard_of_[c];
-    engine_.begin_setup_segment(s);
-    const sim::EntityScope scope(engine_.simulator(s), cluster_entity(c));
-    const auto gateway_id = static_cast<net::NodeId>(0xF000u + c);
-    auto host = std::make_unique<net::Host>(engine_.simulator(s), gateway_id);
-    auto nic = std::make_unique<net::Nic>(gateway_id, net::kNetworkA,
-                                          net::fleet_relay_mac(c),
-                                          net::fleet_relay_ip(c), *host);
-    relay_stubs_[s]->attach(*nic);
-    oracle_->register_nic(s, nic.get());
-    net::HostAssembler::install_nic(*host, net::kNetworkA, std::move(nic));
-    host->routing_table().install(net::Route{
-        .prefix = net::fleet_relay_subnet(),
-        .prefix_len = net::kFleetRelayPrefixLen,
-        .out_ifindex = net::kNetworkA,
-        .next_hop = net::Ipv4Addr{},
-        .metric = 1,
-        .origin = net::RouteOrigin::kStatic,
-    });
-    gateways_.push_back(std::move(host));
-    engine_.end_setup_segment();
-  }
-  for (net::ClusterId c = 0; c < k; ++c) {
-    engine_.begin_setup_segment(shard_of_[c]);
-    for (net::ClusterId peer = 0; peer < k; ++peer) {
-      gateways_[c]->add_arp_entry(net::fleet_relay_ip(peer),
-                                  net::fleet_relay_mac(peer));
-    }
-    engine_.end_setup_segment();
-  }
-  for (net::ClusterId c = 0; c < k; ++c) {
-    const std::uint32_t s = shard_of_[c];
-    engine_.begin_setup_segment(s);
-    const sim::EntityScope scope(engine_.simulator(s), cluster_entity(c));
-    gateway_icmp_.push_back(
-        std::make_unique<proto::IcmpService>(*gateways_[c]));
-    gateway_icmp_.back()->reserve(16);
-    proto::IcmpService* icmp = gateway_icmp_.back().get();
-    const net::Ipv4Addr target =
-        net::fleet_relay_ip(static_cast<net::ClusterId>((c + 1u) % k));
-    const util::Duration timeout = config_.fleet.gateway_probe_timeout;
-    gateway_timers_.push_back(std::make_unique<sim::PeriodicTimer>(
-        engine_.simulator(s), config_.fleet.gateway_probe_interval,
-        [icmp, target, timeout] {
-          proto::PingOptions options;
-          options.timeout = timeout;
-          icmp->ping(target, options, [](const proto::PingResult&) {});
-        }));
-    engine_.end_setup_segment();
-  }
 }
 
-ShardedFleet::~ShardedFleet() {
-  // Symmetric teardown order with Fleet::stop(); the engine (and its parked
-  // workers) outlives every component since it is declared first.
-  for (auto& timer : gateway_timers_) timer->stop();
-  for (auto& system : systems_) system->stop();
+ShardedFleet::~ShardedFleet() = default;
+
+std::uint32_t ShardedFleet::shard_of_cluster(net::ClusterId c) const {
+  std::uint32_t s = 0;
+  while (c >= ranges_.at(s).second) ++s;
+  return s;
 }
 
 void ShardedFleet::start() {
   if (started_) return;
-  for (net::ClusterId c = 0; c < config_.fleet.clusters; ++c) {
-    engine_.begin_setup_segment(shard_of_[c]);
-    const sim::EntityScope scope(engine_.simulator(shard_of_[c]),
-                                 cluster_entity(c));
-    systems_[c]->start();
-    engine_.end_setup_segment();
-  }
-  for (net::ClusterId c = 0; c < config_.fleet.clusters; ++c) {
-    engine_.begin_setup_segment(shard_of_[c]);
-    const sim::EntityScope entity(engine_.simulator(shard_of_[c]),
-                                  cluster_entity(c));
-    if (!gateway_timers_[c]->running()) {
-      // The probe timers are the fleet's only boundary seeds: every relay
-      // offer descends from a gateway tick (pings and their timeouts) or
-      // from a foreign delivery (echo replies), and both execute under the
-      // boundary scope — ticks by this tag propagating through step(),
-      // deliveries unconditionally. Everything else (DRS probes, cluster
-      // failures) is cluster-internal and stays untagged, which is what
-      // makes the adaptive window bound sharp.
-      const sim::BoundaryScope boundary(engine_.simulator(shard_of_[c]));
-      gateway_timers_[c]->start();
-    }
-    engine_.end_setup_segment();
-  }
+  // The gateway timers are the fleet's only boundary seeds: every relay
+  // offer descends from a gateway tick (pings and their timeouts) or from a
+  // foreign delivery (echo replies), and both execute under the boundary
+  // scope — ticks by this tag propagating through step(), deliveries
+  // unconditionally. Everything else (DRS probes, cluster failures) is
+  // cluster-internal and stays untagged, which is what makes the adaptive
+  // window bound sharp.
+  members_.start(true);
   started_ = true;
 }
 
@@ -650,40 +509,16 @@ void ShardedFleet::schedule_component_failure(util::SimTime at,
         "ShardedFleet: schedule injections after start() and before the "
         "first run_until()");
   }
-  if (index >= component_count()) {
-    throw std::out_of_range("ShardedFleet: component index " +
-                            std::to_string(index) + " is past component_count()");
-  }
-  if (index == relay_backplane_component()) {
+  const ComponentMap::Part part = members_.components().decode(index);
+  if (part.kind == ComponentMap::Part::Kind::kRelay) {
     // The relay is oracle-owned shared state: no shard event at all. The
     // transition draws the hub key Fleet's injection event is pushed under.
     oracle_->add_transition(at.ns(), failed);
     return;
   }
-  const net::ComponentIndex cluster_span =
-      config_.fleet.clusters * cluster_stride();
-  const bool gateway = index >= cluster_span;
-  const auto c = static_cast<net::ClusterId>(
-      gateway ? index - cluster_span : index / cluster_stride());
-  const std::uint32_t s = shard_of_[c];
-  sim::Simulator& sim = engine_.simulator(s);
-  // The segment drains the push's queue_high_water emission, if any, at the
-  // point Fleet's tracer records it.
-  engine_.begin_setup_segment(s);
-  {
-    const sim::EntityScope scope(sim, cluster_entity(c));
-    if (gateway) {
-      net::Nic* nic = &gateways_[c]->nic(net::kNetworkA);
-      sim.schedule_at(at, [nic, failed] { nic->set_failed(failed); });
-    } else {
-      net::ClusterNetwork* network = clusters_[c].get();
-      const net::ComponentIndex local = index % cluster_stride();
-      sim.schedule_at(at, [network, local, failed] {
-        network->set_component_failed(local, failed);
-      });
-    }
-  }
-  engine_.end_setup_segment();
+  // The setup segment drains the push's queue_high_water emission, if any,
+  // at the point Fleet's tracer records it.
+  members_.schedule_failure(at, part, failed);
 }
 
 void ShardedFleet::run_until(util::SimTime deadline) {
@@ -691,108 +526,17 @@ void ShardedFleet::run_until(util::SimTime deadline) {
   engine_.run_until(deadline);
 }
 
-bool ShardedFleet::all_pristine() const {
-  for (const auto& system : systems_) {
-    if (!system->all_pristine()) return false;
-  }
-  return true;
-}
-
-std::uint64_t ShardedFleet::total_probes_sent() const {
-  std::uint64_t total = 0;
-  for (const auto& system : systems_) total += system->total_probes_sent();
-  return total;
-}
-
-net::ComponentIndex ShardedFleet::component_count() const {
-  return static_cast<net::ComponentIndex>(
-      config_.fleet.clusters * cluster_stride() + config_.fleet.clusters + 1u);
-}
-
 void ShardedFleet::collect_metrics(obs::MetricRegistry& registry) const {
-  registry.gauge("fleet.clusters").set(config_.fleet.clusters);
-  registry.gauge("fleet.nodes_per_cluster").set(config_.fleet.nodes_per_cluster);
-
-  std::int64_t flight_slots = 0;
-
-  for (net::ClusterId c = 0; c < config_.fleet.clusters; ++c) {
-    const core::DrsSystem& system = *systems_.at(c);
-    std::uint64_t probes_sent = 0, probes_failed = 0, links_down = 0,
-                  links_up = 0, relays_selected = 0, control_sent = 0,
-                  route_installs = 0;
-    for (net::NodeId i = 0; i < config_.fleet.nodes_per_cluster; ++i) {
-      const core::DaemonMetrics& m = system.daemon(i).metrics();
-      probes_sent += m.probes_sent;
-      probes_failed += m.probes_failed;
-      links_down += m.links_declared_down;
-      links_up += m.links_declared_up;
-      relays_selected += m.relays_selected;
-      control_sent += m.control_messages_sent;
-      route_installs += m.route_installs;
-    }
-    const auto set = [&](const char* name, std::uint64_t value) {
-      registry.counter(obs::MetricRegistry::scoped("cluster", c, name))
-          .add(static_cast<std::int64_t>(value));
-    };
-    set("probes_sent", probes_sent);
-    set("probes_failed", probes_failed);
-    set("links_declared_down", links_down);
-    set("links_declared_up", links_up);
-    set("relays_selected", relays_selected);
-    set("control_messages_sent", control_sent);
-    set("route_installs", route_installs);
-    for (net::NetworkId net_id = 0; net_id < net::kNetworksPerHost; ++net_id) {
-      flight_slots += static_cast<std::int64_t>(
-          clusters_.at(c)->backplane(net_id).flight_slots());
-    }
-  }
-
-  for (net::ClusterId c = 0; c < config_.fleet.clusters; ++c) {
-    const proto::IcmpService& icmp = *gateway_icmp_.at(c);
-    const auto set = [&](const char* name, std::uint64_t value) {
-      registry.counter(obs::MetricRegistry::scoped("gateway", c, name))
-          .add(static_cast<std::int64_t>(value));
-    };
-    set("echoes_sent", icmp.probes_sent());
-    set("echoes_timed_out", icmp.probes_timed_out());
-    set("echoes_answered", icmp.echo_requests_answered());
-  }
-
-  const net::Backplane::Counters& relay = oracle_->counters;
-  registry.counter("relay.frames").add(static_cast<std::int64_t>(relay.frames));
-  registry.counter("relay.bytes").add(static_cast<std::int64_t>(relay.bytes));
-  registry.counter("relay.dropped_failed")
-      .add(static_cast<std::int64_t>(relay.dropped_failed));
-  registry.counter("relay.lost_in_flight")
-      .add(static_cast<std::int64_t>(relay.lost_in_flight));
   // The oracle delivers directly (no flight pool) and the stubs never drive
-  // their medium, so the relay's contribution is zero — matching the legacy
-  // hub at zero jitter, whose FIFO stream bypasses the pool too.
-  for (const auto& stub : relay_stubs_) {
-    flight_slots += static_cast<std::int64_t>(stub->flight_slots());
-  }
-  registry.gauge("fleet.flight_slots").set(flight_slots);
+  // their medium, so the relay adds no flight slots — matching Fleet's hub
+  // at zero jitter, whose FIFO stream bypasses the pool too.
+  members_.collect_metrics(registry, oracle_->hub.counters(), 0);
 
-  // Aggregated allocator-pressure metrics (same names as Fleet), plus
-  // per-shard diagnostics under the shard.* prefix. Values are per-queue
-  // implementation detail — the differential corpus strips sim./arena./shard.
-  std::int64_t event_slots = 0, pending_events = 0;
-  std::int64_t scheduled = 0, executed = 0;
-  std::int64_t arena_chunks = 0, arena_bytes = 0, arena_allocs = 0,
-               arena_freelist = 0, arena_oversize = 0, arena_resets = 0;
+  std::vector<const sim::Simulator*> sims;
   for (std::uint32_t s = 0; s < engine_.shard_count(); ++s) {
     const sim::Simulator& sim = engine_.simulator(s);
-    event_slots += static_cast<std::int64_t>(sim.event_slots());
-    pending_events += static_cast<std::int64_t>(sim.pending_events());
-    scheduled += static_cast<std::int64_t>(sim.scheduled_events());
-    executed += static_cast<std::int64_t>(sim.executed_events());
+    sims.push_back(&sim);
     const util::Arena::Stats& arena = sim.arena().stats();
-    arena_chunks += static_cast<std::int64_t>(arena.chunks);
-    arena_bytes += static_cast<std::int64_t>(arena.bytes_reserved);
-    arena_allocs += static_cast<std::int64_t>(arena.allocations);
-    arena_freelist += static_cast<std::int64_t>(arena.freelist_hits);
-    arena_oversize += static_cast<std::int64_t>(arena.oversize);
-    arena_resets += static_cast<std::int64_t>(arena.resets);
     const auto shard_gauge = [&](const char* name, std::int64_t value) {
       registry.gauge(obs::MetricRegistry::scoped("shard", s, name)).set(value);
     };
@@ -816,16 +560,7 @@ void ShardedFleet::collect_metrics(obs::MetricRegistry& registry) const {
       .set(static_cast<std::int64_t>(engine_.windows_run()));
   registry.gauge("engine.windows_coalesced")
       .set(static_cast<std::int64_t>(engine_.windows_coalesced()));
-  registry.gauge("sim.event_slots").set(event_slots);
-  registry.gauge("sim.pending_events").set(pending_events);
-  registry.counter("sim.scheduled_events").add(scheduled);
-  registry.counter("sim.executed_events").add(executed);
-  registry.gauge("arena.chunks").set(arena_chunks);
-  registry.gauge("arena.bytes_reserved").set(arena_bytes);
-  registry.counter("arena.allocations").add(arena_allocs);
-  registry.counter("arena.freelist_hits").add(arena_freelist);
-  registry.counter("arena.oversize").add(arena_oversize);
-  registry.counter("arena.resets").add(arena_resets);
+  sim::collect_metrics(sims, registry);
 }
 
 }  // namespace drs::cluster

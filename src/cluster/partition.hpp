@@ -13,13 +13,19 @@
 // the one shard that owns the cluster, so shards compute the same event keys
 // as Fleet's single queue.
 //
+// The clusters themselves are built, started, failed and reported by
+// FleetMembers (fleet.hpp), the same routine Fleet uses: ShardedFleet only
+// tells it where each cluster lives — its shard's simulator and relay stub —
+// and brackets every setup step in a setup segment of that shard.
+//
 // The relay hub itself is SHARED state — serialization contention, the
 // backlog bound, the loss RNG stream, and failure epochs all couple every
 // gateway. Rather than lock it, each shard gets a stub Backplane whose
 // boundary hook captures offered frames (with the key of the event that
-// offered them), and a single relay-hub ORACLE on the coordinator replays
-// Fleet's transmit math over the globally ordered offers at every window
-// barrier. The oracle owns the hub entity's counter: failure transitions and
+// offered them), and a single relay-hub ORACLE on the coordinator offers
+// them, globally ordered, to its own net::Backplane::Medium — the hub model
+// Fleet's relay Backplane runs — at every window barrier. The oracle owns the
+// hub entity's counter: failure transitions and
 // deliveries draw their keys from it in replay order, exactly as Fleet's hub
 // backplane claims them. Deliveries come back as cross-shard foreign events
 // at the (time, key) coordinates Fleet's delivery stream pops them, so traces
@@ -88,14 +94,12 @@ class ShardedFleet {
 
   sim::ShardedEngine& engine() { return engine_; }
   const sim::ShardedEngine& engine() const { return engine_; }
-  std::uint32_t shard_of_cluster(net::ClusterId c) const {
-    return shard_of_[c];
-  }
-  net::ClusterNetwork& cluster(net::ClusterId c) { return *clusters_.at(c); }
-  core::DrsSystem& system(net::ClusterId c) { return *systems_.at(c); }
-  net::Host& gateway(net::ClusterId c) { return *gateways_.at(c); }
+  std::uint32_t shard_of_cluster(net::ClusterId c) const;
+  net::ClusterNetwork& cluster(net::ClusterId c) { return members_.cluster(c); }
+  core::DrsSystem& system(net::ClusterId c) { return members_.system(c); }
+  net::Host& gateway(net::ClusterId c) { return members_.gateway(c); }
   proto::IcmpService& gateway_icmp(net::ClusterId c) {
-    return *gateway_icmp_.at(c);
+    return members_.gateway_icmp(c);
   }
 
   /// Starts every cluster's DRS system and the gateway echo mesh (still in
@@ -120,26 +124,28 @@ class ShardedFleet {
     return engine_.merged_trace();
   }
 
-  bool all_pristine() const;
-  std::uint64_t total_probes_sent() const;
+  bool all_pristine() const { return members_.all_pristine(); }
+  std::uint64_t total_probes_sent() const {
+    return members_.total_probes_sent();
+  }
 
-  // -- flat component space (identical numbering to Fleet) -------------------
-  net::ComponentIndex component_count() const;
+  // -- flat component space (Fleet's ComponentMap) ---------------------------
+  net::ComponentIndex component_count() const {
+    return members_.components().count();
+  }
   net::ComponentIndex cluster_component(net::ClusterId c,
                                         net::ComponentIndex local) const {
-    return static_cast<net::ComponentIndex>(c * cluster_stride() + local);
+    return members_.components().cluster_component(c, local);
   }
   net::ComponentIndex gateway_component(net::ClusterId c) const {
-    return static_cast<net::ComponentIndex>(
-        config_.fleet.clusters * cluster_stride() + c);
+    return members_.components().gateway(c);
   }
   net::ComponentIndex relay_backplane_component() const {
-    return static_cast<net::ComponentIndex>(
-        config_.fleet.clusters * cluster_stride() + config_.fleet.clusters);
+    return members_.components().relay();
   }
 
   /// Same semantic keys as Fleet::collect_metrics (cluster.*, gateway.*,
-  /// relay.*, fleet.*), with sim.*/arena.* aggregated across shards and
+  /// relay.*, fleet.*), with sim.*/arena.* summed across shards and
   /// additional shard.<i>.* / engine.* diagnostics (window_events,
   /// barrier_wait_ns, windows_coalesced). The differential corpus compares
   /// everything except the sim./arena./shard./engine. prefixes, whose values
@@ -149,25 +155,19 @@ class ShardedFleet {
  private:
   struct RelayOracle;
 
-  std::uint32_t cluster_stride() const {
-    return 2u * config_.fleet.nodes_per_cluster + 2u;
-  }
   static sim::ShardedEngine::Options engine_options(
       const ShardedFleetConfig& config);
+  std::vector<std::unique_ptr<net::Backplane>> build_relay_stubs();
 
   ShardedFleetConfig config_;
   sim::ShardedEngine engine_;
   std::vector<std::pair<std::uint16_t, std::uint16_t>> ranges_;
-  std::vector<std::uint32_t> shard_of_;  // cluster -> shard
+  std::unique_ptr<RelayOracle> oracle_;
   /// Per-shard relay stubs: attach points for the local gateways' NICs; every
   /// offered frame is diverted to the oracle by the boundary hook.
   std::vector<std::unique_ptr<net::Backplane>> relay_stubs_;
-  std::vector<std::unique_ptr<net::ClusterNetwork>> clusters_;
-  std::vector<std::unique_ptr<core::DrsSystem>> systems_;
-  std::vector<std::unique_ptr<net::Host>> gateways_;
-  std::vector<std::unique_ptr<proto::IcmpService>> gateway_icmp_;
-  std::vector<std::unique_ptr<sim::PeriodicTimer>> gateway_timers_;
-  std::unique_ptr<RelayOracle> oracle_;
+  /// Declared last: the clusters stop and go before the shard simulators.
+  FleetMembers members_;
   bool started_ = false;
 };
 

@@ -179,26 +179,8 @@ void DrsSystem::collect_metrics(obs::MetricRegistry& registry) const {
   // Allocator-pressure gauges: under steady-state monitoring every one of
   // these is flat — event slots, flight slots, and arena chunks stop growing
   // once traffic peaks, and further probe cycles recycle pooled storage.
-  const sim::Simulator& sim = network_.simulator();
-  registry.gauge("sim.event_slots")
-      .set(static_cast<std::int64_t>(sim.event_slots()));
-  registry.gauge("sim.pending_events")
-      .set(static_cast<std::int64_t>(sim.pending_events()));
-  registry.counter("sim.scheduled_events")
-      .add(static_cast<std::int64_t>(sim.scheduled_events()));
-  registry.counter("sim.executed_events")
-      .add(static_cast<std::int64_t>(sim.executed_events()));
-  const util::Arena::Stats& arena = network_.simulator().arena().stats();
-  registry.gauge("arena.chunks").set(static_cast<std::int64_t>(arena.chunks));
-  registry.gauge("arena.bytes_reserved")
-      .set(static_cast<std::int64_t>(arena.bytes_reserved));
-  registry.counter("arena.allocations")
-      .add(static_cast<std::int64_t>(arena.allocations));
-  registry.counter("arena.freelist_hits")
-      .add(static_cast<std::int64_t>(arena.freelist_hits));
-  registry.counter("arena.oversize")
-      .add(static_cast<std::int64_t>(arena.oversize));
-  registry.counter("arena.resets").add(static_cast<std::int64_t>(arena.resets));
+  const sim::Simulator* sims[] = {&network_.simulator()};
+  sim::collect_metrics(sims, registry);
 }
 
 }  // namespace drs::core

@@ -4,12 +4,22 @@
 
 namespace drs::net {
 
+bool Backplane::Medium::set_failed(bool failed, util::SimTime now,
+                                   std::uint64_t in_flight) {
+  if (failed_ == failed) return false;
+  failed_ = failed;
+  busy_until_ = now;
+  counters_.lost_in_flight += in_flight;
+  return true;
+}
+
+util::Duration Backplane::Medium::draw_jitter() {
+  return util::Duration::nanos(static_cast<std::int64_t>(
+      rng_.next_below(static_cast<std::uint64_t>(config_.jitter.ns()) + 1)));
+}
+
 Backplane::Backplane(sim::Simulator& sim, NetworkId id, Config config)
-    : sim_(sim),
-      entity_(sim.entity()),
-      id_(id),
-      config_(config),
-      rng_(config.seed, id) {}
+    : sim_(sim), entity_(sim.entity()), id_(id), medium_(config, id) {}
 
 void Backplane::attach(Nic& nic) {
   attached_.push_back(&nic);
@@ -41,27 +51,22 @@ Backplane::FlightFrame Backplane::take_flight(std::uint32_t slot) {
 }
 
 void Backplane::set_failed(bool failed) {
-  if (failed_ == failed) return;
-  failed_ = failed;
+  // The delivery stream drops its live suffix now (per-frame events count
+  // each loss lazily at their own pops); totals agree once the clock passes
+  // the last scheduled arrival, and the ring stays monotone across restores.
+  if (!medium_.set_failed(failed, sim_.now(),
+                          static_cast<std::uint64_t>(stream_.size() -
+                                                     stream_head_))) {
+    return;
+  }
   // Either direction invalidates scheduled deliveries: frames in flight when
   // the medium dies are lost, and a restored medium starts idle.
   ++epoch_;
-  busy_until_ = sim_.now();
   ingress_busy_.clear();
   egress_busy_.clear();
-  // The delivery stream drops its live suffix now (per-frame events counted
-  // each loss lazily at their own pops); totals agree once the clock passes
-  // the last scheduled arrival, and the ring stays monotone across restores.
-  counters_.lost_in_flight +=
-      static_cast<std::uint64_t>(stream_.size() - stream_head_);
   stream_.clear();
   stream_head_ = 0;
   stream_event_.cancel();
-}
-
-util::Duration Backplane::serialization_time(const Frame& frame) const {
-  const double bytes = static_cast<double>(frame.wire_bytes() + config_.per_frame_overhead_bytes);
-  return util::Duration::from_seconds(bytes * 8.0 / config_.bits_per_second);
 }
 
 void Backplane::transmit(const Nic& sender, const Frame& frame) {
@@ -69,11 +74,7 @@ void Backplane::transmit(const Nic& sender, const Frame& frame) {
     boundary_hook_(sender, frame);
     return;
   }
-  if (failed_) {
-    ++counters_.dropped_failed;
-    return;
-  }
-  if (config_.kind == MediumKind::kSwitch) {
+  if (config().kind == MediumKind::kSwitch) {
     transmit_switch(sender, frame);
   } else {
     transmit_hub(sender, frame);
@@ -81,40 +82,20 @@ void Backplane::transmit(const Nic& sender, const Frame& frame) {
 }
 
 void Backplane::transmit_hub(const Nic& sender, const Frame& frame) {
-  const util::SimTime now = sim_.now();
-  const util::SimTime start = std::max(now, busy_until_);
-  if (start - now > config_.max_backlog) {
-    ++counters_.dropped_backlog;
-    return;
-  }
-  const util::Duration ser = serialization_time(frame);
-  busy_until_ = start + ser;
-  busy_seconds_ += ser.to_seconds();
-  ++counters_.frames;
-  counters_.bytes += frame.wire_bytes() + config_.per_frame_overhead_bytes;
-
-  // Random corruption: a bad FCS is bad for every receiver on a hub, so the
-  // whole broadcast is lost at once. The medium time was still consumed.
-  if (config_.frame_loss_rate > 0.0 &&
-      rng_.next_bernoulli(config_.frame_loss_rate)) {
-    ++counters_.lost_random;
-    return;
-  }
-
-  const util::SimTime arrival = busy_until_ + config_.propagation_delay;
-  if (config_.jitter > util::Duration::zero()) {
+  const std::optional<util::SimTime> arrival =
+      medium_.offer(sim_.now(), frame.wire_bytes());
+  if (!arrival) return;
+  if (config().jitter > util::Duration::zero()) {
     // Jittered arrivals are not monotone, so each frame gets its own wheel
     // event; the frame parks in the flight pool and the callback carries
     // only the slot index, so scheduling never allocates.
-    const util::SimTime jittered =
-        arrival + util::Duration::nanos(static_cast<std::int64_t>(rng_.next_below(
-                      static_cast<std::uint64_t>(config_.jitter.ns()) + 1)));
+    const util::SimTime jittered = *arrival + medium_.draw_jitter();
     const std::uint64_t epoch = epoch_;
     const std::uint32_t slot = acquire_flight(frame, sender.mac());
     sim_.schedule_at(jittered, [this, slot, epoch] {
       const FlightFrame flight = take_flight(slot);
-      if (epoch != epoch_ || failed_) {
-        ++counters_.lost_in_flight;
+      if (epoch != epoch_ || medium_.failed()) {
+        medium_.count_lost_in_flight();
         return;
       }
       deliver_hub_frame(flight.frame, flight.sender);
@@ -123,7 +104,7 @@ void Backplane::transmit_hub(const Nic& sender, const Frame& frame) {
   }
   // FIFO stream (see the header): one armed wheel event per hub, each entry
   // popping at the exact (time, rank) its per-frame event would have held.
-  stream_push(frame, sender.mac(), arrival);
+  stream_push(frame, sender.mac(), *arrival);
 }
 
 /// Hub fan-in: every other NIC hears the frame, but only the addressee's MAC
@@ -182,27 +163,12 @@ void Backplane::stream_fire() {
 }
 
 void Backplane::transmit_switch(const Nic& sender, const Frame& frame) {
-  const util::SimTime now = sim_.now();
-  // Ingress: the frame serializes into the switch on the sender's port.
-  util::SimTime& tx_busy = ingress_busy_[sender.mac().value()];
-  const util::SimTime start = std::max(now, tx_busy);
-  if (start - now > config_.max_backlog) {
-    ++counters_.dropped_backlog;
-    return;
-  }
-  const util::Duration ser = serialization_time(frame);
-  tx_busy = start + ser;
-  busy_seconds_ += ser.to_seconds();  // aggregate ingress occupancy
-  ++counters_.frames;
-  counters_.bytes += frame.wire_bytes() + config_.per_frame_overhead_bytes;
-
-  if (config_.frame_loss_rate > 0.0 &&
-      rng_.next_bernoulli(config_.frame_loss_rate)) {
-    ++counters_.lost_random;
-    return;
-  }
-
-  const util::SimTime ingress_done = tx_busy + config_.propagation_delay;
+  // Ingress: the frame serializes into the switch on the sender's port (busy
+  // seconds add up every port's ingress occupancy).
+  const std::optional<util::SimTime> arrival = medium_.offer(
+      sim_.now(), frame.wire_bytes(), ingress_busy_[sender.mac().value()]);
+  if (!arrival) return;
+  const util::SimTime ingress_done = *arrival;
   if (frame.dst.is_broadcast()) {
     for (Nic* nic : attached_) {
       if (nic->mac() != sender.mac()) switch_deliver(*nic, frame, ingress_done);
@@ -235,20 +201,16 @@ void Backplane::switch_deliver(Nic& receiver, const Frame& frame,
   // port's own queue.
   util::SimTime& rx_busy = egress_busy_[receiver.mac().value()];
   const util::SimTime egress_start = std::max(ingress_done, rx_busy);
-  const util::Duration ser = serialization_time(frame);
-  rx_busy = egress_start + ser;
-  util::SimTime arrival = rx_busy + config_.propagation_delay;
-  if (config_.jitter > util::Duration::zero()) {
-    arrival += util::Duration::nanos(static_cast<std::int64_t>(
-        rng_.next_below(static_cast<std::uint64_t>(config_.jitter.ns()) + 1)));
-  }
+  rx_busy = egress_start + medium_.serialization_time(frame.wire_bytes());
+  util::SimTime arrival = rx_busy + config().propagation_delay;
+  if (config().jitter > util::Duration::zero()) arrival += medium_.draw_jitter();
   const std::uint64_t epoch = epoch_;
   Nic* target = &receiver;
   const std::uint32_t slot = acquire_flight(frame, MacAddr{});
   sim_.schedule_at(arrival, [this, slot, epoch, target] {
     const FlightFrame flight = take_flight(slot);
-    if (epoch != epoch_ || failed_) {
-      ++counters_.lost_in_flight;
+    if (epoch != epoch_ || medium_.failed()) {
+      medium_.count_lost_in_flight();
       return;
     }
     target->deliver(flight.frame);

@@ -41,10 +41,19 @@
 // Either way, the backplane is one of the 2 shared failure components of the
 // survivability model: when failed it drops everything in flight and
 // everything offered.
+//
+// Backplane::Medium holds the medium's state and the rules every offered
+// frame goes through: the failed flag, the shared transmitter's busy-until
+// clock, the backlog bound, serialization time, loss draws, busy seconds and
+// the counters. The sharded fleet's relay oracle (cluster/partition.cpp)
+// holds a Medium of its own and replays the relay hub's offers through it,
+// so both fleet engines run one copy of the hub's arithmetic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/nic.hpp"
@@ -84,14 +93,71 @@ class Backplane {
     std::uint64_t seed = 0xBACC91A7ull;
   };
 
+  struct Counters {
+    std::uint64_t frames = 0;
+    std::uint64_t bytes = 0;          // wire bytes incl. per-frame overhead
+    std::uint64_t dropped_failed = 0;  // offered while the backplane was down
+    std::uint64_t dropped_backlog = 0;
+    std::uint64_t lost_in_flight = 0;  // in flight when the backplane failed
+    std::uint64_t lost_random = 0;     // frame_loss_rate corruption
+  };
+
+  /// The medium's state and per-frame rules (see the file comment).
+  class Medium {
+   public:
+    /// The loss/jitter stream is Rng(config.seed, id).
+    Medium(const Config& config, NetworkId id)
+        : config_(config), rng_(config.seed, id) {}
+
+    const Config& config() const { return config_; }
+    bool failed() const { return failed_; }
+    /// When the shared transmitter has sent everything offered to it.
+    util::SimTime busy_until() const { return busy_until_; }
+    double busy_seconds() const { return busy_seconds_; }
+    const Counters& counters() const { return counters_; }
+
+    /// Serialization time of a frame of `wire_bytes` on this medium.
+    util::Duration serialization_time(std::uint32_t wire_bytes) const;
+
+    /// Offers a frame of `wire_bytes` at `now` to the shared transmitter.
+    /// Returns when its last bit reaches the far end, or nothing when the
+    /// frame is dropped (medium failed, backlog bound passed) or corrupted.
+    std::optional<util::SimTime> offer(util::SimTime now,
+                                       std::uint32_t wire_bytes) {
+      return offer(now, wire_bytes, busy_until_);
+    }
+    /// The same rules on a transmitter with its own clock (a switch port).
+    std::optional<util::SimTime> offer(util::SimTime now,
+                                       std::uint32_t wire_bytes,
+                                       util::SimTime& busy_until);
+
+    /// Fails or restores the medium at `now`; false if it is already in that
+    /// state. Either direction leaves the shared transmitter idle at `now`
+    /// and counts the `in_flight` deliveries it cuts off as lost.
+    bool set_failed(bool failed, util::SimTime now, std::uint64_t in_flight);
+
+    /// One delivery found cut off when it came due (the per-frame paths).
+    void count_lost_in_flight() { ++counters_.lost_in_flight; }
+    /// A uniform extra delay in [0, jitter]; only call with jitter on.
+    util::Duration draw_jitter();
+
+   private:
+    Config config_;
+    util::Rng rng_;
+    bool failed_ = false;
+    util::SimTime busy_until_ = util::SimTime::zero();
+    double busy_seconds_ = 0.0;
+    Counters counters_;
+  };
+
   Backplane(sim::Simulator& sim, NetworkId id, Config config);
 
   NetworkId id() const { return id_; }
-  const Config& config() const { return config_; }
+  const Config& config() const { return medium_.config(); }
 
   void attach(Nic& nic);
 
-  bool failed() const { return failed_; }
+  bool failed() const { return medium_.failed(); }
   /// Failing the backplane invalidates all in-flight deliveries; restoring it
   /// starts from an idle medium.
   void set_failed(bool failed);
@@ -101,20 +167,9 @@ class Backplane {
 
   /// Seconds of medium busy time accumulated in [since, now]; used with the
   /// wall-clock window to compute utilization for Fig. 1.
-  double busy_seconds() const { return busy_seconds_; }
+  double busy_seconds() const { return medium_.busy_seconds(); }
 
-  struct Counters {
-    std::uint64_t frames = 0;
-    std::uint64_t bytes = 0;          // wire bytes incl. per-frame overhead
-    std::uint64_t dropped_failed = 0;  // offered while the backplane was down
-    std::uint64_t dropped_backlog = 0;
-    std::uint64_t lost_in_flight = 0;  // in flight when the backplane failed
-    std::uint64_t lost_random = 0;     // frame_loss_rate corruption
-  };
-  const Counters& counters() const { return counters_; }
-
-  /// Serialization time of one frame on this medium.
-  util::Duration serialization_time(const Frame& frame) const;
+  const Counters& counters() const { return medium_.counters(); }
 
   /// In-flight frame-pool capacity; stable once traffic peaks (asserted by
   /// the zero-allocation instrumented test, see docs/PERFORMANCE.md).
@@ -122,10 +177,10 @@ class Backplane {
 
   /// Shard-boundary capture (sharded fleet only, see docs/SHARDING.md): when
   /// set, transmit() hands every offered frame to the hook INSTEAD of driving
-  /// the medium. The hook fires before the failed_ check on purpose — the
+  /// the medium. The hook fires before the failed check on purpose — the
   /// relay-hub oracle owns the shared medium's failure state, contention,
-  /// loss draws, and delivery, and replays the legacy transmit math (and its
-  /// drop accounting) centrally at each window merge. Registration-time
+  /// loss draws, and delivery, and replays offers through its own Medium
+  /// (and its drop accounting) centrally at each window merge. Registration-time
   /// plumbing; never set on single-threaded topologies.
   using BoundaryHook = std::function<void(const Nic& sender, const Frame&)>;
   void set_boundary_hook(BoundaryHook hook) {
@@ -169,15 +224,13 @@ class Backplane {
   sim::Simulator& sim_;
   sim::Entity entity_;  // the delivery stream's ranks are claimed under it
   NetworkId id_;
-  Config config_;
-  std::vector<Nic*> attached_;
-  /// Unicast delivery index, keyed by MAC value. Disabled (falls back to the
-  /// full fan-out walk) if two attached NICs ever share a MAC, since a hub
-  /// would deliver to both.
-  util::FlatMap<std::uint64_t, Nic*> by_mac_;
+  /// Set once two attached NICs share a MAC: unicast delivery then falls
+  /// back to the full fan-out walk, since a hub would deliver to both.
   bool mac_collision_ = false;
-  bool failed_ = false;
-  util::SimTime busy_until_ = util::SimTime::zero();
+  Medium medium_;
+  std::vector<Nic*> attached_;
+  /// Unicast delivery index, keyed by MAC value (unused on a MAC collision).
+  util::FlatMap<std::uint64_t, Nic*> by_mac_;
   /// Per-port busy-until times (switch mode), keyed by NIC MAC value.
   util::FlatMap<std::uint64_t, util::SimTime> ingress_busy_;
   util::FlatMap<std::uint64_t, util::SimTime> egress_busy_;
@@ -189,13 +242,44 @@ class Backplane {
   std::vector<PendingDelivery> stream_;
   std::size_t stream_head_ = 0;
   sim::EventHandle stream_event_;
-  double busy_seconds_ = 0.0;
   /// Deliveries scheduled before the most recent failure are invalidated by
   /// comparing against this epoch counter.
   std::uint64_t epoch_ = 0;
-  Counters counters_;
-  util::Rng rng_;
   BoundaryHook boundary_hook_;
 };
+
+// Defined here so that Backplane's per-frame path inlines the medium's rules.
+inline util::Duration Backplane::Medium::serialization_time(
+    std::uint32_t wire_bytes) const {
+  const double bytes =
+      static_cast<double>(wire_bytes + config_.per_frame_overhead_bytes);
+  return util::Duration::from_seconds(bytes * 8.0 / config_.bits_per_second);
+}
+
+inline std::optional<util::SimTime> Backplane::Medium::offer(
+    util::SimTime now, std::uint32_t wire_bytes, util::SimTime& busy_until) {
+  if (failed_) {
+    ++counters_.dropped_failed;
+    return std::nullopt;
+  }
+  const util::SimTime start = std::max(now, busy_until);
+  if (start - now > config_.max_backlog) {
+    ++counters_.dropped_backlog;
+    return std::nullopt;
+  }
+  const util::Duration ser = serialization_time(wire_bytes);
+  busy_until = start + ser;
+  busy_seconds_ += ser.to_seconds();
+  ++counters_.frames;
+  counters_.bytes += wire_bytes + config_.per_frame_overhead_bytes;
+  // Random corruption: a bad FCS is bad for every receiver on a hub, so the
+  // whole broadcast is lost at once. The medium time was still consumed.
+  if (config_.frame_loss_rate > 0.0 &&
+      rng_.next_bernoulli(config_.frame_loss_rate)) {
+    ++counters_.lost_random;
+    return std::nullopt;
+  }
+  return busy_until + config_.propagation_delay;
+}
 
 }  // namespace drs::net

@@ -7,12 +7,6 @@
 
 namespace drs::net {
 
-std::string FailureDomain::describe_component(ComponentIndex index) const {
-  std::ostringstream out;
-  out << "component(" << index << ")";
-  return out.str();
-}
-
 std::string ComponentRef::to_string() const {
   std::ostringstream out;
   if (kind == Kind::kNic) {
@@ -95,6 +89,20 @@ bool ClusterNetwork::component_failed(ComponentIndex index) const {
     return hosts_.at(ref.node)->nic(ref.network).failed();
   }
   return backplanes_.at(ref.network)->failed();
+}
+
+std::vector<ComponentIndex> ClusterNetwork::failed_components() const {
+  std::vector<ComponentIndex> failed;
+  for (ComponentIndex c = 0; c < component_count(); ++c) {
+    if (component_failed(c)) failed.push_back(c);
+  }
+  return failed;
+}
+
+void ClusterNetwork::heal_all() {
+  for (ComponentIndex c = 0; c < component_count(); ++c) {
+    set_component_failed(c, false);
+  }
 }
 
 }  // namespace drs::net

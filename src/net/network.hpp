@@ -21,37 +21,6 @@ namespace drs::net {
 /// Flat index of a failure component; see file comment for the numbering.
 using ComponentIndex = std::uint32_t;
 
-/// Anything failure injection can address: a flat, dense component space with
-/// per-component fail/restore. ClusterNetwork exposes one cluster's 2N+2
-/// components; cluster::Fleet composes k clusters plus its gateways and the
-/// inter-cluster relay backplane into one space.
-class FailureDomain {
- public:
-  virtual ~FailureDomain() = default;
-  virtual sim::Simulator& simulator() = 0;
-  virtual ComponentIndex component_count() const = 0;
-  virtual void set_component_failed(ComponentIndex index, bool failed) = 0;
-  virtual bool component_failed(ComponentIndex index) const = 0;
-  /// Human-readable component name for failure logs (cold path).
-  virtual std::string describe_component(ComponentIndex index) const;
-
-  /// Indices of every currently-failed component, ascending — the
-  /// network-side ground truth the invariant checkers compare against.
-  std::vector<ComponentIndex> failed_components() const {
-    std::vector<ComponentIndex> failed;
-    for (ComponentIndex c = 0; c < component_count(); ++c) {
-      if (component_failed(c)) failed.push_back(c);
-    }
-    return failed;
-  }
-  /// Restores every component to healthy.
-  void heal_all() {
-    for (ComponentIndex c = 0; c < component_count(); ++c) {
-      set_component_failed(c, false);
-    }
-  }
-};
-
 struct ComponentRef {
   enum class Kind : std::uint8_t { kNic, kBackplane };
   Kind kind = Kind::kNic;
@@ -61,7 +30,7 @@ struct ComponentRef {
   std::string to_string() const;
 };
 
-class ClusterNetwork : public FailureDomain {
+class ClusterNetwork {
  public:
   struct Config {
     std::uint16_t node_count = 8;
@@ -72,10 +41,10 @@ class ClusterNetwork : public FailureDomain {
   /// kMaxClusterNodes.
   ClusterNetwork(sim::Simulator& sim, Config config);
 
-  sim::Simulator& simulator() override { return sim_; }
+  sim::Simulator& simulator() { return sim_; }
   std::uint16_t node_count() const { return config_.node_count; }
   /// Total failure components: 2N NICs + 2 backplanes.
-  ComponentIndex component_count() const override {
+  ComponentIndex component_count() const {
     return static_cast<ComponentIndex>(2u * config_.node_count + 2u);
   }
 
@@ -95,11 +64,18 @@ class ClusterNetwork : public FailureDomain {
     return static_cast<ComponentIndex>(2u * config_.node_count + network);
   }
 
-  void set_component_failed(ComponentIndex index, bool failed) override;
-  bool component_failed(ComponentIndex index) const override;
-  std::string describe_component(ComponentIndex index) const override {
+  void set_component_failed(ComponentIndex index, bool failed);
+  bool component_failed(ComponentIndex index) const;
+  /// Human-readable component name for failure logs (cold path).
+  std::string describe_component(ComponentIndex index) const {
     return component(index).to_string();
   }
+
+  /// Indices of every currently-failed component, ascending — the
+  /// network-side ground truth the invariant checkers compare against.
+  std::vector<ComponentIndex> failed_components() const;
+  /// Restores every component to healthy.
+  void heal_all();
 
  private:
   sim::Simulator& sim_;

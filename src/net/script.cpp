@@ -157,6 +157,11 @@ ScriptParseResult parse_failure_script(const std::string& text,
         fail_at("trailing tokens after component");
         return result;
       }
+      if (result.actions.size() >= kMaxScriptActions) {
+        fail_at("script expands past " + std::to_string(kMaxScriptActions) +
+                " actions");
+        return result;
+      }
       result.actions.push_back(ScriptAction{offset, component, verb == "fail"});
       continue;
     }
@@ -196,6 +201,12 @@ ScriptParseResult parse_failure_script(const std::string& text,
           (std::numeric_limits<std::int64_t>::max() - offset.ns()) / period.ns();
       if (count > room / 2 + room % 2) {
         fail_at("flap runs past the end of simulated time");
+        return result;
+      }
+      if (count > static_cast<std::int64_t>(
+                      (kMaxScriptActions - result.actions.size()) / 2)) {
+        fail_at("script expands past " + std::to_string(kMaxScriptActions) +
+                " actions");
         return result;
       }
       for (std::int64_t i = 0; i < count; ++i) {

@@ -9,15 +9,22 @@
 //
 // Times are relative offsets (suffix ns/us/ms/s); actions are scheduled at
 // `base + offset` when applied to an injector. `flap` expands into
-// alternating fail/restore pairs starting with fail.
+// alternating fail/restore pairs starting with fail. A script expands to at
+// most kMaxScriptActions actions.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "net/failure.hpp"
 
 namespace drs::net {
+
+/// The most actions one script may expand to, flaps included: a million
+/// (16 MB of actions), far beyond any scenario the repository runs, and far
+/// below what a mistyped `flap ... count=` would otherwise allocate.
+inline constexpr std::size_t kMaxScriptActions = 1'000'000;
 
 struct ScriptAction {
   util::Duration at;  // offset from the script's start

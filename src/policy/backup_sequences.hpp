@@ -51,7 +51,7 @@ class BackupSequences {
   /// Whether both endpoint NICs of the direct link a -> b over network k
   /// survive `failed` (the shared backplane is checked by the callers, who
   /// know the node count). `failed` must be sorted ascending
-  /// (FailureDomain::failed_components order).
+  /// (ClusterNetwork::failed_components order).
   static bool link_up(net::NodeId a, net::NodeId b, net::NetworkId network,
                       const std::vector<net::ComponentIndex>& failed);
 

@@ -11,7 +11,7 @@
 //                      component state, so pre-failed clusters work);
 //   failure hooks      on_component_failed() / on_component_restored() —
 //                      called by the harness right after it mutates the
-//                      FailureDomain. Probing policies (DRS, RIP, OSPF)
+//                      ClusterNetwork. Probing policies (DRS, RIP, OSPF)
 //                      ignore them and detect through their own traffic;
 //                      precomputed policies use them as the notification
 //                      edge that swaps backup routes in.

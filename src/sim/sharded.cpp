@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace drs::sim {
 
@@ -36,14 +37,24 @@ void ShardedEngine::drain_setup_segment(std::uint32_t shard_index) {
   const std::uint64_t base = sh.trace_drained;
   const std::uint64_t total = sh.tracer.emitted();
   if (total == base) return;
-  assert(base >= sh.tracer.evicted() &&
-         "tracer evicted undrained setup events; raise Options::trace_capacity");
+  check_trace_loss(shard_index);
   std::uint64_t index = sh.tracer.evicted();
   sh.tracer.for_each([&](const obs::TraceEvent& event) {
     if (index++ >= base) merged_.push_back(event);
   });
   sh.trace_drained = total;
   sh.tracer.clear();
+}
+
+void ShardedEngine::check_trace_loss(std::uint32_t shard) const {
+  const Shard& sh = *shards_[shard];
+  if (sh.tracer.evicted() <= sh.trace_drained) return;
+  throw TraceLossError(
+      "ShardedEngine: shard " + std::to_string(shard) + "'s tracer evicted " +
+      std::to_string(sh.tracer.evicted() - sh.trace_drained) +
+      " trace events before they were merged; raise trace_capacity (now " +
+      std::to_string(options_.trace_capacity) +
+      ") or cap the window with max_window_ns");
 }
 
 void ShardedEngine::add_foreign_batch(std::uint32_t shard,
@@ -167,11 +178,13 @@ void ShardedEngine::merge_window(std::int64_t start_ns, std::int64_t end_ns) {
     merge_pos_.assign(n, 0);
     merge_begin_.assign(n, 0);
     for (std::uint32_t s = 0; s < n; ++s) {
+      // drs-lint: hotpath-purity-ok(cold: check_trace_loss allocates only to throw, which ends the run)
+      check_trace_loss(s);
+    }
+    for (std::uint32_t s = 0; s < n; ++s) {
       Shard& sh = *shards_[s];
       merge_begin_[s] = sh.trace_drained;
       const std::uint64_t total = sh.tracer.emitted();
-      assert(sh.trace_drained >= sh.tracer.evicted() &&
-             "tracer evicted undrained events; raise Options::trace_capacity");
       sh.window_events.clear();
       if (total > sh.trace_drained) {
         std::uint64_t index = sh.tracer.evicted();

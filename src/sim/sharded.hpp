@@ -35,6 +35,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -58,6 +59,16 @@ struct GlobalEventId {
                                     const GlobalEventId&) = default;
 };
 
+/// A shard's tracer ring evicted events before the engine merged them, so
+/// the merged trace would silently lose or misplace them. Raised before
+/// anything the shard emitted since its last merge reaches the merged trace;
+/// the engine cannot continue a run after it. The message names the shard
+/// and Options::trace_capacity.
+class TraceLossError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// S shards in conservative lockstep. See the file comment.
 class ShardedEngine {
  public:
@@ -68,7 +79,8 @@ class ShardedEngine {
     std::int64_t lookahead_ns = 5000;
     /// 0 skips tracer attachment entirely (no per-shard rings, no merged
     /// trace) — the fair configuration for benchmarking against an untraced
-    /// single-queue run.
+    /// single-queue run. A shard that emits more than this between two
+    /// merges throws TraceLossError.
     std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
     /// Upper bound on window length (safety lever for small trace rings);
     /// 0 = unlimited. Windows are adaptive: each one widens past the
@@ -257,6 +269,8 @@ class ShardedEngine {
   void execute_window(Shard& shard, std::int64_t start_ns, std::int64_t end_ns);
   void merge_window(std::int64_t start_ns, std::int64_t end_ns);
   void drain_setup_segment(std::uint32_t shard);
+  /// Throws TraceLossError if `shard`'s ring evicted undrained events.
+  void check_trace_loss(std::uint32_t shard) const;
   void sort_inboxes();
   void worker_loop(std::uint32_t shard);
   void start_workers();

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "obs/metrics.hpp"
+
 namespace drs::sim {
 
 bool EventHandle::pending() const {
@@ -69,6 +71,40 @@ bool Simulator::step() {
   queue_.set_boundary_scope(false);
   ++executed_;
   return true;
+}
+
+void collect_metrics(std::span<const Simulator* const> sims,
+                     obs::MetricRegistry& registry) {
+  util::Arena::Stats arena;
+  std::int64_t event_slots = 0, pending_events = 0;
+  std::int64_t scheduled = 0, executed = 0;
+  for (const Simulator* sim : sims) {
+    event_slots += static_cast<std::int64_t>(sim->event_slots());
+    pending_events += static_cast<std::int64_t>(sim->pending_events());
+    scheduled += static_cast<std::int64_t>(sim->scheduled_events());
+    executed += static_cast<std::int64_t>(sim->executed_events());
+    const util::Arena::Stats& stats = sim->arena().stats();
+    arena.chunks += stats.chunks;
+    arena.bytes_reserved += stats.bytes_reserved;
+    arena.allocations += stats.allocations;
+    arena.freelist_hits += stats.freelist_hits;
+    arena.oversize += stats.oversize;
+    arena.resets += stats.resets;
+  }
+  registry.gauge("sim.event_slots").set(event_slots);
+  registry.gauge("sim.pending_events").set(pending_events);
+  registry.counter("sim.scheduled_events").add(scheduled);
+  registry.counter("sim.executed_events").add(executed);
+  registry.gauge("arena.chunks").set(static_cast<std::int64_t>(arena.chunks));
+  registry.gauge("arena.bytes_reserved")
+      .set(static_cast<std::int64_t>(arena.bytes_reserved));
+  registry.counter("arena.allocations")
+      .add(static_cast<std::int64_t>(arena.allocations));
+  registry.counter("arena.freelist_hits")
+      .add(static_cast<std::int64_t>(arena.freelist_hits));
+  registry.counter("arena.oversize")
+      .add(static_cast<std::int64_t>(arena.oversize));
+  registry.counter("arena.resets").add(static_cast<std::int64_t>(arena.resets));
 }
 
 }  // namespace drs::sim

@@ -14,12 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "sim/event_queue.hpp"
 #include "util/arena.hpp"
 #include "util/time.hpp"
 
 namespace drs::obs {
+class MetricRegistry;
 class Tracer;
 }
 
@@ -239,5 +241,13 @@ class BoundaryScope {
   Simulator& sim_;
   bool prev_;
 };
+
+/// Reports the allocator pressure of `sims`, summed, under the names every
+/// topology shares: sim.event_slots and sim.pending_events (gauges),
+/// sim.scheduled_events and sim.executed_events (counters), and the arena's
+/// chunks, bytes_reserved, allocations, freelist_hits, oversize and resets.
+/// A single-queue run passes its one simulator, a sharded run every shard's.
+void collect_metrics(std::span<const Simulator* const> sims,
+                     obs::MetricRegistry& registry);
 
 }  // namespace drs::sim

@@ -4,15 +4,16 @@
 // probe totals, gateway echo counters, pristine state, end-to-end relay
 // reachability — down to the byte. The remaining tests pin the properties
 // the Fleet exists for: member clusters behave exactly like standalone
-// clusters (isolation invariant), the flat FailureDomain component space
-// addresses every cluster/gateway/relay part, and relay-segment failures
-// are detected and survive healing.
+// clusters (isolation invariant), the flat component space addresses every
+// cluster/gateway/relay part and rejects what lies past it, and
+// relay-segment failures are detected and survive healing.
 //
 // To regenerate after an intentional protocol change:
 //   DRS_UPDATE_GOLDEN=1 ./build/tests/test_cluster_fleet
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "chaos/campaign.hpp"
@@ -122,9 +123,8 @@ TEST(ClusterFleet, ComponentSpaceAddressesEveryPart) {
   ASSERT_EQ(fleet.component_count(),
             config.clusters * stride + config.clusters + 1u);
 
-  // Every index describes itself; the three regions fail and heal cleanly.
+  // The three regions start healthy, then fail and heal cleanly.
   for (net::ComponentIndex i = 0; i < fleet.component_count(); ++i) {
-    EXPECT_FALSE(fleet.describe_component(i).empty()) << i;
     EXPECT_FALSE(fleet.component_failed(i)) << i;
   }
   const net::ComponentIndex nic =
@@ -142,6 +142,29 @@ TEST(ClusterFleet, ComponentSpaceAddressesEveryPart) {
     fleet.set_component_failed(index, false);
     EXPECT_FALSE(fleet.component_failed(index)) << index;
   }
+}
+
+// Fleet shares ShardedFleet's component map and contract: an index past the
+// space throws instead of landing on the relay backplane, and a fleet needs
+// at least one cluster.
+TEST(ClusterFleet, RejectsIndicesPastTheSpaceAndEmptyFleets) {
+  cluster::FleetConfig config = smoke_config();
+  config.clusters = 3;
+  config.nodes_per_cluster = 4;
+  sim::Simulator sim;
+  cluster::Fleet fleet(sim, config);
+  ASSERT_EQ(fleet.component_count(), 34u);
+  const util::SimTime at = util::SimTime::zero() + util::Duration::millis(10);
+  EXPECT_THROW(fleet.set_component_failed(39, true), std::out_of_range);
+  EXPECT_THROW(fleet.schedule_component_failure(at, 39, true),
+               std::out_of_range);
+  EXPECT_THROW((void)fleet.component_failed(34), std::out_of_range);
+  sim.run_until(at);
+  EXPECT_FALSE(fleet.relay_backplane().failed());
+
+  config.clusters = 0;
+  sim::Simulator empty_sim;
+  EXPECT_THROW((cluster::Fleet{empty_sim, config}), std::invalid_argument);
 }
 
 TEST(ClusterFleet, RelayFailureIsDetectedAndHeals) {

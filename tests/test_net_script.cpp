@@ -95,7 +95,10 @@ INSTANTIATE_TEST_SUITE_P(
                       "@9300000000s fail nic 0 0",  // offset past int64 ns
                       // Period past int64 ns; last restore past int64 ns.
                       "@1s flap nic 0 0 period=9300000000s count=1",
-                      "@1s flap nic 0 0 period=1000000000s count=6"));
+                      "@1s flap nic 0 0 period=1000000000s count=6",
+                      // Expansions past kMaxScriptActions.
+                      "@0s flap nic 1 0 period=1ns count=1000000000000",
+                      "@0s flap nic 1 0 period=1ns count=10000000"));
 
 TEST(Script, ScheduleAppliesAtBasePlusOffset) {
   sim::Simulator sim;

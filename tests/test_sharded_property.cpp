@@ -7,7 +7,8 @@
 //     (min_foreign_margin_ns >= 0);
 //   - the merged trace is globally time-ordered ((time, key) order refines
 //     time order, so a sorted merge is an invariant, not a post-processing
-//     step);
+//     step), and a shard ring too small to hold a window raises an error
+//     instead of corrupting it;
 //   - GlobalEventId keeps identities distinct across shard namespaces even
 //     where per-queue 32-bit generations wrap and local ids collide.
 #include <gtest/gtest.h>
@@ -15,11 +16,13 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "chaos/campaign.hpp"
 #include "cluster/partition.hpp"
 #include "obs/event.hpp"
+#include "obs/export.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
@@ -155,6 +158,41 @@ TEST(ShardedProperty, FleetForeignArrivalsRespectLookahead) {
   for (std::size_t i = 1; i < trace.size(); ++i) {
     ASSERT_GE(trace[i].at_ns, trace[i - 1].at_ns) << "at merged index " << i;
   }
+}
+
+// A ring that evicts events before the barrier merges them throws, in every
+// build, before anything of that window reaches the merged trace: what was
+// merged stays a prefix of the true trace.
+TEST(ShardedProperty, TraceLossThrowsBeforeTheMerge) {
+  cluster::ShardedFleetConfig config;
+  config.fleet.clusters = 4;
+  config.fleet.nodes_per_cluster = 8;
+  config.fleet.drs = chaos::fast_campaign_drs_config();
+  config.shards = 2;
+  const util::SimTime until =
+      util::SimTime::zero() + util::Duration::millis(500);
+  cluster::ShardedFleet reference(config);
+  reference.start();
+  reference.run_until(until);
+
+  config.trace_capacity = 64;
+  cluster::ShardedFleet fleet(config);
+  fleet.start();
+  try {
+    fleet.run_until(until);
+    ADD_FAILURE() << "a 64-event ring cannot hold a window of this fleet";
+  } catch (const sim::TraceLossError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("shard "), std::string::npos) << what;
+    EXPECT_NE(what.find("trace_capacity (now 64)"), std::string::npos) << what;
+  }
+  const std::vector<obs::TraceEvent>& merged = fleet.merged_trace();
+  const std::vector<obs::TraceEvent>& full = reference.merged_trace();
+  ASSERT_LE(merged.size(), full.size());
+  EXPECT_EQ(obs::to_canonical_json(merged),
+            obs::to_canonical_json(std::vector<obs::TraceEvent>(
+                full.begin(),
+                full.begin() + static_cast<std::ptrdiff_t>(merged.size()))));
 }
 
 TEST(ShardedProperty, RequiresHubRelayWithZeroJitter) {
