@@ -13,6 +13,30 @@ namespace drs::core {
 using net::NetworkId;
 using net::NodeId;
 
+namespace {
+
+/// The peers a daemon monitors, ascending (the sweep order): the configured
+/// list, or else every cluster node, minus self, duplicates and ids outside
+/// the cluster.
+std::vector<NodeId> monitored_peer_ids(NodeId self, std::uint16_t node_count,
+                                       const DrsConfig& config) {
+  std::vector<NodeId> ids;
+  if (config.monitored_peers) {
+    ids = *config.monitored_peers;
+    std::erase_if(ids, [&](NodeId p) { return p == self || p >= node_count; });
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  } else {
+    ids.reserve(node_count);
+    for (NodeId peer = 0; peer < node_count; ++peer) {
+      if (peer != self) ids.push_back(peer);
+    }
+  }
+  return ids;
+}
+
+}  // namespace
+
 bool ProbeTimeoutSweeper::live(const Record& r) const {
   const PeerTable& table = r.daemon->table_;
   return table.outstanding(r.entry) &&
@@ -117,32 +141,17 @@ DrsDaemon::DrsDaemon(net::Host& host, proto::IcmpService& icmp,
              LinkPolicy{config.failures_to_down, config.successes_to_up,
                         config.flap_threshold, config.flap_window,
                         config.flap_hold}),
-      peers_([&] {
-        std::map<NodeId, PeerState> peers;
-        if (config.monitored_peers) {
-          for (NodeId peer : *config.monitored_peers) {
-            if (peer != host.id() && peer < node_count) peers[peer] = PeerState{};
-          }
-        } else {
-          for (NodeId peer = 0; peer < node_count; ++peer) {
-            if (peer != host.id()) peers[peer] = PeerState{};
-          }
-        }
-        return peers;
-      }()),
+      table_(monitored_peer_ids(host.id(), node_count, config)),
+      peers_(table_.peer_count()),
+      slot_of_(node_count, kNoSlot),
       cycle_timer_(host.simulator(), config.probe_interval, [this] { on_cycle(); }),
-      // The monitored set is fixed for the daemon's lifetime; the sweep
-      // probes it in ascending id order.
-      table_([this] {
-        std::vector<NodeId> ids;
-        ids.reserve(peers_.size());
-        for (const auto& [peer, state] : peers_) ids.push_back(peer);
-        return ids;
-      }()),
       sweeper_(sweeper) {
-  monitored_.assign(node_count_, 0);
-  for (const auto& [peer, state] : peers_) monitored_[peer] = 1;
-  probe_seq_.reserve(2u * table_.entry_count());
+  for (std::uint32_t slot = 0; slot < table_.peer_count(); ++slot) {
+    slot_of_[table_.peer(slot)] = static_cast<std::uint16_t>(slot);
+  }
+  // probe_timeout < probe_interval (DrsConfig::validate), so each entry has
+  // at most one sweep probe in flight.
+  probe_seq_.reserve(table_.entry_count());
   icmp_.set_probe_reply_hook(
       [this](std::uint16_t seq) { return on_raw_probe_reply(seq); });
   host_.register_handler(net::Protocol::kDrsControl,
@@ -174,7 +183,7 @@ void DrsDaemon::stop() {
   for (std::uint32_t e = 0; e < table_.entry_count(); ++e) {
     if (table_.outstanding(e)) table_.clear_outstanding(e);
   }
-  for (auto& [peer, state] : peers_) state.discover_timer.cancel();
+  for (PeerState& state : peers_) state.discover_timer.cancel();
   // Pending management queries are dropped without a callback: the caller
   // stopped the daemon, so there is no meaningful answer to deliver.
   for (auto& [id, query] : status_queries_) query.timeout.cancel();
@@ -182,19 +191,15 @@ void DrsDaemon::stop() {
 }
 
 PeerRouteMode DrsDaemon::peer_mode(NodeId peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? PeerRouteMode::kDirect : it->second.mode;
+  const PeerState* state = find_peer(peer);
+  return state == nullptr ? PeerRouteMode::kDirect : state->mode;
 }
 
 DrsDaemon::RemoteStatus DrsDaemon::local_status() const {
   RemoteStatus status;
   status.node = self();
   status.links_down = static_cast<std::uint16_t>(links_.down_count());
-  std::uint16_t detours = 0;
-  for (const auto& [peer, state] : peers_) {
-    if (state.mode != PeerRouteMode::kDirect) ++detours;
-  }
-  status.detours = detours;
+  status.detours = static_cast<std::uint16_t>(nondirect_peers_);
   status.leases_held = static_cast<std::uint16_t>(leases_.size());
   return status;
 }
@@ -240,11 +245,11 @@ bool DrsDaemon::host_routes_empty() const {
 }
 
 std::optional<NodeId> DrsDaemon::relay_for(NodeId peer) const {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.mode != PeerRouteMode::kRelay) {
+  const PeerState* state = find_peer(peer);
+  if (state == nullptr || state->mode != PeerRouteMode::kRelay) {
     return std::nullopt;
   }
-  return it->second.relay;
+  return state->relay;
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +264,9 @@ void DrsDaemon::on_cycle() {
   // entirely — the common case for every node in a healthy cluster.
   if (!leases_.empty()) sweep_leases();
   if (nondirect_peers_ > 0) {
-    for (auto& [peer, state] : peers_) {
+    for (std::uint32_t slot = 0; slot < peers_.size(); ++slot) {
+      const NodeId peer = table_.peer(slot);
+      const PeerState& state = peers_[slot];
       if (state.mode == PeerRouteMode::kRelay) {
         refresh_relay_lease(peer);
         send_path_probe(peer);
@@ -422,7 +429,7 @@ void DrsDaemon::on_probe_result(NodeId peer, NetworkId network,
 // ---------------------------------------------------------------------------
 
 void DrsDaemon::recompute_peer(NodeId peer) {
-  PeerState& state = peers_.at(peer);
+  PeerState& state = peer_state(peer);
   const bool up_a = links_.usable(peer, net::kNetworkA);
   const bool up_b = links_.usable(peer, net::kNetworkB);
 
@@ -462,7 +469,7 @@ void DrsDaemon::recompute_peer(NodeId peer) {
 
 void DrsDaemon::set_mode(NodeId peer, PeerRouteMode mode, NodeId relay,
                          NetworkId relay_network) {
-  PeerState& state = peers_.at(peer);
+  PeerState& state = peer_state(peer);
   if (state.mode == mode && state.relay == relay &&
       state.relay_network == relay_network) {
     return;
@@ -516,7 +523,7 @@ void DrsDaemon::set_mode(NodeId peer, PeerRouteMode mode, NodeId relay,
 
 void DrsDaemon::start_discovery(NodeId peer, bool for_standby) {
   if (!config_.allow_relay) return;
-  PeerState& state = peers_.at(peer);
+  PeerState& state = peer_state(peer);
   if (state.discovering) return;
   state.discovering = true;
   state.discovery_for_standby = for_standby;
@@ -535,7 +542,7 @@ void DrsDaemon::start_discovery(NodeId peer, bool for_standby) {
 }
 
 void DrsDaemon::finish_discovery(NodeId peer) {
-  PeerState& state = peers_.at(peer);
+  PeerState& state = peer_state(peer);
   state.discovering = false;
   const bool for_standby = state.discovery_for_standby;
   state.discovery_for_standby = false;
@@ -585,9 +592,8 @@ void DrsDaemon::send_path_probe(NodeId peer) {
       net::cluster_ip(net::kNetworkA, peer), options,
       [this, peer](const proto::PingResult& result) {
         outstanding_probes_.erase(result.seq);
-        auto it = peers_.find(peer);
-        if (it == peers_.end() || it->second.mode != PeerRouteMode::kRelay) return;
-        PeerState& state = it->second;
+        PeerState& state = peer_state(peer);
+        if (state.mode != PeerRouteMode::kRelay) return;
         if (result.success) {
           state.path_probe_failures = 0;
           return;
@@ -605,7 +611,7 @@ void DrsDaemon::send_path_probe(NodeId peer) {
 }
 
 void DrsDaemon::refresh_relay_lease(NodeId peer) {
-  const PeerState& state = peers_.at(peer);
+  const PeerState& state = peer_state(peer);
   assert(state.mode == PeerRouteMode::kRelay);
   send_control(DrsMessageType::kRouteSet, peer, state.request_id, state.relay,
                state.relay_network,
@@ -669,7 +675,9 @@ void DrsDaemon::sync_routes() {
 
   // Requester role: our own per-peer routing decisions (written after the
   // lease loop, so they win on conflict).
-  for (const auto& [peer, state] : peers_) {
+  for (std::uint32_t slot = 0; slot < peers_.size(); ++slot) {
+    const NodeId peer = table_.peer(slot);
+    const PeerState& state = peers_[slot];
     switch (state.mode) {
       case PeerRouteMode::kDirect:
       case PeerRouteMode::kUnreachable:
@@ -825,7 +833,6 @@ void DrsDaemon::handle_status_reply(const DrsControlPayload& msg) {
 void DrsDaemon::handle_discover(const DrsControlPayload& msg,
                                 const net::Packet& packet, NetworkId in_ifindex) {
   if (msg.requester == self() || msg.target == self()) return;
-  if (msg.target >= node_count_) return;
   // No link-state evidence about unmonitored peers: never volunteer blind.
   if (!monitors(msg.target)) return;
   // Loop avoidance: offer only when we have *direct* usable links — never
@@ -844,9 +851,8 @@ void DrsDaemon::handle_discover(const DrsControlPayload& msg,
 
 void DrsDaemon::handle_offer(const DrsControlPayload& msg,
                              const net::Packet& packet, NetworkId in_ifindex) {
-  auto it = peers_.find(msg.target);
-  if (it == peers_.end()) return;
-  PeerState& state = it->second;
+  if (!monitors(msg.target)) return;
+  PeerState& state = peer_state(msg.target);
   if (!state.discovering || msg.request_id != state.request_id) return;
   ++metrics_.offers_received;
   state.offers.push_back(PeerState::Offer{msg.relay, in_ifindex, packet.src});
@@ -855,13 +861,9 @@ void DrsDaemon::handle_offer(const DrsControlPayload& msg,
 void DrsDaemon::handle_route_set(const DrsControlPayload& msg,
                                  const net::Packet& packet, NetworkId in_ifindex) {
   if (msg.relay != self()) return;
-  if (msg.requester >= node_count_ || msg.target >= node_count_) return;
   // Accept leases only for peers we monitor (we never offered otherwise;
   // this guards against stale or forged requests).
-  if (peers_.find(msg.target) == peers_.end() ||
-      peers_.find(msg.requester) == peers_.end()) {
-    return;
-  }
+  if (!monitors(msg.target) || !monitors(msg.requester)) return;
   ++metrics_.route_sets_honored;
   DRS_TRACE_EVENT(host_.simulator().tracer(),
                   .at_ns = host_.simulator().now().ns(),

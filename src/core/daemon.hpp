@@ -24,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -128,11 +129,11 @@ class DrsDaemon {
   const DaemonMetrics& metrics() const { return metrics_; }
 
   /// Whether this daemon probes (and therefore has link state for) `peer`.
-  /// O(1) bitmap: every RouteDiscover broadcast any node sends is checked
+  /// One array read: every RouteDiscover broadcast any node sends is checked
   /// against this on every other node, so under a control storm it runs once
   /// per received control frame.
   bool monitors(net::NodeId peer) const {
-    return peer < monitored_.size() && monitored_[peer] != 0;
+    return peer < slot_of_.size() && slot_of_[peer] != kNoSlot;
   }
   std::size_t monitored_count() const { return peers_.size(); }
 
@@ -187,6 +188,20 @@ class DrsDaemon {
     };
     std::vector<Offer> offers;
   };
+
+  /// slot_of_ value of an id this daemon does not monitor.
+  static constexpr std::uint16_t kNoSlot = 0xFFFF;
+
+  /// The lane entry of `peer`, which the caller knows is monitored: a table
+  /// entry's peer, or one monitors() accepted.
+  PeerState& peer_state(net::NodeId peer) {
+    assert(monitors(peer));
+    return peers_[slot_of_[peer]];
+  }
+  /// Null when `peer` is not monitored.
+  const PeerState* find_peer(net::NodeId peer) const {
+    return monitors(peer) ? &peers_[slot_of_[peer]] : nullptr;
+  }
 
   struct LeaseKey {
     net::NodeId requester;
@@ -250,17 +265,18 @@ class DrsDaemon {
   DrsConfig config_;
   LinkStateTable links_;
   DaemonMetrics metrics_;
-  std::map<net::NodeId, PeerState> peers_;
-  /// Mirror of peers_' key set, indexed by node id; written only at
-  /// construction (the monitored set is fixed for a daemon's lifetime).
-  std::vector<std::uint8_t> monitored_;
+  /// The sweep's hot state. The monitored set is fixed for the daemon's
+  /// lifetime, in ascending peer id order.
+  PeerTable table_;
+  /// The cold repair state, one entry per table_ slot (so also ascending).
+  std::vector<PeerState> peers_;
+  /// Node id -> slot in table_ and peers_, kNoSlot when not monitored.
+  std::vector<std::uint16_t> slot_of_;
   std::map<LeaseKey, Lease> leases_;
   sim::PeriodicTimer cycle_timer_;
   /// Path probes awaiting a verdict; kept so stop() can cancel their
   /// callbacks. Sweep probes live in table_ instead.
   util::FlatSet<std::uint16_t> outstanding_probes_;
-  /// The sweep's hot state, built once from peers_' ascending keys.
-  PeerTable table_;
   /// Raw-probe correlation: in-flight sweep seq -> table entry. At most one
   /// probe per entry is outstanding (the sweeper expires before the next
   /// cycle re-sends), so well under 65536 live seqs — wraparound never

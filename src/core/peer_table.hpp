@@ -9,8 +9,9 @@
 // deadline.
 //
 // The table is the *hot* half of the daemon's peer state only: cold repair
-// state (relay choices, discovery rounds, warm standbys) stays in the
-// daemon's ordered map, and LinkStateTable owns the link verdicts.
+// state (relay choices, discovery rounds, warm standbys) lives in the
+// daemon's lane indexed by the same slot, and LinkStateTable owns the link
+// verdicts.
 // Membership is fixed at construction, in ascending peer id order; that is
 // the probe order tests/golden/probe_corpus.txt pins.
 #pragma once
@@ -31,6 +32,10 @@ class PeerTable {
   /// Every entry starts with no probe outstanding.
   explicit PeerTable(std::vector<net::NodeId> peers);
 
+  /// The monitored peers, by slot in ascending id order.
+  std::size_t peer_count() const { return peer_ids_.size(); }
+  net::NodeId peer(std::uint32_t slot) const { return peer_ids_[slot]; }
+
   /// Probe entries per cycle: 2 per peer, ordered (peer asc, network 0..1).
   std::size_t entry_count() const { return peer_ids_.size() * 2u; }
 
@@ -38,9 +43,7 @@ class PeerTable {
   static std::uint32_t entry(std::uint16_t slot, net::NetworkId network) {
     return 2u * slot + network;
   }
-  net::NodeId entry_peer(std::uint32_t entry) const {
-    return peer_ids_[entry >> 1];
-  }
+  net::NodeId entry_peer(std::uint32_t entry) const { return peer(entry >> 1); }
   static net::NetworkId entry_network(std::uint32_t entry) {
     return static_cast<net::NetworkId>(entry & 1u);
   }

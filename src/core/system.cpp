@@ -1,5 +1,6 @@
 #include "core/system.hpp"
 
+#include <cmath>
 #include <map>
 #include <stdexcept>
 
@@ -29,10 +30,15 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
   // outstanding table, so that table is not pre-sized.
   const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
   network_.simulator().reserve_events(recommended_event_reserve(n));
-  // Timeout records linger for about one probe timeout past their send
-  // (under half a cycle with the defaults); two cycles of system-wide probe
-  // traffic is comfortable headroom against regrowth.
-  sweeper_.reserve(2u * n * probes_per_node);
+  // A timeout record lives about one probe timeout past its send, so the
+  // ring holds the system's probes of one timeout window, plus about one
+  // still in flight per daemon at the window's edge (fig1_n90's shape peaks
+  // at 3,960 records against a 3,903-record window). A saturated hub keeps
+  // more probes outstanding; the ring then grows during warmup.
+  const double window = static_cast<double>(n * probes_per_node) *
+                        config.probe_timeout.to_seconds() /
+                        config.probe_interval.to_seconds();
+  sweeper_.reserve(static_cast<std::size_t>(std::ceil(window)) + n);
   for (net::NodeId i = 0; i < n; ++i) {
     icmp_.push_back(std::make_unique<proto::IcmpService>(network_.host(i)));
     // Daemons share one timeout sweeper: probe expiries pop in claimed-rank

@@ -63,6 +63,8 @@ class Host : public FrameSink {
   const RoutingTable& routing_table() const { return routing_table_; }
 
   void add_arp_entry(Ipv4Addr ip, MacAddr mac) { arp_[ip.value()] = mac; }
+  /// Pre-sizes the ARP table for `entries` addresses.
+  void reserve_arp(std::size_t entries) { arp_.reserve(entries); }
 
   /// Replaces the handler for `protocol` (one handler per protocol, as in a
   /// kernel dispatch table).

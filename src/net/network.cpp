@@ -55,6 +55,7 @@ ClusterNetwork::ClusterNetwork(sim::Simulator& sim, Config config)
   // production deployment pre-configured peers; this also keeps the medium
   // model free of ARP chatter, which the paper does not account for either).
   for (auto& host : hosts_) {
+    host->reserve_arp(kNetworksPerHost * std::size_t{config_.node_count});
     for (NodeId i = 0; i < config_.node_count; ++i) {
       for (NetworkId k = 0; k < kNetworksPerHost; ++k) {
         host->add_arp_entry(cluster_ip(k, i), cluster_mac(k, i));

@@ -36,6 +36,7 @@ class FlatMap {
   }
 
   void clear() {
+    if (size_ == 0) return;
     for (std::size_t i = 0; i < full_.size(); ++i) {
       if (full_[i]) slots_[i] = Slot{};
       full_[i] = 0;

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "core/system.hpp"
 #include "net/failure.hpp"
+#include "util/arena.hpp"
 
 namespace drs::core {
 namespace {
@@ -282,6 +288,70 @@ TEST_F(DaemonTest, UnmonitoredPeersNeverGetOffers) {
   EXPECT_GT(daemons[0]->metrics().discoveries_started, 0u);
   EXPECT_EQ(daemons[0]->metrics().offers_received, 0u);
   EXPECT_EQ(daemons[0]->peer_mode(1), PeerRouteMode::kUnreachable);
+}
+
+TEST_F(DaemonTest, MessyMonitoredListYieldsTheSortedDistinctPeers) {
+  system.stop();
+  sim::Simulator local_sim;
+  net::ClusterNetwork local_net(local_sim, {.node_count = 6, .backplane = {}});
+  DrsConfig messy = config();
+  // Out of order, with duplicates, self (node 0) and an id outside the
+  // cluster: node 0 monitors exactly {2, 3, 5}.
+  messy.monitored_peers = std::vector<net::NodeId>{5, 2, 0, 3, 2, 9, 5};
+  ProbeTimeoutSweeper sweeper(local_sim);
+  proto::IcmpService icmp0(local_net.host(0));
+  DrsDaemon daemon(local_net.host(0), icmp0, 6, messy, sweeper);
+  std::vector<std::unique_ptr<proto::IcmpService>> responders;
+  for (net::NodeId i = 1; i < 6; ++i) {
+    responders.push_back(std::make_unique<proto::IcmpService>(local_net.host(i)));
+  }
+  daemon.start();
+  local_sim.run_for(500_ms);
+
+  EXPECT_EQ(daemon.monitored_count(), 3u);
+  for (const net::NodeId id :
+       std::vector<net::NodeId>{0, 1, 2, 3, 4, 5, 6, 9, 0xFFFF}) {
+    const bool monitored = id == 2 || id == 3 || id == 5;
+    EXPECT_EQ(daemon.monitors(id), monitored) << "node " << id;
+    EXPECT_EQ(daemon.peer_mode(id), PeerRouteMode::kDirect) << "node " << id;
+    EXPECT_EQ(daemon.relay_for(id), std::nullopt) << "node " << id;
+  }
+  for (net::NodeId i = 1; i < 6; ++i) {
+    const bool monitored = i == 2 || i == 3 || i == 5;
+    EXPECT_EQ(responders[i - 1u]->echo_requests_answered() > 0, monitored)
+        << "node " << i;
+  }
+
+  // Control frames from node 2 that name node 0 as the relay.
+  const auto control_from_2 = [&](DrsMessageType type, net::NodeId requester,
+                                  net::NodeId target) {
+    auto payload = util::make_pooled<DrsControlPayload>(local_sim.arena());
+    payload->type = type;
+    payload->requester = requester;
+    payload->target = target;
+    payload->relay = 0;
+    net::Packet packet;
+    packet.dst = net::cluster_ip(net::kNetworkA, 0);
+    packet.protocol = net::Protocol::kDrsControl;
+    packet.payload = std::move(payload);
+    ASSERT_TRUE(local_net.host(2).send(std::move(packet)));
+    local_sim.run_for(5_ms);
+  };
+  // A lease or an offer naming an unmonitored or out-of-cluster node is
+  // ignored.
+  for (const auto& [requester, target] :
+       std::vector<std::pair<net::NodeId, net::NodeId>>{
+           {2, 4}, {2, 1}, {2, 9}, {4, 3}, {9, 3}, {2, 0xFFFF}}) {
+    control_from_2(DrsMessageType::kRouteSet, requester, target);
+    control_from_2(DrsMessageType::kRouteOffer, requester, target);
+  }
+  EXPECT_EQ(daemon.metrics().route_sets_honored, 0u);
+  EXPECT_EQ(daemon.metrics().offers_received, 0u);
+  EXPECT_EQ(daemon.active_leases(), 0u);
+  // Between two monitored peers it is honoured.
+  control_from_2(DrsMessageType::kRouteSet, 2, 3);
+  EXPECT_EQ(daemon.metrics().route_sets_honored, 1u);
+  EXPECT_EQ(daemon.active_leases(), 1u);
 }
 
 TEST(DrsControlPayload, WireSizeIsFixedWhateverTheType) {
