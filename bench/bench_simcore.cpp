@@ -22,7 +22,9 @@
 //
 // Event counts are deterministic per shape; wall-clock numbers obviously are
 // not. The checked-in BENCH_simcore.json is the perf baseline CI compares
-// fresh runs against (probe-storm N=90 events/s, >25% regression fails).
+// fresh runs against: each gated tier fails when its wall time exceeds the
+// baseline's by more than a factor 1/0.75. Every tier simulates a fixed
+// span, so its wall time prices the same work on every commit.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

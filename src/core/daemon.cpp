@@ -37,14 +37,92 @@ std::vector<NodeId> monitored_peer_ids(NodeId self, std::uint16_t node_count,
 
 }  // namespace
 
-bool ProbeTimeoutSweeper::live(const Record& r) const {
+bool ProbeScheduler::live(const Cursor& c) const {
+  return c.daemon->sweep_rank_ == c.rank;
+}
+
+bool ProbeScheduler::live(const Record& r) const {
   const PeerTable& table = r.daemon->table_;
   return table.outstanding(r.entry) &&
          table.deadline_ns(r.entry) == r.deadline_ns;
 }
 
-void ProbeTimeoutSweeper::note_deadline(DrsDaemon& daemon, std::uint32_t entry,
-                                        std::int64_t deadline_ns) {
+void ProbeScheduler::add_cursor(const Cursor& c) {
+  // Daemons that share a tick register in rank order at every offset, so
+  // the common case appends; a daemon on its own tick (restarted, or with
+  // its own entry count) lands mid-ring.
+  if (cursor_head_ == cursors_.size() || !before(c, cursors_.back())) {
+    // drs-lint: hotpath-purity-ok(amortized: cursor ring reaches about two entries per daemon once, then recycles capacity)
+    cursors_.push_back(c);
+    return;
+  }
+  const auto at = std::upper_bound(
+      cursors_.begin() + static_cast<std::ptrdiff_t>(cursor_head_),
+      cursors_.end(), c, before);
+  // drs-lint: hotpath-purity-ok(amortized: cursor ring reaches about two entries per daemon once, then recycles capacity)
+  cursors_.insert(at, c);
+}
+
+void ProbeScheduler::schedule_send(DrsDaemon& daemon, std::int64_t at_ns,
+                                   std::uint64_t rank) {
+  const Cursor c{at_ns, rank, &daemon};
+  add_cursor(c);
+  if (!send_.pending() || before(c, armed_)) arm_send(c);
+}
+
+void ProbeScheduler::arm_send(const Cursor& c) {
+  send_.cancel();
+  armed_ = c;
+  send_ = sim_.schedule_at_ranked(util::SimTime::from_ns(c.at_ns),
+                                  [this] { fire_sends(); }, c.rank);
+}
+
+bool ProbeScheduler::precedes_queue(const Cursor& c) const {
+  std::int64_t t_ns = 0;
+  std::uint64_t key = 0;
+  if (!sim_.peek_next(t_ns, key)) return true;
+  return c.at_ns < t_ns || (c.at_ns == t_ns && c.rank < key);
+}
+
+void ProbeScheduler::fire_sends() {
+  const std::int64_t now = sim_.now().ns();
+  for (;;) {
+    while (cursor_head_ < cursors_.size() && !live(cursors_[cursor_head_])) {
+      ++cursor_head_;
+    }
+    if (cursor_head_ == cursors_.size()) {
+      cursors_.clear();
+      cursor_head_ = 0;
+      return;
+    }
+    const Cursor c = cursors_[cursor_head_];
+    // The cursor this event was armed at always passes (nothing pending can
+    // precede the event just popped); each further one runs inline only
+    // where its own event would have popped next, so a discovery timer or
+    // a foreign entity's event due between two ranks still runs between
+    // them.
+    if (c.at_ns != now || !precedes_queue(c)) {
+      arm_send(c);
+      return;
+    }
+    ++cursor_head_;
+    // Drop the consumed prefix once it outweighs the rest: amortized O(1)
+    // moves per cursor, and the ring stays within about twice its live size.
+    if (cursor_head_ * 2 >= cursors_.size()) {
+      cursors_.erase(cursors_.begin(),
+                     cursors_.begin() +
+                         static_cast<std::ptrdiff_t>(cursor_head_));
+      cursor_head_ = 0;
+    }
+    const std::int64_t next = c.daemon->run_sweep();
+    if (next != DrsDaemon::kSweepDone) {
+      add_cursor(Cursor{next, c.rank, c.daemon});
+    }
+  }
+}
+
+void ProbeScheduler::note_deadline(DrsDaemon& daemon, std::uint32_t entry,
+                                   std::int64_t deadline_ns) {
   // One record — and one claimed rank — per probe, as if a timeout event
   // were pushed right here. The rank is spent when the scan is armed at this
   // record's deadline, so the scan pops in that event's queue position.
@@ -55,36 +133,43 @@ void ProbeTimeoutSweeper::note_deadline(DrsDaemon& daemon, std::uint32_t entry,
   records_.push_back(Record{deadline_ns, rank, &daemon, entry});
   // An already-pending earlier scan covers this deadline (it re-arms itself
   // forward when it fires); with fixed timeouts that is every non-idle send.
-  if (!scan_.pending() || deadline_ns < scan_at_ns_) arm(deadline_ns, rank);
+  if (!scan_.pending() || deadline_ns < scan_at_ns_) {
+    arm_timeout(deadline_ns, rank);
+  }
 }
 
-void ProbeTimeoutSweeper::arm(std::int64_t deadline_ns, std::uint64_t rank) {
+void ProbeScheduler::arm_timeout(std::int64_t deadline_ns, std::uint64_t rank) {
   scan_.cancel();
   scan_at_ns_ = deadline_ns;
   scan_ = sim_.schedule_at_ranked(util::SimTime::from_ns(deadline_ns),
-                                  [this] { fire(); }, rank);
+                                  [this] { fire_timeouts(); }, rank);
 }
 
-void ProbeTimeoutSweeper::cancel() {
+void ProbeScheduler::cancel() {
+  send_.cancel();
+  cursors_.clear();
+  cursor_head_ = 0;
   scan_.cancel();
   records_.clear();
-  head_ = 0;
+  record_head_ = 0;
 }
 
-void ProbeTimeoutSweeper::fire() {
+void ProbeScheduler::fire_timeouts() {
   const std::int64_t now = sim_.now().ns();
-  // Earliest-deadline live record: the first live one from head_ in the
-  // monotone (fixed-timeout) case, else a full search. The search keeps only
-  // live records, in send order: a stale record never turns live again,
+  // Earliest-deadline live record: the first live one from record_head_ in
+  // the monotone (fixed-timeout) case, else a full search. The search keeps
+  // only live records, in send order: a stale record never turns live again,
   // because the next send on its entry always carries a later deadline.
   const auto earliest_live = [this]() -> std::size_t {
     if (monotone_) {
-      while (head_ < records_.size() && !live(records_[head_])) ++head_;
-      return head_;
+      while (record_head_ < records_.size() && !live(records_[record_head_])) {
+        ++record_head_;
+      }
+      return record_head_;
     }
     std::size_t kept = 0;
     std::size_t best = records_.size();
-    for (std::size_t i = head_; i < records_.size(); ++i) {
+    for (std::size_t i = record_head_; i < records_.size(); ++i) {
       if (!live(records_[i])) continue;
       if (best == records_.size() ||
           records_[i].deadline_ns < records_[best].deadline_ns) {
@@ -94,7 +179,7 @@ void ProbeTimeoutSweeper::fire() {
     }
     records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(kept),
                    records_.end());
-    head_ = 0;
+    record_head_ = 0;
     return best < kept ? best : kept;
   };
 
@@ -106,7 +191,7 @@ void ProbeTimeoutSweeper::fire() {
     // kPingLost trace and timed-out counter, then the failure verdict.
     const Record r = records_[due];
     if (monotone_) {
-      ++head_;
+      ++record_head_;
     } else {
       records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(due));
     }
@@ -115,24 +200,25 @@ void ProbeTimeoutSweeper::fire() {
 
   const std::size_t next = earliest_live();
   if (next < records_.size()) {
-    arm(records_[next].deadline_ns, records_[next].rank);
-  } else if (head_ == records_.size()) {
+    arm_timeout(records_[next].deadline_ns, records_[next].rank);
+  } else if (record_head_ == records_.size()) {
     // Idle and fully consumed: reclaim the ring in one go (the healthy
     // steady state — every probe replied before its deadline).
     records_.clear();
-    head_ = 0;
+    record_head_ = 0;
   }
   // Bound the consumed prefix under sustained loss, amortized O(1)/record.
-  if (head_ >= 4096 && head_ * 2 >= records_.size()) {
-    records_.erase(records_.begin(), records_.begin() +
-                                         static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
+  if (record_head_ >= 4096 && record_head_ * 2 >= records_.size()) {
+    records_.erase(records_.begin(),
+                   records_.begin() +
+                       static_cast<std::ptrdiff_t>(record_head_));
+    record_head_ = 0;
   }
 }
 
 DrsDaemon::DrsDaemon(net::Host& host, proto::IcmpService& icmp,
                      std::uint16_t node_count, DrsConfig config,
-                     ProbeTimeoutSweeper& sweeper)
+                     ProbeScheduler& scheduler)
     : host_(host),
       icmp_(icmp),
       node_count_(node_count),
@@ -145,7 +231,7 @@ DrsDaemon::DrsDaemon(net::Host& host, proto::IcmpService& icmp,
       peers_(table_.peer_count()),
       slot_of_(node_count, kNoSlot),
       cycle_timer_(host.simulator(), config.probe_interval, [this] { on_cycle(); }),
-      sweeper_(sweeper) {
+      scheduler_(scheduler) {
   for (std::uint32_t slot = 0; slot < table_.peer_count(); ++slot) {
     slot_of_[table_.peer(slot)] = static_cast<std::uint16_t>(slot);
   }
@@ -174,9 +260,10 @@ void DrsDaemon::stop() {
   cycle_timer_.stop();
   outstanding_probes_.for_each([this](std::uint16_t seq) { icmp_.cancel(seq); });
   outstanding_probes_.clear();
-  sweep_cursor_.cancel();
-  // The shared sweeper keeps scanning for its other daemons; with all of
-  // this daemon's probes cancelled below it simply finds nothing due here.
+  // The shared scheduler keeps running for its other daemons. Without a
+  // rank this daemon's cursor is stale, and with all of its probes cancelled
+  // below the timeout scan finds nothing due here.
+  sweep_rank_ = 0;
   // Sweep probes are raw (no IcmpService state): dropping the correlation
   // map and deadlines is the whole cancellation.
   probe_seq_.clear();
@@ -285,38 +372,33 @@ void DrsDaemon::on_cycle() {
     for (std::uint32_t e = 0; e < total; ++e) send_entry_probe(e);
     return;
   }
-  // One cursor event per cycle stands in for 2(N-1) send events. Its rank is
-  // claimed here, at the tick, and every spread-offset re-push reuses it, so
-  // cursor firings tie-break against any same-instant foreign event
-  // (path-probe timeouts, discovery timers, frame deliveries pushed later in
-  // this tick) as send events pushed at the tick would.
-  sweep_cursor_.cancel();
+  // One scheduler cursor per cycle stands in for 2(N-1) send events. Its
+  // rank is claimed here, at the tick, and serves every spread offset, so
+  // sends tie-break against any same-instant foreign event (path-probe
+  // timeouts, discovery timers, frame deliveries pushed later in this tick)
+  // as send events pushed at the tick would. A new rank also retires the
+  // previous cycle's cursor, should its sweep still be running.
   sweep_pos_ = 0;
   sweep_rank_ = host_.simulator().claim_event_rank();
-  sweep_cursor_ = host_.simulator().schedule_at_ranked(
-      host_.simulator().now(), [this] { run_sweep(); }, sweep_rank_);
+  scheduler_.schedule_send(*this, host_.simulator().now().ns(), sweep_rank_);
 }
 
-void DrsDaemon::run_sweep() {
+std::int64_t DrsDaemon::run_sweep() {
   const std::size_t total = table_.entry_count();
   const std::int64_t interval = config_.probe_interval.ns();
   // Entry `index` is sent floor(interval * index / total) past the tick; the
   // cursor sends the run of entries sharing this firing's offset (a run is
-  // length 1 whenever total < interval in ns), then sleeps to the next one.
+  // length 1 whenever total < interval in ns), then hands back the next one.
   const std::int64_t offset = interval * static_cast<std::int64_t>(sweep_pos_) /
                               static_cast<std::int64_t>(total);
   while (sweep_pos_ < total) {
     const std::int64_t at = interval * static_cast<std::int64_t>(sweep_pos_) /
                             static_cast<std::int64_t>(total);
-    if (at != offset) {
-      sweep_cursor_ = host_.simulator().schedule_at_ranked(
-          host_.simulator().now() + util::Duration::nanos(at - offset),
-          [this] { run_sweep(); }, sweep_rank_);
-      return;
-    }
+    if (at != offset) return host_.simulator().now().ns() + (at - offset);
     send_entry_probe(sweep_pos_);
     ++sweep_pos_;
   }
+  return kSweepDone;
 }
 
 void DrsDaemon::send_entry_probe(std::uint32_t entry) {
@@ -327,7 +409,7 @@ void DrsDaemon::send_entry_probe(std::uint32_t entry) {
   options.via = network;
   options.data_bytes = config_.probe_data_bytes;
   ++metrics_.probes_sent;
-  // The sweeper owns expiry: no per-probe timeout event, no cancel
+  // The scheduler owns expiry: no per-probe timeout event, no cancel
   // tombstone. Its record is claimed before the echo frame goes out — where
   // a managed ping would push its timeout. The daemon owns correlation
   // (probe_seq_) and the send instant, so the echo itself is raw:
@@ -335,7 +417,7 @@ void DrsDaemon::send_entry_probe(std::uint32_t entry) {
   // keeps no per-probe state.
   const std::int64_t now = host_.simulator().now().ns();
   const std::int64_t deadline = now + options.timeout.ns();
-  sweeper_.note_deadline(*this, entry, deadline);
+  scheduler_.note_deadline(*this, entry, deadline);
   const std::uint16_t seq =
       icmp_.send_echo(net::cluster_ip(network, peer), options);
   // drs-lint: hotpath-purity-ok(amortized: seq map holds at most the in-flight probe window, rehashes only while warming)
@@ -401,7 +483,8 @@ void DrsDaemon::on_probe_result(NodeId peer, NetworkId network,
                                 const proto::PingResult& result) {
   const bool success = result.success;
   if (success) {
-    update_rtt(network, result.rtt);
+    // Only the adaptive timeout reads the estimators.
+    if (config_.adaptive_timeout) update_rtt(network, result.rtt);
   } else {
     ++metrics_.probes_failed;
     // The daemon-level detection signal the failover timelines are built

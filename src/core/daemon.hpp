@@ -45,23 +45,43 @@ namespace drs::core {
 
 class DrsDaemon;
 
-/// Shared probe-timeout scanner for the probe sweep (one per DrsSystem; bare
-/// daemons share one their owner provides).
+/// The probe sweep's scheduler: one per DrsSystem (bare daemons share one
+/// their owner provides). It schedules every sweep send and every sweep
+/// timeout of the daemons it serves, each kind through a single armed queue
+/// event, and both pop at the (time, sequence) coordinates per-probe events
+/// would hold; tests/golden/probe_corpus.txt pins that order.
 ///
-/// Sweep probes have no per-probe timeout event. Instead the sweeper keeps
-/// one flat record per sent probe — deadline, covering (daemon, table
-/// entry), and a queue rank claimed at the send instant — plus a single
-/// pending scan event armed at the earliest live deadline *under that
-/// record's claimed rank*. Each firing expires exactly one due probe and
-/// re-arms from the next live record (possibly at the same instant), so
-/// every expiry pops at the (time, sequence) coordinate a timeout event
-/// pushed at its send would hold; tests/golden/probe_corpus.txt pins that
-/// order. Records of replied or re-sent probes go stale in place and are
+/// Sends. A daemon's sweep cursor is its cycle's next spread offset, under a
+/// queue rank the daemon claimed at its tick (where per-probe send events
+/// would be pushed). The scheduler keeps every cursor in a ring sorted on
+/// (time, rank) and one event armed at the earliest, under that cursor's
+/// rank. A firing runs that daemon's sweep step, then keeps running the next
+/// cursor inline while it is due at the same instant and precedes
+/// Simulator::peek_next()'s (time, key); otherwise it re-arms. So daemons
+/// that share a tick (a DrsSystem's, started together) cost one event per
+/// distinct spread offset, not one per daemon. Cursors of stopped or
+/// restarted daemons go stale in place and are skipped at the head.
+///
+/// Timeouts. Sweep probes have no per-probe timeout event. Instead the
+/// scheduler keeps one flat record per sent probe — deadline, covering
+/// (daemon, table entry), and a queue rank claimed at the send instant —
+/// plus a single pending scan event armed at the earliest live deadline
+/// *under that record's claimed rank*. Each firing expires exactly one due
+/// probe and re-arms from the next live record (possibly at the same
+/// instant). Records of replied or re-sent probes go stale in place and are
 /// dropped as the scan passes them, so the healthy steady state is one
 /// firing per deadline cohort and O(1) amortized work per probe.
-class ProbeTimeoutSweeper {
+class ProbeScheduler {
  public:
-  explicit ProbeTimeoutSweeper(sim::Simulator& sim) : sim_(sim) {}
+  explicit ProbeScheduler(sim::Simulator& sim) : sim_(sim) {}
+  // Its armed events capture `this`.
+  ProbeScheduler(const ProbeScheduler&) = delete;
+  ProbeScheduler& operator=(const ProbeScheduler&) = delete;
+
+  /// Called at each spread cycle's tick with the cycle's first cursor: the
+  /// tick instant and the rank claimed there. Re-arms the send event when
+  /// this cursor is now the earliest.
+  void schedule_send(DrsDaemon& daemon, std::int64_t at_ns, std::uint64_t rank);
 
   /// Called at each probe send, before the echo frame is pushed: claims this
   /// probe's rank and keeps the scan armed at a time <= the earliest live
@@ -69,17 +89,31 @@ class ProbeTimeoutSweeper {
   void note_deadline(DrsDaemon& daemon, std::uint32_t entry,
                      std::int64_t deadline_ns);
 
-  /// Pre-sizes the record ring (records live for roughly one probe timeout).
-  void reserve(std::size_t records) { records_.reserve(records); }
+  /// Pre-sizes the cursor ring (about two per daemon, with the consumed
+  /// prefix) and the record ring (records live for roughly one probe
+  /// timeout).
+  void reserve(std::size_t cursors, std::size_t records) {
+    cursors_.reserve(cursors);
+    records_.reserve(records);
+  }
 
+  /// Cursors held, live, stale or consumed but not yet dropped; bounded by
+  /// about twice the number of daemons once traffic is steady.
+  std::size_t cursor_count() const { return cursors_.size(); }
   /// Records held, live or not yet dropped; bounded by the in-flight probe
   /// window once traffic is steady.
   std::size_t record_count() const { return records_.size(); }
 
-  /// Drops the scan and every record; callers stop covered daemons first.
+  /// Drops both events, every cursor and every record; callers stop covered
+  /// daemons first.
   void cancel();
 
  private:
+  struct Cursor {
+    std::int64_t at_ns;
+    std::uint64_t rank;  // claimed at the daemon's tick; sends fire under it
+    DrsDaemon* daemon;
+  };
   struct Record {
     std::int64_t deadline_ns;
     std::uint64_t rank;  // claimed at the send; the scan fires under it
@@ -87,21 +121,37 @@ class ProbeTimeoutSweeper {
     std::uint32_t entry;
   };
 
+  static bool before(const Cursor& a, const Cursor& b) {
+    return a.at_ns < b.at_ns || (a.at_ns == b.at_ns && a.rank < b.rank);
+  }
+  /// Whether the cursor is still its daemon's current one (a stop or a new
+  /// tick retires it).
+  bool live(const Cursor& c) const;
   /// Whether the record still names an outstanding probe with this deadline
   /// (replies and re-sends both retire it).
   bool live(const Record& r) const;
-  void fire();
-  void arm(std::int64_t deadline_ns, std::uint64_t rank);
+  /// Whether a cursor due now may run inside the current firing: it must
+  /// precede every pending event, as its own event would.
+  bool precedes_queue(const Cursor& c) const;
+  void add_cursor(const Cursor& c);
+  void fire_sends();
+  void fire_timeouts();
+  void arm_send(const Cursor& c);
+  void arm_timeout(std::int64_t deadline_ns, std::uint64_t rank);
 
   sim::Simulator& sim_;
-  std::vector<Record> records_;  // insertion = send = rank order
-  std::size_t head_ = 0;         // records_[0, head_) already consumed
+  std::vector<Cursor> cursors_;   // sorted on (time, rank)
+  std::size_t cursor_head_ = 0;   // cursors_[0, cursor_head_) already consumed
+  sim::EventHandle send_;
+  Cursor armed_{};                // the cursor send_ is armed at, while pending
+  std::vector<Record> records_;   // insertion = send = rank order
+  std::size_t record_head_ = 0;   // records_[0, record_head_) already consumed
   sim::EventHandle scan_;
   std::int64_t scan_at_ns_ = 0;
   /// Fixed timeouts insert deadlines in non-decreasing order, so the first
-  /// live record from head_ is the earliest. Adaptive timeouts can violate
-  /// that; the scan then falls back to a full min-search that also compacts
-  /// stale records away (still correct, just not O(1) amortized).
+  /// live record from record_head_ is the earliest. Adaptive timeouts can
+  /// violate that; the scan then falls back to a full min-search that also
+  /// compacts stale records away (still correct, just not O(1) amortized).
   bool monotone_ = true;
   std::int64_t last_deadline_ns_ = std::numeric_limits<std::int64_t>::min();
 };
@@ -111,10 +161,10 @@ class DrsDaemon {
   /// `node_count` defines the monitored peer set: all cluster nodes but this
   /// one (the deployed daemons were "configured to monitor hosts on the
   /// networks" — in these clusters, all of them).
-  /// `sweeper` is the shared probe-timeout scanner (DrsSystem passes its
-  /// own); it must outlive the daemon.
+  /// `scheduler` is the shared probe scheduler (DrsSystem passes its own);
+  /// it must outlive the daemon.
   DrsDaemon(net::Host& host, proto::IcmpService& icmp, std::uint16_t node_count,
-            DrsConfig config, ProbeTimeoutSweeper& sweeper);
+            DrsConfig config, ProbeScheduler& scheduler);
   ~DrsDaemon();
   DrsDaemon(const DrsDaemon&) = delete;
   DrsDaemon& operator=(const DrsDaemon&) = delete;
@@ -165,7 +215,7 @@ class DrsDaemon {
   RemoteStatus local_status() const;
 
  private:
-  friend class ProbeTimeoutSweeper;
+  friend class ProbeScheduler;
 
   struct PeerState {
     PeerRouteMode mode = PeerRouteMode::kDirect;
@@ -212,17 +262,21 @@ class DrsDaemon {
     util::SimTime expires;
   };
 
+  /// run_sweep()'s answer once the cycle's last entry has been sent.
+  static constexpr std::int64_t kSweepDone = -1;
+
   void on_cycle();
   /// Sends `table_` entry probes [sweep_pos_, ...) that share the current
-  /// instant's spread offset, then re-arms the cursor for the next distinct
-  /// offset (tests/golden/probe_corpus.txt pins send times and order).
-  void run_sweep();
+  /// instant's spread offset and returns the instant of the next distinct
+  /// offset, or kSweepDone (tests/golden/probe_corpus.txt pins send times
+  /// and order).
+  std::int64_t run_sweep();
   void send_entry_probe(std::uint32_t entry);
   /// Reply hook for raw sweep probes (IcmpService::set_probe_reply_hook):
   /// resolves seq -> table entry, records the success, and returns true iff
   /// the seq named a live sweep probe (managed pings fall through).
   bool on_raw_probe_reply(std::uint16_t seq);
-  /// Sweeper expiry for a raw sweep probe: the kPingLost/timed-out
+  /// Scheduler expiry for a raw sweep probe: the kPingLost/timed-out
   /// bookkeeping, then the failure verdict — the order a managed ping's
   /// timeout would produce.
   void expire_entry(std::uint32_t entry);
@@ -278,18 +332,17 @@ class DrsDaemon {
   /// callbacks. Sweep probes live in table_ instead.
   util::FlatSet<std::uint16_t> outstanding_probes_;
   /// Raw-probe correlation: in-flight sweep seq -> table entry. At most one
-  /// probe per entry is outstanding (the sweeper expires before the next
+  /// probe per entry is outstanding (the scheduler expires before the next
   /// cycle re-sends), so well under 65536 live seqs — wraparound never
   /// collides.
   util::FlatMap<std::uint16_t, std::uint32_t> probe_seq_;
-  sim::EventHandle sweep_cursor_;
   std::uint32_t sweep_pos_ = 0;
-  /// The cursor's claimed queue rank for the current cycle: claimed at the
-  /// tick and reused for every spread-offset re-push, so each cursor firing
-  /// tie-breaks against foreign same-instant events as a send event pushed
-  /// at the tick would.
+  /// The cursor's queue rank for the current cycle: claimed at the tick and
+  /// used at every spread offset, so each send tie-breaks against foreign
+  /// same-instant events as a send event pushed at the tick would. 0 (never
+  /// a claimed rank) while stopped; a cursor under any other rank is stale.
   std::uint64_t sweep_rank_ = 0;
-  ProbeTimeoutSweeper& sweeper_;
+  ProbeScheduler& scheduler_;
   /// Peers whose route mode != kDirect; lets the per-tick phase-2 walk over
   /// peers_ be skipped entirely in the healthy steady state.
   std::uint32_t nondirect_peers_ = 0;

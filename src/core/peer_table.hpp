@@ -1,8 +1,9 @@
 // Struct-of-arrays probe fabric: the per-sweep hot state of one DRS daemon.
 //
-// A daemon probes every monitored peer on both networks once per cycle with
-// one self-rescheduling sweep-cursor event, and a shared timeout scan
-// expires overdue probes, so no per-probe event stays pending. Everything
+// A daemon probes every monitored peer on both networks once per cycle
+// through a sweep cursor, and a timeout scan expires overdue probes; the
+// system's probe scheduler fires both for all its daemons at once, so no
+// per-probe or per-daemon sweep event stays pending. Everything
 // the sweep reads lives here in parallel flat arrays indexed by
 // entry = 2·slot + network: the monitored peer ids in probe order, and per
 // entry the in-flight echo's sequence number, send instant and expiry

@@ -9,14 +9,15 @@ namespace drs::core {
 std::size_t DrsSystem::recommended_event_reserve(std::uint16_t node_count) {
   const std::size_t n = node_count;
   const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
-  // Only the cycle tick, the sweep cursor and the timeout scan stay pending
-  // per daemon. The rest is headroom for transient frame deliveries plus
-  // discovery timers and path-probe timeouts under faults.
+  // Only the cycle tick stays pending per daemon; the system's probe sends
+  // and probe timeouts are one scheduler event each. The rest is headroom
+  // for transient frame deliveries plus discovery timers and path-probe
+  // timeouts under faults.
   return 16u * n + 4u * probes_per_node + 1024u;
 }
 
 DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
-    : network_(network), sweeper_(network.simulator()) {
+    : network_(network), scheduler_(network.simulator()) {
   if (const auto error = config.validate()) {
     throw std::invalid_argument("DrsConfig: " + *error);
   }
@@ -30,22 +31,24 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
   // outstanding table, so that table is not pre-sized.
   const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
   network_.simulator().reserve_events(recommended_event_reserve(n));
-  // A timeout record lives about one probe timeout past its send, so the
-  // ring holds the system's probes of one timeout window, plus about one
-  // still in flight per daemon at the window's edge (fig1_n90's shape peaks
-  // at 3,960 records against a 3,903-record window). A saturated hub keeps
-  // more probes outstanding; the ring then grows during warmup.
+  // Each daemon holds at most one live cursor, and the ring drops its
+  // consumed prefix once that reaches half its size. A timeout record lives
+  // about one probe timeout past its send, so the record ring holds the
+  // system's probes of one timeout window, plus about one still in flight
+  // per daemon at the window's edge (fig1_n90's shape peaks at 3,960
+  // records against a 3,903-record window). A saturated hub keeps more
+  // probes outstanding; the record ring then grows during warmup.
   const double window = static_cast<double>(n * probes_per_node) *
                         config.probe_timeout.to_seconds() /
                         config.probe_interval.to_seconds();
-  sweeper_.reserve(static_cast<std::size_t>(std::ceil(window)) + n);
+  scheduler_.reserve(2u * n, static_cast<std::size_t>(std::ceil(window)) + n);
   for (net::NodeId i = 0; i < n; ++i) {
     icmp_.push_back(std::make_unique<proto::IcmpService>(network_.host(i)));
-    // Daemons share one timeout sweeper: probe expiries pop in claimed-rank
-    // (= send) order across the whole system.
+    // Daemons share one probe scheduler: sends and expiries pop in
+    // claimed-rank order across the whole system.
     daemons_.push_back(std::make_unique<DrsDaemon>(network_.host(i),
                                                    *icmp_.back(), n, config,
-                                                   sweeper_));
+                                                   scheduler_));
   }
 }
 
@@ -55,7 +58,7 @@ void DrsSystem::start() {
 
 void DrsSystem::stop() {
   for (auto& daemon : daemons_) daemon->stop();
-  sweeper_.cancel();
+  scheduler_.cancel();
 }
 
 std::uint64_t DrsSystem::total_probes_sent() const {

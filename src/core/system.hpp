@@ -65,8 +65,8 @@ class DrsSystem {
  private:
   net::ClusterNetwork& network_;
   /// Shared across all daemons; declared before them so it outlives their
-  /// destruction (they deregister nothing — the sweeper just stops firing).
-  ProbeTimeoutSweeper sweeper_;
+  /// destruction (they deregister nothing — stop() cancels it).
+  ProbeScheduler scheduler_;
   std::vector<std::unique_ptr<proto::IcmpService>> icmp_;
   std::vector<std::unique_ptr<DrsDaemon>> daemons_;
 };

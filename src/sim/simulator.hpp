@@ -146,9 +146,12 @@ class Simulator {
 
   // -- sharded execution (see sim/sharded.hpp) ------------------------------
   // These hooks let a ShardedEngine drive one shard's simulator as a window
-  // worker. Single-threaded runs never call them.
+  // worker. Single-threaded runs call only peek_next.
 
   /// Earliest pending event's (time, key) without popping; false when idle.
+  /// The engine orders a shard's local head against foreign arrivals by
+  /// it, and core::ProbeScheduler runs a same-instant sweep cursor inline
+  /// only when the cursor comes before it.
   bool peek_next(std::int64_t& t_ns, std::uint64_t& key) const {
     return queue_.peek(t_ns, key);
   }

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/system.hpp"
 #include "net/failure.hpp"
+#include "obs/tracer.hpp"
 #include "util/arena.hpp"
 
 namespace drs::core {
@@ -230,9 +234,9 @@ TEST_F(DaemonTest, PartialMonitoringProbesOnlyConfiguredPeers) {
   net::ClusterNetwork local_net(local_sim, {.node_count = 6, .backplane = {}});
   DrsConfig partial = config();
   partial.monitored_peers = std::vector<net::NodeId>{1, 2};
-  ProbeTimeoutSweeper sweeper(local_sim);
+  ProbeScheduler scheduler(local_sim);
   proto::IcmpService icmp0(local_net.host(0));
-  DrsDaemon daemon(local_net.host(0), icmp0, 6, partial, sweeper);
+  DrsDaemon daemon(local_net.host(0), icmp0, 6, partial, scheduler);
   // Echo responders so the monitored links are UP.
   proto::IcmpService icmp1(local_net.host(1));
   proto::IcmpService icmp2(local_net.host(2));
@@ -259,9 +263,9 @@ TEST_F(DaemonTest, UnmonitoredPeersNeverGetOffers) {
   system.stop();
   sim::Simulator local_sim;
   net::ClusterNetwork local_net(local_sim, {.node_count = 6, .backplane = {}});
-  // One sweeper shared by every daemon, declared first so it outlives them
+  // One scheduler shared by every daemon, declared first so it outlives them
   // (as in DrsSystem).
-  ProbeTimeoutSweeper sweeper(local_sim);
+  ProbeScheduler scheduler(local_sim);
   std::vector<std::unique_ptr<proto::IcmpService>> icmps;
   std::vector<std::unique_ptr<DrsDaemon>> daemons;
   for (net::NodeId i = 0; i < 6; ++i) {
@@ -276,7 +280,7 @@ TEST_F(DaemonTest, UnmonitoredPeersNeverGetOffers) {
     icmps.push_back(std::make_unique<proto::IcmpService>(local_net.host(i)));
     daemons.push_back(
         std::make_unique<DrsDaemon>(local_net.host(i), *icmps.back(), 6, c,
-                                    sweeper));
+                                    scheduler));
     daemons.back()->start();
   }
   local_sim.run_for(500_ms);
@@ -298,9 +302,9 @@ TEST_F(DaemonTest, MessyMonitoredListYieldsTheSortedDistinctPeers) {
   // Out of order, with duplicates, self (node 0) and an id outside the
   // cluster: node 0 monitors exactly {2, 3, 5}.
   messy.monitored_peers = std::vector<net::NodeId>{5, 2, 0, 3, 2, 9, 5};
-  ProbeTimeoutSweeper sweeper(local_sim);
+  ProbeScheduler scheduler(local_sim);
   proto::IcmpService icmp0(local_net.host(0));
-  DrsDaemon daemon(local_net.host(0), icmp0, 6, messy, sweeper);
+  DrsDaemon daemon(local_net.host(0), icmp0, 6, messy, scheduler);
   std::vector<std::unique_ptr<proto::IcmpService>> responders;
   for (net::NodeId i = 1; i < 6; ++i) {
     responders.push_back(std::make_unique<proto::IcmpService>(local_net.host(i)));
@@ -352,6 +356,129 @@ TEST_F(DaemonTest, MessyMonitoredListYieldsTheSortedDistinctPeers) {
   control_from_2(DrsMessageType::kRouteSet, 2, 3);
   EXPECT_EQ(daemon.metrics().route_sets_honored, 1u);
   EXPECT_EQ(daemon.active_leases(), 1u);
+}
+
+TEST(ProbeScheduler, SendsOffTheSharedTickKeepTheirOwnInstantAndRank) {
+  // Six daemons sharing one scheduler, with five different entry counts, so
+  // their spread offsets coincide only in part. Node 2 stops mid-cycle and
+  // stays down for more than a cycle; node 4 stops just after a tick and
+  // restarts before its orphaned cursor (due at 412.5 ms) comes due. Every
+  // ping_sent must land at its own daemon's tick + floor(interval * pos /
+  // total), in the order per-daemon send events pushed at the ticks would
+  // pop: by instant, then by the tick whose claimed rank the send carries,
+  // then by node id (daemons sharing a tick claim their ranks in node
+  // order, so their same-instant sends go in ascending node id).
+  constexpr std::uint16_t kNodes = 6;
+  const std::vector<std::vector<net::NodeId>> monitored = {
+      {1, 2, 3, 4, 5}, {0, 2}, {0, 1, 3}, {4}, {0, 1, 2, 3}, {0, 1, 2}};
+  sim::Simulator sim;
+  obs::Tracer tracer(std::size_t{1} << 16);
+  sim.set_tracer(&tracer);
+  net::ClusterNetwork network(sim, {.node_count = kNodes, .backplane = {}});
+  // Declared before the daemons so it outlives them (as in DrsSystem).
+  ProbeScheduler scheduler(sim);
+  std::vector<std::unique_ptr<proto::IcmpService>> icmps;
+  std::vector<std::unique_ptr<DrsDaemon>> daemons;
+  const DrsConfig defaults;
+  for (net::NodeId i = 0; i < kNodes; ++i) {
+    DrsConfig c = defaults;
+    c.monitored_peers = monitored[i];
+    icmps.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
+    daemons.push_back(std::make_unique<DrsDaemon>(network.host(i),
+                                                  *icmps.back(), kNodes, c,
+                                                  scheduler));
+  }
+  for (auto& daemon : daemons) daemon->start();
+
+  // Each node's running windows [start, stop). The stop and start events
+  // are pushed before any tick, so they run first at their instants.
+  constexpr std::int64_t kMs = 1'000'000;
+  constexpr std::int64_t kEnd = 1000 * kMs;
+  struct Window {
+    std::int64_t start_ns;
+    std::int64_t stop_ns;
+  };
+  std::vector<std::vector<Window>> windows(kNodes, {{0, kEnd + 1}});
+  windows[2] = {{0, 125 * kMs}, {250 * kMs, kEnd + 1}};
+  windows[4] = {{0, 401 * kMs}, {405 * kMs, kEnd + 1}};
+  for (const net::NodeId node : std::vector<net::NodeId>{2, 4}) {
+    sim.schedule_at(util::SimTime::from_ns(windows[node][0].stop_ns),
+                    [&daemons, node] { daemons[node]->stop(); });
+    sim.schedule_at(util::SimTime::from_ns(windows[node][1].start_ns),
+                    [&daemons, node] { daemons[node]->start(); });
+  }
+
+  struct Send {
+    std::int64_t at_ns;
+    std::int64_t tick_ns;
+    net::NodeId node;
+    net::NetworkId network;
+    std::uint32_t dst;
+  };
+  const std::int64_t interval = defaults.probe_interval.ns();
+  std::vector<Send> expected;
+  for (net::NodeId node = 0; node < kNodes; ++node) {
+    std::vector<net::NodeId> peers = monitored[node];
+    std::sort(peers.begin(), peers.end());
+    const auto total = static_cast<std::int64_t>(2 * peers.size());
+    for (const Window& w : windows[node]) {
+      for (std::int64_t tick = w.start_ns; tick < w.stop_ns; tick += interval) {
+        for (std::int64_t pos = 0; pos < total; ++pos) {
+          const std::int64_t at = tick + interval * pos / total;
+          if (at >= w.stop_ns) break;
+          const auto via = static_cast<net::NetworkId>(pos % 2);
+          const net::NodeId peer = peers[static_cast<std::size_t>(pos / 2)];
+          expected.push_back(
+              Send{at, tick, node, via, net::cluster_ip(via, peer).value()});
+        }
+      }
+    }
+  }
+  std::sort(expected.begin(), expected.end(), [](const Send& a, const Send& b) {
+    return std::tie(a.at_ns, a.tick_ns, a.node) <
+           std::tie(b.at_ns, b.tick_ns, b.node);
+  });
+
+  // Run in 1 ms slices; the cursor ring holds at most one live cursor per
+  // daemon plus the two orphans, and drops its consumed prefix once that
+  // reaches half the ring, so it never passes twice that.
+  std::size_t peak_cursors = 0;
+  for (std::int64_t t = kMs; t <= kEnd; t += kMs) {
+    sim.run_until(util::SimTime::from_ns(t));
+    peak_cursors = std::max(peak_cursors, scheduler.cursor_count());
+  }
+  EXPECT_LE(peak_cursors, 2u * (kNodes + 2u));
+
+  ASSERT_EQ(tracer.evicted(), 0u);
+  std::vector<Send> observed;
+  tracer.for_each([&](const obs::TraceEvent& e) {
+    if (e.kind != obs::TraceEventKind::kPingSent) return;
+    observed.push_back(Send{e.at_ns, 0, e.node, e.network,
+                            static_cast<std::uint32_t>(e.b)});
+  });
+  ASSERT_EQ(observed.size(), expected.size());
+  std::size_t shared_instants = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Send& want = expected[i];
+    const Send& got = observed[i];
+    ASSERT_TRUE(got.at_ns == want.at_ns && got.node == want.node &&
+                got.network == want.network && got.dst == want.dst)
+        << "send " << i << ": got node " << got.node << " at " << got.at_ns
+        << " ns, want node " << want.node << " at " << want.at_ns
+        << " ns (tick " << want.tick_ns << ")";
+    if (i > 0 && expected[i - 1].at_ns == want.at_ns) ++shared_instants;
+  }
+  // The inline path and the mid-ring insert both ran.
+  EXPECT_GT(shared_instants, 100u);
+  // A stopped daemon sends nothing.
+  for (const Send& send : observed) {
+    EXPECT_FALSE(send.node == 2 && send.at_ns >= 125 * kMs &&
+                 send.at_ns < 250 * kMs)
+        << "node 2 sent at " << send.at_ns << " ns while stopped";
+    EXPECT_FALSE(send.node == 4 && send.at_ns >= 401 * kMs &&
+                 send.at_ns < 405 * kMs)
+        << "node 4 sent at " << send.at_ns << " ns while stopped";
+  }
 }
 
 TEST(DrsControlPayload, WireSizeIsFixedWhateverTheType) {

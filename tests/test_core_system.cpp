@@ -171,6 +171,37 @@ TEST(DrsSystem, StopHaltsProbing) {
   EXPECT_EQ(system.total_probes_sent(), probes);
 }
 
+TEST(DrsSystem, SweepSendsCostOneEventPerSpreadOffsetPerSystem) {
+  // A healthy N=8 cluster on the default 100 ms cycle: each daemon sweeps
+  // 14 (peer, network) entries at 14 distinct spread offsets. The daemons
+  // start together, so they share every offset, and the system's probe
+  // scheduler sends all of an offset's probes from one event. Ten cycles
+  // after warm-up execute exactly
+  //       80 cycle ticks (8 daemons x 10 cycles)
+  //   +  140 send firings (14 offsets x 10 cycles, one per system)
+  //   + 2240 frame deliveries (1120 echoes and their replies)
+  //   +   23 timeout-scan firings
+  //   = 2483 events.
+  // One sweep-cursor event per daemon per offset would add
+  // 10 x 14 x (8 - 1) = 980.
+  sim::Simulator sim;
+  net::ClusterNetwork network(sim, {.node_count = 8, .backplane = {}});
+  DrsSystem system(network, DrsConfig{});
+  const auto frames = [&] {
+    return network.backplane(net::kNetworkA).counters().frames +
+           network.backplane(net::kNetworkB).counters().frames;
+  };
+  system.start();
+  system.settle(1_s);
+  const std::uint64_t events = sim.executed_events();
+  const std::uint64_t probes = system.total_probes_sent();
+  const std::uint64_t frames_before = frames();
+  system.settle(1_s);
+  EXPECT_EQ(system.total_probes_sent() - probes, 1120u);
+  EXPECT_EQ(frames() - frames_before, 2240u);
+  EXPECT_EQ(sim.executed_events() - events, 2483u);
+}
+
 TEST(DrsSystem, SteadyStateHasZeroRoutingChurn) {
   // A healthy cluster must not touch its routing tables at all: probing is
   // read-only until a verdict changes. Guards against accidental

@@ -88,7 +88,7 @@ TEST(AdaptiveTimeout, FirstProbesUseConfiguredTimeout) {
 
 TEST(AdaptiveTimeout, SweeperRecordsStayWithinTheInFlightWindow) {
   // Timeouts shrink once RTT samples arrive, so deadlines stop following
-  // send order and the sweeper scans with its full search. That search must
+  // send order and the timeout scan uses its full search. That search must
   // still drop the records of replied probes: the record count stays within
   // one cycle of cluster-wide probes instead of growing with every send.
   constexpr std::uint16_t kNodes = 8;
@@ -97,20 +97,20 @@ TEST(AdaptiveTimeout, SweeperRecordsStayWithinTheInFlightWindow) {
   DrsConfig config;
   config.adaptive_timeout = true;
   // Declared before the daemons so it outlives them (as in DrsSystem).
-  ProbeTimeoutSweeper sweeper(sim);
+  ProbeScheduler scheduler(sim);
   std::vector<std::unique_ptr<proto::IcmpService>> icmps;
   std::vector<std::unique_ptr<DrsDaemon>> daemons;
   for (net::NodeId i = 0; i < kNodes; ++i) {
     icmps.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
     daemons.push_back(std::make_unique<DrsDaemon>(
-        network.host(i), *icmps.back(), kNodes, config, sweeper));
+        network.host(i), *icmps.back(), kNodes, config, scheduler));
     daemons.back()->start();
   }
   sim.run_for(1_s);  // warm-up: the RTT estimators converge
   const std::size_t probes_per_cycle = 2u * kNodes * (kNodes - 1u);
   for (int step = 1; step <= 50; ++step) {
     sim.run_for(100_ms);
-    ASSERT_LE(sweeper.record_count(), probes_per_cycle)
+    ASSERT_LE(scheduler.record_count(), probes_per_cycle)
         << "after " << step * 100 << " ms past warm-up";
   }
   for (net::NodeId i = 0; i < kNodes; ++i) {
