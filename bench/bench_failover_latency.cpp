@@ -98,21 +98,22 @@ void print_detection_vs_repair() {
     for (auto component : c.components) {
       network.set_component_failed(component, true);
     }
-    sim.run_for(3_s);
-
-    util::SimTime detected = util::SimTime::max();
-    for (const auto& t : system.daemon(0).links().history()) {
-      if (t.to == core::LinkState::kDown && t.at >= injected) {
-        detected = std::min(detected, t.at);
+    // Step to node 0's first DOWN verdict, then to its first working detour
+    // (a mode other than direct or unreachable), within 3 s.
+    const core::DrsDaemon& daemon = system.daemon(0);
+    const util::SimTime end = injected + 3_s;
+    const util::SimTime detected =
+        sim.step_until(end, [&] { return daemon.links().down_count() > 0; });
+    const util::SimTime fixed = sim.step_until(end, [&] {
+      for (net::NodeId peer = 1; peer < network.node_count(); ++peer) {
+        const core::PeerRouteMode mode = daemon.peer_mode(peer);
+        if (mode != core::PeerRouteMode::kDirect &&
+            mode != core::PeerRouteMode::kUnreachable) {
+          return true;
+        }
       }
-    }
-    util::SimTime fixed = util::SimTime::max();
-    for (const auto& change : system.daemon(0).metrics().route_changes) {
-      if (change.at >= injected &&
-          change.to != core::PeerRouteMode::kUnreachable) {
-        fixed = std::min(fixed, change.at);
-      }
-    }
+      return false;
+    });
     table.add_row({c.name, util::to_string(injected), util::to_string(detected),
                    util::to_string(fixed), util::to_string(detected - injected),
                    util::to_string(fixed - detected)});

@@ -118,7 +118,7 @@ CampaignResult run_campaign(std::uint64_t seed, std::uint64_t campaign,
   system.stop();
   if (config.capture_trace) result.trace = tracer.events();
   result.trace_evicted = tracer.evicted();
-  result.actions_applied = injector.log().size();
+  result.actions_applied = injector.applied();
   result.sim_events = sim.executed_events();
   result.sim_seconds = sim.now().to_seconds();
   return result;

@@ -276,10 +276,8 @@ bool Fleet::test_relay_reachability(net::ClusterId a, net::ClusterId b,
                          replied = result.success;
                          done = true;
                        });
-  const util::SimTime deadline = sim_.now() + timeout + util::Duration::millis(1);
-  while (!done && sim_.now() < deadline && !sim_.idle()) {
-    sim_.step();
-  }
+  sim_.step_until(sim_.now() + timeout + util::Duration::millis(1),
+                  [&] { return done; });
   return replied;
 }
 

@@ -38,12 +38,11 @@ StudyResult run_study(const StudyConfig& config) {
   // failure notifications rather than probing; the injector's observer is
   // the simulation's stand-in for that hardware signal. Probing policies
   // ignore the hooks (no-op default), so this is uniform across the registry.
-  injector.set_observer([&routing_policy](const net::FailureInjector::LogEntry&
-                                              entry) {
-    if (entry.fail) {
-      routing_policy->on_component_failed(entry.component);
+  injector.set_observer([&routing_policy](const net::FailureAction& action) {
+    if (action.fail) {
+      routing_policy->on_component_failed(action.component);
     } else {
-      routing_policy->on_component_restored(entry.component);
+      routing_policy->on_component_restored(action.component);
     }
   });
   for (const TraceEvent& event : trace) {

@@ -47,26 +47,27 @@ bool ProbeScheduler::live(const Record& r) const {
          table.deadline_ns(r.entry) == r.deadline_ns;
 }
 
-void ProbeScheduler::add_cursor(const Cursor& c) {
-  // Daemons that share a tick register in rank order at every offset, so
-  // the common case appends; a daemon on its own tick (restarted, or with
-  // its own entry count) lands mid-ring.
-  if (cursor_head_ == cursors_.size() || !before(c, cursors_.back())) {
-    // drs-lint: hotpath-purity-ok(amortized: cursor ring reaches about two entries per daemon once, then recycles capacity)
-    cursors_.push_back(c);
+template <class T>
+void ProbeScheduler::insert_sorted(std::vector<T>& ring, std::size_t head, const T& item) {
+  if (head == ring.size() || !before(item, ring.back())) {
+    // drs-lint: hotpath-purity-ok(amortized: each ring grows to its steady size once, cursors two per daemon and records the in-flight window, then recycles capacity)
+    ring.push_back(item);
     return;
   }
   const auto at = std::upper_bound(
-      cursors_.begin() + static_cast<std::ptrdiff_t>(cursor_head_),
-      cursors_.end(), c, before);
-  // drs-lint: hotpath-purity-ok(amortized: cursor ring reaches about two entries per daemon once, then recycles capacity)
-  cursors_.insert(at, c);
+      ring.begin() + static_cast<std::ptrdiff_t>(head), ring.end(), item,
+      [](const T& a, const T& b) { return before(a, b); });
+  // drs-lint: hotpath-purity-ok(amortized: each ring grows to its steady size once, cursors two per daemon and records the in-flight window, then recycles capacity)
+  ring.insert(at, item);
 }
 
 void ProbeScheduler::schedule_send(DrsDaemon& daemon, std::int64_t at_ns,
                                    std::uint64_t rank) {
+  // Daemons that share a tick register in rank order at every offset, so
+  // their cursors append; a daemon on its own tick (restarted, or with its
+  // own entry count) lands mid-ring.
   const Cursor c{at_ns, rank, &daemon};
-  add_cursor(c);
+  insert_sorted(cursors_, cursor_head_, c);
   if (!send_.pending() || before(c, armed_)) arm_send(c);
 }
 
@@ -116,7 +117,7 @@ void ProbeScheduler::fire_sends() {
     }
     const std::int64_t next = c.daemon->run_sweep();
     if (next != DrsDaemon::kSweepDone) {
-      add_cursor(Cursor{next, c.rank, c.daemon});
+      insert_sorted(cursors_, cursor_head_, Cursor{next, c.rank, c.daemon});
     }
   }
 }
@@ -127,10 +128,8 @@ void ProbeScheduler::note_deadline(DrsDaemon& daemon, std::uint32_t entry,
   // were pushed right here. The rank is spent when the scan is armed at this
   // record's deadline, so the scan pops in that event's queue position.
   const std::uint64_t rank = sim_.claim_event_rank();
-  if (deadline_ns < last_deadline_ns_) monotone_ = false;
-  last_deadline_ns_ = deadline_ns;
-  // drs-lint: hotpath-purity-ok(amortized: record vector reaches in-flight-window size once, then recycles capacity)
-  records_.push_back(Record{deadline_ns, rank, &daemon, entry});
+  insert_sorted(records_, record_head_,
+                Record{deadline_ns, rank, &daemon, entry});
   // An already-pending earlier scan covers this deadline (it re-arms itself
   // forward when it fires); with fixed timeouts that is every non-idle send.
   if (!scan_.pending() || deadline_ns < scan_at_ns_) {
@@ -156,52 +155,30 @@ void ProbeScheduler::cancel() {
 
 void ProbeScheduler::fire_timeouts() {
   const std::int64_t now = sim_.now().ns();
-  // Earliest-deadline live record: the first live one from record_head_ in
-  // the monotone (fixed-timeout) case, else a full search. The search keeps
-  // only live records, in send order: a stale record never turns live again,
+  // The ring is sorted on deadline, ties in send order, so the first live
+  // record from record_head_ is the one to expire next. A stale record never turns live again,
   // because the next send on its entry always carries a later deadline.
-  const auto earliest_live = [this]() -> std::size_t {
-    if (monotone_) {
-      while (record_head_ < records_.size() && !live(records_[record_head_])) {
-        ++record_head_;
-      }
-      return record_head_;
+  const auto earliest_live = [this] {
+    while (record_head_ < records_.size() && !live(records_[record_head_])) {
+      ++record_head_;
     }
-    std::size_t kept = 0;
-    std::size_t best = records_.size();
-    for (std::size_t i = record_head_; i < records_.size(); ++i) {
-      if (!live(records_[i])) continue;
-      if (best == records_.size() ||
-          records_[i].deadline_ns < records_[best].deadline_ns) {
-        best = kept;
-      }
-      records_[kept++] = records_[i];
-    }
-    records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(kept),
-                   records_.end());
-    record_head_ = 0;
-    return best < kept ? best : kept;
+    return record_head_;
   };
 
-  std::size_t due = earliest_live();
-  if (due < records_.size() && records_[due].deadline_ns <= now) {
+  if (earliest_live() < records_.size() &&
+      records_[record_head_].deadline_ns <= now) {
     // Exactly one expiry per firing: the re-arm below uses the *next*
     // record's claimed rank (often at this same instant), so every expiry
     // pops in its own probe's queue position. expire_entry() emits the
     // kPingLost trace and timed-out counter, then the failure verdict.
-    const Record r = records_[due];
-    if (monotone_) {
-      ++record_head_;
-    } else {
-      records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(due));
-    }
+    const Record r = records_[record_head_++];
     r.daemon->expire_entry(r.entry);
   }
 
   const std::size_t next = earliest_live();
   if (next < records_.size()) {
     arm_timeout(records_[next].deadline_ns, records_[next].rank);
-  } else if (record_head_ == records_.size()) {
+  } else {
     // Idle and fully consumed: reclaim the ring in one go (the healthy
     // steady state — every probe replied before its deadline).
     records_.clear();
@@ -565,9 +542,7 @@ void DrsDaemon::set_mode(NodeId peer, PeerRouteMode mode, NodeId relay,
                  state.relay, state.relay_network,
                  net::cluster_ip(state.relay_network, state.relay));
   }
-  // drs-lint: hotpath-purity-ok(runs only on a mode transition, a rare reconvergence event, not per probe)
-  metrics_.route_changes.push_back(RouteChange{host_.simulator().now(), peer,
-                                               previous, mode, relay});
+  ++metrics_.route_changes;
   if (previous == PeerRouteMode::kDirect && mode != PeerRouteMode::kDirect) {
     ++nondirect_peers_;
   } else if (previous != PeerRouteMode::kDirect && mode == PeerRouteMode::kDirect) {

@@ -26,7 +26,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -68,9 +67,11 @@ class DrsDaemon;
 /// plus a single pending scan event armed at the earliest live deadline
 /// *under that record's claimed rank*. Each firing expires exactly one due
 /// probe and re-arms from the next live record (possibly at the same
-/// instant). Records of replied or re-sent probes go stale in place and are
-/// dropped as the scan passes them, so the healthy steady state is one
-/// firing per deadline cohort and O(1) amortized work per probe.
+/// instant). Records sit in a ring sorted on deadline, ties in send order:
+/// fixed timeouts append, and an adaptive timeout shorter than an earlier
+/// probe's lands mid-ring. Records of replied or re-sent probes go stale in
+/// place and are dropped as the scan passes them, so the healthy steady state
+/// is one firing per deadline cohort and O(1) amortized work per probe.
 class ProbeScheduler {
  public:
   explicit ProbeScheduler(sim::Simulator& sim) : sim_(sim) {}
@@ -124,6 +125,12 @@ class ProbeScheduler {
   static bool before(const Cursor& a, const Cursor& b) {
     return a.at_ns < b.at_ns || (a.at_ns == b.at_ns && a.rank < b.rank);
   }
+  /// Deadline alone: a new record goes after its ties, so ties expire in send order.
+  static bool before(const Record& a, const Record& b) { return a.deadline_ns < b.deadline_ns; }
+  /// Adds `item` to `ring`'s unconsumed part [head, end), kept sorted by
+  /// before(): an append in the common case, else an insert at its upper bound.
+  template <class T>
+  static void insert_sorted(std::vector<T>& ring, std::size_t head, const T& item);
   /// Whether the cursor is still its daemon's current one (a stop or a new
   /// tick retires it).
   bool live(const Cursor& c) const;
@@ -133,7 +140,6 @@ class ProbeScheduler {
   /// Whether a cursor due now may run inside the current firing: it must
   /// precede every pending event, as its own event would.
   bool precedes_queue(const Cursor& c) const;
-  void add_cursor(const Cursor& c);
   void fire_sends();
   void fire_timeouts();
   void arm_send(const Cursor& c);
@@ -144,16 +150,10 @@ class ProbeScheduler {
   std::size_t cursor_head_ = 0;   // cursors_[0, cursor_head_) already consumed
   sim::EventHandle send_;
   Cursor armed_{};                // the cursor send_ is armed at, while pending
-  std::vector<Record> records_;   // insertion = send = rank order
+  std::vector<Record> records_;   // sorted on deadline, ties in send order
   std::size_t record_head_ = 0;   // records_[0, record_head_) already consumed
   sim::EventHandle scan_;
   std::int64_t scan_at_ns_ = 0;
-  /// Fixed timeouts insert deadlines in non-decreasing order, so the first
-  /// live record from record_head_ is the earliest. Adaptive timeouts can
-  /// violate that; the scan then falls back to a full min-search that also
-  /// compacts stale records away (still correct, just not O(1) amortized).
-  bool monotone_ = true;
-  std::int64_t last_deadline_ns_ = std::numeric_limits<std::int64_t>::min();
 };
 
 class DrsDaemon {

@@ -1,6 +1,5 @@
 #include "core/link_state.hpp"
 
-
 #include "obs/macros.hpp"
 
 namespace drs::core {
@@ -8,7 +7,6 @@ namespace drs::core {
 LinkStateTable::LinkStateTable(net::NodeId self, std::uint16_t node_count,
                                LinkPolicy policy)
     : self_(self),
-      node_count_(node_count),
       policy_(policy),
       entries_(static_cast<std::size_t>(node_count) * net::kNetworksPerHost) {
   if (policy_.failures_to_down == 0) policy_.failures_to_down = 1;
@@ -61,18 +59,31 @@ bool LinkStateTable::record_probe(net::NodeId peer, net::NetworkId network,
     }
   }
   if (e.state != before) {
-    // drs-lint: hotpath-purity-ok(runs only on a link-state transition, a rare event, not per probe)
-    history_.push_back(LinkTransition{now, peer, network, before, e.state});
     DRS_TRACE_EVENT(tracer_, .at_ns = now.ns(),
                     .kind = obs::TraceEventKind::kLinkChange, .node = self_,
                     .peer = peer, .network = network,
                     .a = static_cast<std::int64_t>(before),
                     .b = static_cast<std::int64_t>(e.state));
+    const std::size_t index = link(peer, network);
+    if (e.state == LinkState::kDown) {
+      // drs-lint: hotpath-purity-ok(call site: cold, start_downtime runs once per table, at its first DOWN verdict)
+      if (down_since_.empty()) start_downtime();
+      down_since_[index] = now;
+    } else if (before == LinkState::kDown) {
+      // drs-lint: hotpath-purity-ok(call site: IntHistogram::add bumps fixed buckets; by name it would reach util::Table::add)
+      downtime_ms_->add((now - down_since_[index]).ns() / 1'000'000);
+    }
   }
   // Verdict change = crossing the UP/DOWN boundary in either direction.
   const bool was_down = before == LinkState::kDown;
   const bool is_down = e.state == LinkState::kDown;
   return was_down != is_down;
+}
+
+void LinkStateTable::start_downtime() {
+  down_since_.resize(entries_.size());
+  downtime_ms_.emplace(std::vector<std::int64_t>(kDowntimeEdgesMs.begin(),
+                                                 kDowntimeEdgesMs.end()));
 }
 
 std::size_t LinkStateTable::down_count() const {

@@ -11,13 +11,18 @@
 // Layout: one 12-byte hot entry per link, read by every probe outcome. The
 // damping state lives in side lanes that are only sized while damping is on
 // (flap_threshold > 0), so the default configuration pays nothing for it.
+// Transitions are not logged (each is a kLinkChange trace event); DOWN
+// episodes are folded into a histogram as they close.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "net/addr.hpp"
+#include "obs/metrics.hpp"
 #include "util/time.hpp"
 
 namespace drs::obs {
@@ -28,13 +33,10 @@ namespace drs::core {
 
 enum class LinkState : std::uint8_t { kUp, kSuspect, kDown };
 
-struct LinkTransition {
-  util::SimTime at;
-  net::NodeId peer = 0;
-  net::NetworkId network = 0;
-  LinkState from = LinkState::kUp;
-  LinkState to = LinkState::kUp;
-};
+/// Upper bucket edges, in whole milliseconds, of every table's DOWN-episode
+/// histogram; DrsSystem exports the tables' sum as "system.link_downtime_ms".
+inline constexpr std::array<std::int64_t, 12> kDowntimeEdgesMs = {
+    1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
 
 /// Verdict thresholds and damping parameters for a LinkStateTable.
 struct LinkPolicy {
@@ -69,7 +71,9 @@ class LinkStateTable {
   }
 
   std::size_t down_count() const;
-  const std::vector<LinkTransition>& history() const { return history_; }
+  /// Closed DOWN episodes (verdict to recovery) in whole milliseconds, on
+  /// kDowntimeEdgesMs; empty until the table's first DOWN verdict.
+  const std::optional<obs::IntHistogram>& downtime_ms() const { return downtime_ms_; }
 
   /// True while the link's recovery is suppressed by flap damping.
   bool suppressed(net::NodeId peer, net::NetworkId network,
@@ -98,16 +102,20 @@ class LinkStateTable {
   const Entry& entry(net::NodeId peer, net::NetworkId network) const {
     return entries_[link(peer, network)];
   }
+  /// Sizes the episode lane and the histogram; runs once per table.
+  void start_downtime();
 
   net::NodeId self_;
-  std::uint16_t node_count_;
   LinkPolicy policy_;
   std::vector<Entry> entries_;  // [peer * 2 + network]
   // Flap-damping lanes, indexed like entries_; empty unless
   // flap_threshold > 0.
   std::vector<util::SimTime> suppressed_until_;  // zero = not suppressed
   std::vector<std::deque<util::SimTime>> recent_downs_;
-  std::vector<LinkTransition> history_;
+  // DOWN episodes, both empty until the first DOWN verdict: each link's
+  // open-episode start (indexed like entries_) and the closed episodes.
+  std::vector<util::SimTime> down_since_;
+  std::optional<obs::IntHistogram> downtime_ms_;
   std::uint64_t suppressions_ = 0;
   obs::Tracer* tracer_ = nullptr;
 };

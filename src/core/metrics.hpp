@@ -2,10 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "net/addr.hpp"
-#include "util/time.hpp"
 
 namespace drs::core {
 
@@ -19,14 +15,6 @@ enum class PeerRouteMode : std::uint8_t {
 };
 
 const char* to_string(PeerRouteMode m);
-
-struct RouteChange {
-  util::SimTime at;
-  net::NodeId peer = 0;
-  PeerRouteMode from = PeerRouteMode::kDirect;
-  PeerRouteMode to = PeerRouteMode::kDirect;
-  net::NodeId relay = 0;  // valid when to == kRelay
-};
 
 struct DaemonMetrics {
   std::uint64_t probes_sent = 0;
@@ -43,7 +31,8 @@ struct DaemonMetrics {
   std::uint64_t route_removals = 0;
   std::uint64_t control_messages_sent = 0;
   std::uint64_t leases_expired = 0;       // relay side
-  std::vector<RouteChange> route_changes;
+  /// Route-mode changes; each is also a kDetour* trace event.
+  std::uint64_t route_changes = 0;
 };
 
 }  // namespace drs::core

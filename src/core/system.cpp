@@ -1,7 +1,6 @@
 #include "core/system.hpp"
 
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace drs::core {
@@ -108,10 +107,8 @@ bool DrsSystem::test_reachability(net::NodeId a, net::NodeId b,
                       done = true;
                     });
   sim::Simulator& sim = network_.simulator();
-  const util::SimTime deadline = sim.now() + timeout + util::Duration::millis(1);
-  while (!done && sim.now() < deadline && !sim.idle()) {
-    sim.step();
-  }
+  sim.step_until(sim.now() + timeout + util::Duration::millis(1),
+                 [&] { return done; });
   return replied;
 }
 
@@ -122,10 +119,10 @@ void DrsSystem::settle(util::Duration warmup) {
 void DrsSystem::collect_metrics(obs::MetricRegistry& registry) const {
   const std::uint16_t n = network_.node_count();
   // Integer-millisecond downtime distribution across every (node, peer,
-  // network) link, folded from the link-state histories.
+  // network) link: the sum of the daemons' closed-episode histograms.
   obs::IntHistogram& downtime = registry.histogram(
       "system.link_downtime_ms",
-      {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
+      {kDowntimeEdgesMs.begin(), kDowntimeEdgesMs.end()});
   registry.gauge("system.nodes").set(n);
 
   for (net::NodeId i = 0; i < n; ++i) {
@@ -148,24 +145,10 @@ void DrsSystem::collect_metrics(obs::MetricRegistry& registry) const {
     set("route_removals", m.route_removals);
     set("control_messages_sent", m.control_messages_sent);
     set("leases_expired", m.leases_expired);
-    set("route_changes", m.route_changes.size());
+    set("route_changes", m.route_changes);
     set("echoes_answered", icmp_.at(i)->echo_requests_answered());
-
-    // Down episodes: DOWN verdict until the matching recovery, per link.
-    std::map<std::uint32_t, util::SimTime> down_since;
-    for (const LinkTransition& t : daemons_.at(i)->links().history()) {
-      const std::uint32_t link_key =
-          (static_cast<std::uint32_t>(t.peer) << 8) | t.network;
-      if (t.to == LinkState::kDown) {
-        down_since.emplace(link_key, t.at);
-      } else if (t.from == LinkState::kDown) {
-        const auto it = down_since.find(link_key);
-        if (it != down_since.end()) {
-          downtime.add((t.at - it->second).ns() / 1'000'000);
-          down_since.erase(it);
-        }
-      }
-    }
+    const auto& episodes = daemons_.at(i)->links().downtime_ms();
+    if (episodes) downtime.merge(*episodes);
   }
 
   for (net::NetworkId k = 0; k < net::kNetworksPerHost; ++k) {

@@ -58,8 +58,8 @@ class DrsSystem {
 
   /// Snapshots every daemon/backplane/ICMP counter into `registry` under the
   /// obs naming convention ("daemon.<i>.probes_sent", "backplane.<k>.frames",
-  /// ...), plus the "system.link_downtime_ms" histogram folded from the
-  /// link-state histories. Pure read; integer-only by construction.
+  /// ...), plus the "system.link_downtime_ms" histogram: every daemon's
+  /// closed DOWN episodes. Pure read; integer-only by construction.
   void collect_metrics(obs::MetricRegistry& registry) const;
 
  private:

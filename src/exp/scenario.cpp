@@ -206,20 +206,16 @@ Outputs run_ablation_warm_standby(const ScenarioContext& ctx) {
   sim.run_for(Duration::seconds(2));
   network.set_component_failed(net::ClusterNetwork::nic_component(1, 0), true);
   const util::SimTime injected = sim.now();
-  sim.run_for(Duration::seconds(3));
-  util::SimTime down_verdict = util::SimTime::max();
-  for (const auto& t : system.daemon(0).links().history()) {
-    if (t.peer == 1 && t.network == 0 && t.to == core::LinkState::kDown &&
-        t.at >= injected) {
-      down_verdict = t.at;
-    }
-  }
-  util::SimTime relay_at = util::SimTime::max();
-  for (const auto& change : system.daemon(0).metrics().route_changes) {
-    if (change.peer == 1 && change.to == core::PeerRouteMode::kRelay) {
-      relay_at = std::min(relay_at, change.at);
-    }
-  }
+  const util::SimTime end = injected + Duration::seconds(3);
+  // Step to daemon 0's DOWN verdict on the second leg, then to its relay
+  // mode for peer 1, and run out the window.
+  const core::DrsDaemon& daemon = system.daemon(0);
+  const util::SimTime down_verdict = sim.step_until(end, [&] {
+    return daemon.links().state(1, net::kNetworkA) == core::LinkState::kDown;
+  });
+  const util::SimTime relay_at =
+      sim.step_until(end, [&] { return daemon.peer_mode(1) == core::PeerRouteMode::kRelay; });
+  sim.run_until(end);
   const bool reachable = system.test_reachability(0, 1);
   obs::MetricRegistry metrics;
   core::snapshot_metrics(system, metrics);
@@ -266,13 +262,12 @@ Outputs run_ablation_detector(const ScenarioContext& ctx) {
     const util::SimTime injected = sim.now();
     network.set_component_failed(net::ClusterNetwork::nic_component(1, 0),
                                  true);
-    sim.run_for(Duration::seconds(2));
-    for (const auto& t : system.daemon(0).links().history()) {
-      if (t.to == core::LinkState::kDown && t.at >= injected) {
-        latency = t.at - injected;
-        break;
-      }
-    }
+    const util::SimTime end = injected + Duration::seconds(2);
+    const util::SimTime detected = sim.step_until(end, [&] {
+      return system.daemon(0).links().state(1, net::kNetworkA) == core::LinkState::kDown;
+    });
+    if (detected != util::SimTime::max()) latency = detected - injected;
+    sim.run_until(end);
     core::snapshot_metrics(system, metrics);
   }
   return {{"false_failovers", false_failovers},

@@ -21,11 +21,11 @@ void FailureInjector::schedule_outage(util::SimTime at, ComponentIndex component
 void FailureInjector::apply_now(ComponentIndex component, bool fail) {
   network_.set_component_failed(component, fail);
   const auto now = network_.simulator().now();
-  log_.push_back(LogEntry{now, component, fail});
+  ++applied_;
   DRS_INFO("failure", "t=%s %s %s", util::to_string(now).c_str(),
            fail ? "FAIL" : "RESTORE",
            network_.describe_component(component).c_str());
-  if (observer_) observer_(log_.back());
+  if (observer_) observer_(FailureAction{now, component, fail});
 }
 
 void FailureInjector::schedule_script(const std::vector<FailureAction>& actions) {

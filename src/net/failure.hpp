@@ -1,14 +1,13 @@
 // Scheduled failure injection.
 //
 // Scenarios are scripts of (time, component, fail/restore) actions applied to
-// a ClusterNetwork through the simulator, with a log of what was applied for
-// post-run assertions. This is the mechanism behind every survivability
-// experiment and the proactive-vs-reactive comparisons.
+// a ClusterNetwork through the simulator; the injector counts them and hands
+// each to an optional observer. This is the mechanism behind every
+// survivability experiment and the proactive-vs-reactive comparisons.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "net/network.hpp"
@@ -40,24 +39,20 @@ class FailureInjector {
   /// replayable schedules arrive this way). Actions may be in any order.
   void schedule_script(const std::vector<FailureAction>& actions);
 
-  struct LogEntry {
-    util::SimTime at;
-    ComponentIndex component;
-    bool fail;
-  };
-  const std::vector<LogEntry>& log() const { return log_; }
+  /// Actions applied so far, scheduled or immediate.
+  std::uint64_t applied() const { return applied_; }
   std::size_t currently_failed() const;
   ClusterNetwork& network() { return network_; }
 
   /// Observation hook: called after every applied action (scheduled or
-  /// immediate), with the entry just logged. Runtime invariant checkers use
-  /// this to learn topology-change times without owning the schedule.
-  using Observer = std::function<void(const LogEntry&)>;
+  /// immediate) with that action, stamped with the instant it took effect.
+  /// Precomputed routing policies learn of failures through it.
+  using Observer = std::function<void(const FailureAction&)>;
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
  private:
   ClusterNetwork& network_;
-  std::vector<LogEntry> log_;
+  std::uint64_t applied_ = 0;
   Observer observer_;
 };
 

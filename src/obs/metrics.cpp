@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "util/json.hpp"
 
@@ -19,6 +20,13 @@ void IntHistogram::add(std::int64_t sample) {
   ++buckets_[i];
   ++count_;
   sum_ += sample;
+}
+
+void IntHistogram::merge(const IntHistogram& other) {
+  if (other.edges_ != edges_) throw std::invalid_argument("IntHistogram::merge: edges differ");
+  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
 Counter& MetricRegistry::counter(const std::string& name) {

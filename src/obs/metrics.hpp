@@ -50,6 +50,8 @@ class IntHistogram {
   explicit IntHistogram(std::vector<std::int64_t> upper_edges);
 
   void add(std::int64_t sample);
+  /// Adds every sample `other` holds; its edges must equal these.
+  void merge(const IntHistogram& other);
 
   const std::vector<std::int64_t>& edges() const { return edges_; }
   std::size_t bucket_count() const { return buckets_.size(); }

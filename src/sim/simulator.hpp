@@ -125,6 +125,16 @@ class Simulator {
   std::uint64_t run();
   /// Executes exactly one event if any is pending; returns whether one ran.
   bool step();
+  /// Steps through events no later than `deadline` until `done()` holds;
+  /// returns the instant it first did (the clock stays there), else max().
+  template <class Done>
+  util::SimTime step_until(util::SimTime deadline, Done done) {
+    while (!done()) {
+      if (queue_.empty() || queue_.next_time() > deadline) return util::SimTime::max();
+      step();
+    }
+    return now_;
+  }
 
   bool idle() const { return queue_.empty(); }
   std::size_t pending_events() const { return queue_.size(); }

@@ -1,9 +1,35 @@
 #include "util/flags.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace drs::util {
+
+namespace {
+
+std::invalid_argument malformed(const std::string& name, const std::string& value) {
+  return std::invalid_argument("--" + name + ": malformed value '" + value + "'");
+}
+
+/// Reads all of `value` with strtoll or strtod (`read`): a blank, leading space,
+/// trailing text or an out-of-range value is malformed. (For doubles, from_chars
+/// would add about 60 KB to the peak RSS of every program that reads one.)
+template <class Read>
+auto read_whole(const std::string& name, const std::string& value, Read read) {
+  char* end = nullptr;
+  errno = 0;
+  const auto out = read(value.c_str(), &end);
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) ||
+      end != value.c_str() + value.size() || errno == ERANGE) {
+    throw malformed(name, value);
+  }
+  return out;
+}
+
+}  // namespace
 
 std::optional<Flags> Flags::parse(
     int argc, const char* const* argv,
@@ -51,18 +77,25 @@ std::string Flags::get_string(const std::string& name, std::string fallback) con
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  return read_whole(name, it->second,
+                    [](const char* text, char** end) { return std::strtoll(text, end, 10); });
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  return read_whole(name, it->second,
+                    [](const char* text, char** end) { return std::strtod(text, end); });
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  throw malformed(name, value);
 }
 
 }  // namespace drs::util

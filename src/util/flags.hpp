@@ -25,6 +25,9 @@ class Flags {
   bool help_requested() const { return help_; }
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 
+  /// Typed getters return `fallback` for an absent flag. A value that is not
+  /// wholly a number in range (get_bool: true/1/yes/false/0/no) throws
+  /// std::invalid_argument naming the flag, which ends the program unless caught.
   std::string get_string(const std::string& name, std::string fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;

@@ -1,8 +1,14 @@
-// Construction footprint: what building a cluster and its DRS daemons asks
-// of the heap, per monitored (node, peer) pair. A counting replacement of the
-// global operator new sees every allocation the constructors make, so any
-// per-link object that creeps back into the daemon, the ARP table or the
-// ICMP service shows up here as bytes or allocations per pair.
+// Heap footprint, counted by a replacement of the global operator new that
+// sees every allocation.
+//
+// Construction: what building a cluster and its DRS daemons asks of the
+// heap, per monitored (node, peer) pair, so any per-link object that creeps
+// back into the daemon, the ARP table or the ICMP service shows up here as
+// bytes or allocations per pair.
+//
+// Churn: what a running cluster keeps live as links keep failing and
+// recovering. Nothing in a daemon may grow with run length, so once every
+// pool has warmed up the live heap must stop moving.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,22 +25,38 @@ namespace {
 
 std::size_t g_bytes = 0;
 std::size_t g_allocations = 0;
+std::size_t g_live_bytes = 0;
+
+// Each block carries its requested size in a header, so a free can take it
+// off the live count.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_alloc(std::size_t size) {
   ++g_allocations;
   g_bytes += size;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* block = std::malloc(kHeader + size)) {
+    *static_cast<std::size_t*>(block) = size;
+    g_live_bytes += size;
+    return static_cast<char*>(block) + kHeader;
+  }
   throw std::bad_alloc();
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  void* block = static_cast<char*>(p) - kHeader;
+  g_live_bytes -= *static_cast<std::size_t*>(block);
+  std::free(block);
 }
 
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace drs {
 namespace {
@@ -85,6 +107,45 @@ TEST(ConstructionFootprint, PerPairHeapStaysSmallAtTheFig1Anchor) {
 TEST(ConstructionFootprint, PerPairHeapStaysSmallAt256Nodes) {
   // Measured: 288 B and 0.08 allocations per pair.
   expect_per_pair_footprint(256, 360.0, 0.25);
+}
+
+TEST(ChurnFootprint, FlappingNicLeavesTheLiveHeapFlat) {
+  // Node 1's network-0 NIC alternately fails and restores every 200 ms.
+  // With 50 ms probes and a one-loss verdict every flap takes each
+  // observer's link DOWN and back UP, and its route to node 1 onto network
+  // B and back: two link transitions and two route changes per observer.
+  // The first 50 flaps (20 s) are warm-up: they outlast one rotation of the
+  // event wheel's level-3 buckets (64 x 268 ms), each of which takes its
+  // capacity when simulated time first reaches it.
+  sim::Simulator sim;
+  net::ClusterNetwork network(sim, {.node_count = 5, .backplane = {}});
+  core::DrsConfig config;
+  config.probe_interval = util::Duration::millis(50);
+  config.probe_timeout = util::Duration::millis(20);
+  config.failures_to_down = 1;
+  core::DrsSystem system(network, config);
+  system.start();
+  sim.run_for(util::Duration::millis(500));
+  const net::ComponentIndex nic = net::ClusterNetwork::nic_component(1, 0);
+  const auto flap = [&] {
+    network.set_component_failed(nic, true);
+    sim.run_for(util::Duration::millis(200));
+    network.set_component_failed(nic, false);
+    sim.run_for(util::Duration::millis(200));
+  };
+  for (int i = 0; i < 50; ++i) flap();
+  const std::size_t live_after_50 = g_live_bytes;
+  const std::uint64_t downs_after_50 =
+      system.daemon(0).metrics().links_declared_down;
+  for (int i = 50; i < 500; ++i) flap();
+  const std::size_t live_after_500 = g_live_bytes;
+  // The flaps bit: node 0 saw a DOWN verdict on every one.
+  EXPECT_EQ(system.daemon(0).metrics().links_declared_down - downs_after_50,
+            450u);
+  EXPECT_EQ(live_after_500, live_after_50)
+      << "the live heap grew by "
+      << static_cast<std::int64_t>(live_after_500 - live_after_50)
+      << " B over 450 flaps";
 }
 
 }  // namespace

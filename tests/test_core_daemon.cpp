@@ -188,16 +188,12 @@ TEST_F(DaemonTest, DetectionLatencyWithinBudget) {
   sim.run_for(200_ms);
   const util::SimTime injected = sim.now();
   injector.apply_now(net::ClusterNetwork::nic_component(1, 0), true);
-  sim.run_for(detection_budget());
-  // Find node 0's down transition for (peer 1, net 0).
-  const auto& history = system.daemon(0).links().history();
-  util::SimTime detected = util::SimTime::max();
-  for (const auto& t : history) {
-    if (t.peer == 1 && t.network == 0 && t.to == LinkState::kDown) {
-      detected = t.at;
-      break;
-    }
-  }
+  // Step to node 0's DOWN verdict for (peer 1, net 0).
+  const util::SimTime detected =
+      sim.step_until(injected + detection_budget(), [&] {
+        return system.daemon(0).links().state(1, net::kNetworkA) ==
+               LinkState::kDown;
+      });
   ASSERT_NE(detected, util::SimTime::max());
   const util::Duration latency = detected - injected;
   // Budget: at most failures_to_down cycles + one timeout + slack.
@@ -205,18 +201,39 @@ TEST_F(DaemonTest, DetectionLatencyWithinBudget) {
   EXPECT_GT(latency, util::Duration::zero());
 }
 
-TEST_F(DaemonTest, RouteChangesAreRecorded) {
-  sim.run_for(200_ms);
-  injector.apply_now(net::ClusterNetwork::nic_component(1, 0), true);
-  sim.run_for(detection_budget());
-  network.heal_all();
-  sim.run_for(detection_budget());
-  const auto& changes = system.daemon(0).metrics().route_changes;
+TEST_F(DaemonTest, DetourChangesAreTraced) {
+  // The same cluster, traced from the start.
+  system.stop();
+  sim::Simulator traced_sim;
+  obs::Tracer tracer;
+  traced_sim.set_tracer(&tracer);
+  net::ClusterNetwork traced_net(traced_sim, {.node_count = 6, .backplane = {}});
+  DrsSystem traced(traced_net, config());
+  traced.start();
+  traced_sim.run_for(200_ms);
+  traced_net.set_component_failed(net::ClusterNetwork::nic_component(1, 0),
+                                  true);
+  traced_sim.run_for(detection_budget());
+  traced_net.heal_all();
+  traced_sim.run_for(detection_budget());
+  EXPECT_EQ(tracer.evicted(), 0u);
+  // Node 0's route changes: a detour install (leaving direct), switches,
+  // and a teardown (back to direct).
+  std::vector<obs::TraceEvent> changes;
+  tracer.for_each([&](const obs::TraceEvent& e) {
+    if (e.node == 0 && (e.kind == obs::TraceEventKind::kDetourInstall ||
+                        e.kind == obs::TraceEventKind::kDetourSwitch ||
+                        e.kind == obs::TraceEventKind::kDetourTeardown)) {
+      changes.push_back(e);
+    }
+  });
   ASSERT_GE(changes.size(), 2u);
   EXPECT_EQ(changes[0].peer, 1);
-  EXPECT_EQ(changes[0].from, PeerRouteMode::kDirect);
-  EXPECT_EQ(changes[0].to, PeerRouteMode::kViaNetworkB);
-  EXPECT_EQ(changes.back().to, PeerRouteMode::kDirect);
+  EXPECT_EQ(changes[0].kind, obs::TraceEventKind::kDetourInstall);
+  EXPECT_EQ(changes[0].a,
+            static_cast<std::int64_t>(PeerRouteMode::kViaNetworkB));
+  EXPECT_EQ(changes.back().kind, obs::TraceEventKind::kDetourTeardown);
+  EXPECT_EQ(traced.daemon(0).metrics().route_changes, changes.size());
 }
 
 TEST_F(DaemonTest, StopQuiescesCompletely) {

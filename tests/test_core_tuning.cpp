@@ -15,13 +15,14 @@ using namespace drs::util::literals;
 util::Duration detection_latency(DrsSystem& system, sim::Simulator& sim,
                                  net::ClusterNetwork& network,
                                  net::ComponentIndex component) {
+  EXPECT_EQ(system.daemon(0).links().down_count(), 0u);
   const util::SimTime injected = sim.now();
   network.set_component_failed(component, true);
-  sim.run_for(2_s);
-  for (const auto& t : system.daemon(0).links().history()) {
-    if (t.to == LinkState::kDown && t.at >= injected) return t.at - injected;
-  }
-  return util::Duration::max();
+  // Step to node 0's first DOWN verdict.
+  const util::SimTime detected = sim.step_until(
+      injected + 2_s, [&] { return system.daemon(0).links().down_count() > 0; });
+  return detected == util::SimTime::max() ? util::Duration::max()
+                                          : detected - injected;
 }
 
 // --- Adaptive probe timeout -----------------------------------------------------
@@ -88,9 +89,10 @@ TEST(AdaptiveTimeout, FirstProbesUseConfiguredTimeout) {
 
 TEST(AdaptiveTimeout, SweeperRecordsStayWithinTheInFlightWindow) {
   // Timeouts shrink once RTT samples arrive, so deadlines stop following
-  // send order and the timeout scan uses its full search. That search must
-  // still drop the records of replied probes: the record count stays within
-  // one cycle of cluster-wide probes instead of growing with every send.
+  // send order and records land mid-ring. The scan must still drop the
+  // records of replied probes as it passes them: the record count stays
+  // within one cycle of cluster-wide probes instead of growing with every
+  // send.
   constexpr std::uint16_t kNodes = 8;
   sim::Simulator sim;
   net::ClusterNetwork network(sim, {.node_count = kNodes, .backplane = {}});
@@ -205,10 +207,10 @@ TEST(FlapDamping, ReducesRouteChurnOnFlappingNic) {
           sim.now() + util::Duration::millis(200 * i), component, i % 2 == 0});
     }
     sim.run_for(8_s);
-    return system.daemon(0).metrics().route_changes.size();
+    return system.daemon(0).metrics().route_changes;
   };
-  const std::size_t undamped = run(0);
-  const std::size_t damped = run(2);
+  const std::uint64_t undamped = run(0);
+  const std::uint64_t damped = run(2);
   EXPECT_GT(undamped, damped * 2) << "undamped=" << undamped
                                   << " damped=" << damped;
 }
@@ -265,21 +267,15 @@ util::Duration relay_switch_latency(bool warm) {
   // First leg dies; with warm standby the daemon pre-arms a relay now.
   network.set_component_failed(net::ClusterNetwork::nic_component(0, 1), true);
   sim.run_for(1_s);
-  // Second leg dies.
+  // Second leg dies: step to the DOWN verdict on it, then to relay mode.
   network.set_component_failed(net::ClusterNetwork::nic_component(1, 0), true);
-  sim.run_for(1_s);
-  util::SimTime down_verdict = util::SimTime::max();
-  for (const auto& t : system.daemon(0).links().history()) {
-    if (t.peer == 1 && t.network == 0 && t.to == LinkState::kDown) {
-      down_verdict = t.at;
-    }
-  }
-  util::SimTime relay_mode = util::SimTime::max();
-  for (const auto& change : system.daemon(0).metrics().route_changes) {
-    if (change.peer == 1 && change.to == PeerRouteMode::kRelay) {
-      relay_mode = std::min(relay_mode, change.at);
-    }
-  }
+  const util::SimTime end = sim.now() + 1_s;
+  const DrsDaemon& daemon = system.daemon(0);
+  const util::SimTime down_verdict = sim.step_until(end, [&] {
+    return daemon.links().state(1, net::kNetworkA) == LinkState::kDown;
+  });
+  const util::SimTime relay_mode = sim.step_until(
+      end, [&] { return daemon.peer_mode(1) == PeerRouteMode::kRelay; });
   EXPECT_NE(down_verdict, util::SimTime::max());
   EXPECT_NE(relay_mode, util::SimTime::max());
   return relay_mode - down_verdict;

@@ -6,6 +6,7 @@
 // core::LinkState so traces stay readable without the core headers.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,23 @@ TEST(Metrics, HistogramUsesInclusiveUpperEdges) {
   // Re-lookup returns the same histogram; new edges are ignored.
   EXPECT_EQ(&registry.histogram("h", {999}), &h);
   EXPECT_EQ(h.edges().size(), 2u);
+}
+
+TEST(Metrics, HistogramMergeAddsEverySample) {
+  IntHistogram a({10, 20});
+  IntHistogram b({10, 20});
+  a.add(5);
+  b.add(15);
+  b.add(99);
+  a.merge(b);
+  EXPECT_EQ(a.bucket(0), 1);
+  EXPECT_EQ(a.bucket(1), 1);
+  EXPECT_EQ(a.bucket(2), 1);
+  EXPECT_EQ(a.count(), 3);
+  EXPECT_EQ(a.sum(), 119);
+  EXPECT_EQ(b.count(), 2);  // the source is unchanged
+  IntHistogram other({10});
+  EXPECT_THROW(a.merge(other), std::invalid_argument);
 }
 
 TEST(Metrics, ScopedNamingConvention) {

@@ -84,7 +84,8 @@ struct Observed {
   std::string metrics_json;             // registry snapshot minus sim.*
   std::string counters;                 // shape-specific "name=value" pairs
   /// Detection latencies (ns since injection) of every post-injection DOWN
-  /// verdict, in link-history order — empty for healthy runs.
+  /// verdict, daemon by daemon in node order, each daemon's in trace order —
+  /// empty for healthy runs.
   std::vector<std::int64_t> failover_ns;
   bool pristine = false;
 };
@@ -132,19 +133,21 @@ Observed run_cluster(std::uint16_t n, int fail_node) {
       "probes_sent=" + std::to_string(system.total_probes_sent()) +
       " control_messages=" + std::to_string(system.total_control_messages());
   observed.pristine = system.all_pristine();
-  for (net::NodeId i = 0; i < n; ++i) {
-    for (const core::LinkTransition& t : system.daemon(i).links().history()) {
-      if (t.to == core::LinkState::kDown && t.at >= injected) {
-        observed.failover_ns.push_back((t.at - injected).ns());
-      }
-    }
-  }
   obs::MetricRegistry registry;
   core::snapshot_metrics(system, registry);
   observed.metrics_json = without_sim_metrics(registry.to_json());
   system.stop();
   EXPECT_EQ(tracer.evicted(), 0u) << "trace ring too small for n=" << n;
   observed.events = protocol_events(tracer.events());
+  for (net::NodeId i = 0; i < n; ++i) {
+    for (const obs::TraceEvent& e : observed.events) {
+      if (e.kind == obs::TraceEventKind::kLinkChange && e.node == i &&
+          e.b == static_cast<std::int64_t>(core::LinkState::kDown) &&
+          e.at_ns >= injected.ns()) {
+        observed.failover_ns.push_back(e.at_ns - injected.ns());
+      }
+    }
+  }
   return observed;
 }
 

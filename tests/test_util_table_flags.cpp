@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -84,6 +86,52 @@ TEST(Flags, HelpIsAccepted) {
   auto flags = parse({"--help"});
   ASSERT_TRUE(flags.has_value());
   EXPECT_TRUE(flags->help_requested());
+}
+
+/// The message get_int/get_double/get_bool throw for `--flag value`, or ""
+/// when the value reads cleanly.
+template <class Get>
+std::string rejection(const char* flag, const char* value, Get get) {
+  auto flags = parse({flag, value});
+  if (!flags.has_value()) return "parse failed";
+  try {
+    get(*flags);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Flags, IntegersMustBeWholeAndInRange) {
+  const auto get = [](const Flags& f) { return f.get_int("nodes", 0); };
+  EXPECT_EQ(rejection("--nodes", "-12", get), "");
+  EXPECT_EQ(parse({"--nodes", "-12"})->get_int("nodes", 0), -12);
+  // A trailing word, no digits at all, a fraction, padding, int64 overflow.
+  for (const char* bad : {"2x", "abc", "", "1.5", " 7", "9223372036854775808"}) {
+    const std::string message = rejection("--nodes", bad, get);
+    EXPECT_NE(message.find("--nodes"), std::string::npos)
+        << "'" << bad << "' -> '" << message << "'";
+  }
+}
+
+TEST(Flags, DoublesMustBeWholeAndInRange) {
+  const auto get = [](const Flags& f) { return f.get_double("p", 0.0); };
+  EXPECT_EQ(rejection("--p", "2.5e-3", get), "");
+  EXPECT_DOUBLE_EQ(parse({"--p", "2.5e-3"})->get_double("p", 0.0), 2.5e-3);
+  for (const char* bad : {"0.5x", "abc", "", "1e999"}) {
+    const std::string message = rejection("--p", bad, get);
+    EXPECT_NE(message.find("--p"), std::string::npos)
+        << "'" << bad << "' -> '" << message << "'";
+  }
+}
+
+TEST(Flags, BooleansMustBeAKnownWord) {
+  EXPECT_FALSE(parse({"--fast=no"})->get_bool("fast", true));
+  EXPECT_FALSE(parse({"--fast", "0"})->get_bool("fast", true));
+  EXPECT_TRUE(parse({"--fast=yes"})->get_bool("fast"));
+  const std::string message = rejection(
+      "--fast", "maybe", [](const Flags& f) { return f.get_bool("fast"); });
+  EXPECT_NE(message.find("--fast"), std::string::npos) << message;
 }
 
 }  // namespace
