@@ -180,15 +180,15 @@ std::uint64_t FleetMembers::total_probes_sent() const {
 }
 
 void FleetMembers::collect_metrics(obs::MetricRegistry& registry,
-                                   const net::Backplane::Counters& relay,
-                                   std::size_t relay_flight_slots) const {
+                                   const net::Backplane::Counters& relay) const {
   registry.gauge("fleet.clusters").set(config_.clusters);
   registry.gauge("fleet.nodes_per_cluster").set(config_.nodes_per_cluster);
 
-  // Flat sum of every pool gauge that must stop growing once traffic peaks:
-  // cluster backplanes' in-flight pools plus the relay hub's. A flat sum
-  // proves every member flat, since the pools never shrink.
-  auto flight_slots = static_cast<std::int64_t>(relay_flight_slots);
+  // Flat sum of every cluster backplane's delivery-ring capacity, which must
+  // stop growing once traffic peaks. A flat sum proves every member flat,
+  // since the rings never shrink. The relay is left out: the sharded
+  // engine's oracle has no ring, and both engines report one snapshot.
+  std::int64_t flight_slots = 0;
 
   for (net::ClusterId c = 0; c < config_.clusters; ++c) {
     const core::DrsSystem& system = *systems_.at(c);
@@ -297,7 +297,7 @@ bool Fleet::component_failed(net::ComponentIndex index) const {
 }
 
 void Fleet::collect_metrics(obs::MetricRegistry& registry) const {
-  members_.collect_metrics(registry, relay_->counters(), relay_->flight_slots());
+  members_.collect_metrics(registry, relay_->counters());
   const sim::Simulator* sims[] = {&sim_};
   sim::collect_metrics(sims, registry);
 }

@@ -173,11 +173,10 @@ class FleetMembers {
 
   /// Fleet-wide metric snapshot: per-cluster daemon aggregates
   /// ("cluster.<c>.probes_sent", ...), per-gateway echo counters, the relay
-  /// hub's counters, and the summed "fleet.flight_slots" pool gauge
-  /// (clusters' backplanes plus `relay_flight_slots`).
+  /// hub's counters, and the "fleet.flight_slots" gauge (the clusters'
+  /// backplanes' delivery rings, summed).
   void collect_metrics(obs::MetricRegistry& registry,
-                       const net::Backplane::Counters& relay,
-                       std::size_t relay_flight_slots) const;
+                       const net::Backplane::Counters& relay) const;
 
  private:
   FleetConfig config_;

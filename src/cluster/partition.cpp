@@ -117,7 +117,7 @@ struct ShardedFleet::RelayOracle {
     bool failed = false;
   };
 
-  /// A delivery in flight: Fleet's hub FIFO stream entry. Payload by value,
+  /// A delivery in flight: Fleet's hub delivery-ring entry. Payload by value,
   /// like Offer; deliver() places it into the slab.
   struct Due {
     std::int64_t arrival_ns = 0;
@@ -334,7 +334,7 @@ struct ShardedFleet::RelayOracle {
   /// hub key orders it before every same-time offer: offers come from
   /// cluster events (later entities) or from hub deliveries, whose keys were
   /// drawn at runtime, after every transition's. A failure transition drops
-  /// the live Dues as lost, like the hub's delivery stream; a surviving offer
+  /// the live Dues as lost, like the hub's delivery ring; a surviving offer
   /// becomes a Due under the next hub key, where the hub claims its rank.
   void on_merge(ShardedFleet& fleet, std::int64_t end_ns) {
     scratch.clear();
@@ -413,7 +413,7 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
     const ShardedFleetConfig& config) {
   if (config.fleet.relay_backplane.kind != net::MediumKind::kHub ||
       config.fleet.relay_backplane.jitter > util::Duration::zero()) {
-    // The oracle replays the hub's monotone FIFO delivery stream; jittered or
+    // The oracle replays the hub's arrivals as one FIFO stream; jittered or
     // switched relays would need per-port state it does not model.
     throw std::invalid_argument(
         "ShardedFleet requires a kHub relay backplane with zero jitter");
@@ -527,10 +527,7 @@ void ShardedFleet::run_until(util::SimTime deadline) {
 }
 
 void ShardedFleet::collect_metrics(obs::MetricRegistry& registry) const {
-  // The oracle delivers directly (no flight pool) and the stubs never drive
-  // their medium, so the relay adds no flight slots — matching Fleet's hub
-  // at zero jitter, whose FIFO stream bypasses the pool too.
-  members_.collect_metrics(registry, oracle_->hub.counters(), 0);
+  members_.collect_metrics(registry, oracle_->hub.counters());
 
   std::vector<const sim::Simulator*> sims;
   for (std::uint32_t s = 0; s < engine_.shard_count(); ++s) {

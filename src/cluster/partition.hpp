@@ -28,13 +28,13 @@
 // hub entity's counter: failure transitions and
 // deliveries draw their keys from it in replay order, exactly as Fleet's hub
 // backplane claims them. Deliveries come back as cross-shard foreign events
-// at the (time, key) coordinates Fleet's delivery stream pops them, so traces
+// at the (time, key) coordinates Fleet's delivery ring pops them, so traces
 // and counters are byte-identical to the single-threaded Fleet at any shard
 // count. docs/SHARDING.md walks through the argument.
 //
 // Contract differences vs. Fleet (both enforced here):
-//   - the relay must be a kHub with zero jitter (the delivery stream the
-//     oracle replays is the monotone-FIFO path);
+//   - the relay must be a kHub with zero jitter (the oracle replays one
+//     FIFO stream, which only that hub's arrivals follow);
 //   - failure injections are scheduled up front via
 //     schedule_component_failure(), not by external mid-run schedule_at
 //     calls (the oracle must know every relay transition before it replays).

@@ -7,6 +7,7 @@
 #include "obs/macros.hpp"
 #include "util/arena.hpp"
 #include "util/log.hpp"
+#include "util/sorted_ring.hpp"
 
 namespace drs::core {
 
@@ -49,16 +50,8 @@ bool ProbeScheduler::live(const Record& r) const {
 
 template <class T>
 void ProbeScheduler::insert_sorted(std::vector<T>& ring, std::size_t head, const T& item) {
-  if (head == ring.size() || !before(item, ring.back())) {
-    // drs-lint: hotpath-purity-ok(amortized: each ring grows to its steady size once, cursors two per daemon and records the in-flight window, then recycles capacity)
-    ring.push_back(item);
-    return;
-  }
-  const auto at = std::upper_bound(
-      ring.begin() + static_cast<std::ptrdiff_t>(head), ring.end(), item,
-      [](const T& a, const T& b) { return before(a, b); });
-  // drs-lint: hotpath-purity-ok(amortized: each ring grows to its steady size once, cursors two per daemon and records the in-flight window, then recycles capacity)
-  ring.insert(at, item);
+  util::insert_sorted(ring, head, item,
+                      [](const T& a, const T& b) { return before(a, b); });
 }
 
 void ProbeScheduler::schedule_send(DrsDaemon& daemon, std::int64_t at_ns,

@@ -128,7 +128,7 @@ class ProbeScheduler {
   /// Deadline alone: a new record goes after its ties, so ties expire in send order.
   static bool before(const Record& a, const Record& b) { return a.deadline_ns < b.deadline_ns; }
   /// Adds `item` to `ring`'s unconsumed part [head, end), kept sorted by
-  /// before(): an append in the common case, else an insert at its upper bound.
+  /// before() (util::insert_sorted).
   template <class T>
   static void insert_sorted(std::vector<T>& ring, std::size_t head, const T& item);
   /// Whether the cursor is still its daemon's current one (a stop or a new

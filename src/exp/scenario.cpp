@@ -383,7 +383,8 @@ std::vector<Scenario> build_registry() {
        .uses_config = true,
        .run = run_policy_shootout});
   add({.family = "fleet_smoke",
-       .version = "v2",  // v2: distinct cluster addresses past node 253
+       .version = "v3",  // v2: distinct cluster addresses past node 253;
+                         // v3: fleet.flight_slots counts delivery rings
        .help = "Multi-cluster fleet smoke: k clusters of n nodes plus the "
                "gateway relay mesh; probe totals, echo counters, pristine "
                "check, and an end-to-end relay reachability probe; the "
@@ -469,24 +470,27 @@ std::vector<Scenario> build_registry() {
        .uses_config = true,
        .run = run_ablation_packet_agreement});
   add({.family = "ablation_spread",
-       .version = "v3",  // v2: obs metrics snapshot in outputs;
-                         // v3: distinct cluster addresses past node 253
+       .version = "v4",  // v2: obs metrics snapshot in outputs;
+                         // v3: distinct cluster addresses past node 253;
+                         // v4: flight_slots counts the delivery ring
        .help = "Probe spreading on/off: failed probes and medium "
                "utilization under a deliberately tight interval",
        .required = {"spread"},
        .uses_config = true,
        .run = run_ablation_spread});
   add({.family = "ablation_warm_standby",
-       .version = "v3",  // v2: obs metrics snapshot in outputs;
-                         // v3: distinct cluster addresses past node 253
+       .version = "v4",  // v2: obs metrics snapshot in outputs;
+                         // v3: distinct cluster addresses past node 253;
+                         // v4: flight_slots counts the delivery ring
        .help = "Warm-standby relays: delay from DOWN verdict to relay mode "
                "on the second cross-split failure",
        .required = {"warm"},
        .uses_config = true,
        .run = run_ablation_warm_standby});
   add({.family = "ablation_detector",
-       .version = "v3",  // v2: obs metrics snapshot in outputs;
-                         // v3: distinct cluster addresses past node 253
+       .version = "v4",  // v2: obs metrics snapshot in outputs;
+                         // v3: distinct cluster addresses past node 253;
+                         // v4: flight_slots counts the delivery ring
        .help = "failures_to_down tuning: false failovers under frame loss "
                "vs detection latency on a clean medium",
        .required = {"threshold"},

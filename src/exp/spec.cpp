@@ -1,6 +1,8 @@
 #include "exp/spec.hpp"
 
 #include <cassert>
+#include <cerrno>
+#include <cstddef>
 #include <cstdlib>
 
 #include "util/hash.hpp"
@@ -10,22 +12,38 @@ namespace drs::exp {
 
 namespace {
 
-bool parse_int(const std::string& token, std::int64_t& out) {
-  if (token.empty()) return false;
+/// The most values one parsed axis may hold: the bound a failure script
+/// puts on its actions (net::kMaxScriptActions).
+constexpr std::size_t kMaxAxisValues = 1'000'000;
+
+/// How all of a token reads as a number.
+enum class NumberRead { kOk, kNotANumber, kOutOfRange };
+
+/// Reads all of `token` with strtoll or strtod (`read`). Leading space is
+/// skipped, so "n=2, 4" parses; trailing text is not a number, and a value
+/// the type cannot hold is out of range, as util::Flags treats both.
+template <class T, class Read>
+NumberRead read_number(const std::string& token, T& out, Read read) {
+  if (token.empty()) return NumberRead::kNotANumber;
   char* end = nullptr;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) return false;
+  errno = 0;
+  const T v = read(token.c_str(), &end);
+  if (end != token.c_str() + token.size()) return NumberRead::kNotANumber;
+  if (errno == ERANGE) return NumberRead::kOutOfRange;
   out = v;
-  return true;
+  return NumberRead::kOk;
 }
 
-bool parse_double(const std::string& token, double& out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
-  out = v;
-  return true;
+NumberRead parse_int(const std::string& token, std::int64_t& out) {
+  return read_number(token, out, [](const char* text, char** end) {
+    return std::strtoll(text, end, 10);
+  });
+}
+
+NumberRead parse_double(const std::string& token, double& out) {
+  return read_number(token, out, [](const char* text, char** end) {
+    return std::strtod(text, end);
+  });
 }
 
 std::vector<std::string> split(const std::string& text, char sep) {
@@ -225,12 +243,17 @@ std::optional<ParamGrid> parse_grid(const std::string& text, std::string* error)
     // Expand tokens; ranges force the axis to integers.
     std::vector<std::string> tokens;
     bool has_range = false;
+    const auto too_long = [&] {
+      return fail("axis '" + name + "' expands past " +
+                  std::to_string(kMaxAxisValues) + " values");
+    };
     for (const std::string& token : split(axis_text.substr(eq + 1), ',')) {
       const std::size_t dots = token.find("..");
       if (dots == std::string::npos) {
         if (token.empty()) {
           return fail("axis '" + name + "' has an empty value");
         }
+        if (tokens.size() == kMaxAxisValues) return too_long();
         tokens.push_back(token);
         continue;
       }
@@ -241,17 +264,24 @@ std::optional<ParamGrid> parse_grid(const std::string& text, std::string* error)
       std::string hi_text = token.substr(dots + 2);
       if (const std::size_t colon = hi_text.find(':');
           colon != std::string::npos) {
-        if (!parse_int(hi_text.substr(colon + 1), step) || step <= 0) {
+        if (parse_int(hi_text.substr(colon + 1), step) != NumberRead::kOk ||
+            step <= 0) {
           return fail("bad range step in '" + token + "'");
         }
         hi_text = hi_text.substr(0, colon);
       }
-      if (!parse_int(token.substr(0, dots), lo) || !parse_int(hi_text, hi) ||
-          hi < lo) {
+      if (parse_int(token.substr(0, dots), lo) != NumberRead::kOk ||
+          parse_int(hi_text, hi) != NumberRead::kOk || hi < lo) {
         return fail("bad range '" + token + "' (expected lo..hi or lo..hi:step)");
       }
-      for (std::int64_t v = lo; v <= hi; v += step) {
-        tokens.push_back(std::to_string(v));
+      // Count in unsigned arithmetic: hi - lo need not fit an int64, and
+      // stepping a signed value past hi would overflow.
+      const auto first = static_cast<std::uint64_t>(lo);
+      const auto stride = static_cast<std::uint64_t>(step);
+      const std::uint64_t steps = (static_cast<std::uint64_t>(hi) - first) / stride;
+      if (steps >= kMaxAxisValues - tokens.size()) return too_long();
+      for (std::uint64_t k = 0; k <= steps; ++k) {
+        tokens.push_back(std::to_string(static_cast<std::int64_t>(first + k * stride)));
       }
     }
     if (tokens.empty()) return fail("axis '" + name + "' has no values");
@@ -264,8 +294,15 @@ std::optional<ParamGrid> parse_grid(const std::string& text, std::string* error)
     for (const std::string& token : tokens) {
       std::int64_t i = 0;
       double d = 0.0;
-      if (!parse_int(token, i)) all_int = false;
-      if (!parse_double(token, d)) all_double = false;
+      const NumberRead as_int = parse_int(token, i);
+      const NumberRead as_double = parse_double(token, d);
+      if (as_int == NumberRead::kOutOfRange ||
+          as_double == NumberRead::kOutOfRange) {
+        return fail("value '" + token + "' of axis '" + name +
+                    "' is out of range");
+      }
+      if (as_int != NumberRead::kOk) all_int = false;
+      if (as_double != NumberRead::kOk) all_double = false;
       if (token != "true" && token != "false") all_bool = false;
     }
     for (const std::string& token : tokens) {

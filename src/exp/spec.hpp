@@ -112,7 +112,8 @@ std::string config_fingerprint(const core::DrsConfig& config);
 /// expand integer ranges. A value list that parses entirely as integers
 /// becomes an int axis; entirely as numbers, a double axis; "true"/"false",
 /// a bool axis; anything else, a string axis. Returns nullopt and fills
-/// `error` on malformed input.
+/// `error` on malformed input, which includes a number its type cannot hold
+/// and an axis of more than one million values.
 std::optional<ParamGrid> parse_grid(const std::string& text, std::string* error);
 
 }  // namespace drs::exp

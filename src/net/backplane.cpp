@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/sorted_ring.hpp"
+
 namespace drs::net {
 
 bool Backplane::Medium::set_failed(bool failed, util::SimTime now,
@@ -27,46 +29,18 @@ void Backplane::attach(Nic& nic) {
   nic.attach(*this);
 }
 
-std::uint32_t Backplane::acquire_flight(const Frame& frame, MacAddr sender) {
-  if (!flight_free_.empty()) {
-    const std::uint32_t slot = flight_free_.back();
-    flight_free_.pop_back();
-    flight_[slot] = FlightFrame{frame, sender};
-    return slot;
-  }
-  const auto slot = static_cast<std::uint32_t>(flight_.size());
-  // drs-lint: hotpath-purity-ok(amortized: flight pool grows to peak in-flight count once, then recycles via the free list)
-  flight_.push_back(FlightFrame{frame, sender});
-  return slot;
-}
-
-Backplane::FlightFrame Backplane::take_flight(std::uint32_t slot) {
-  // Move out before any delivery work: delivering can re-enter transmit(),
-  // which may grow the pool and invalidate references into it.
-  FlightFrame out = std::move(flight_[slot]);
-  flight_[slot] = FlightFrame{};  // drop the payload reference immediately
-  // drs-lint: hotpath-purity-ok(amortized: free list never outgrows the flight pool it indexes)
-  flight_free_.push_back(slot);
-  return out;
-}
-
 void Backplane::set_failed(bool failed) {
-  // The delivery stream drops its live suffix now (per-frame events count
-  // each loss lazily at their own pops); totals agree once the clock passes
-  // the last scheduled arrival, and the ring stays monotone across restores.
-  if (!medium_.set_failed(failed, sim_.now(),
-                          static_cast<std::uint64_t>(stream_.size() -
-                                                     stream_head_))) {
+  // Every live ring entry is lost at once, whatever its arrival time.
+  if (!medium_.set_failed(failed, sim_.now(), ring_.size() - ring_head_)) {
     return;
   }
-  // Either direction invalidates scheduled deliveries: frames in flight when
-  // the medium dies are lost, and a restored medium starts idle.
-  ++epoch_;
+  // Either direction drops scheduled deliveries: frames in flight when the
+  // medium dies are lost, and a restored medium starts idle.
   ingress_busy_.clear();
   egress_busy_.clear();
-  stream_.clear();
-  stream_head_ = 0;
-  stream_event_.cancel();
+  ring_.clear();
+  ring_head_ = 0;
+  ring_event_.cancel();
 }
 
 void Backplane::transmit(const Nic& sender, const Frame& frame) {
@@ -82,29 +56,13 @@ void Backplane::transmit(const Nic& sender, const Frame& frame) {
 }
 
 void Backplane::transmit_hub(const Nic& sender, const Frame& frame) {
-  const std::optional<util::SimTime> arrival =
+  std::optional<util::SimTime> arrival =
       medium_.offer(sim_.now(), frame.wire_bytes());
   if (!arrival) return;
   if (config().jitter > util::Duration::zero()) {
-    // Jittered arrivals are not monotone, so each frame gets its own wheel
-    // event; the frame parks in the flight pool and the callback carries
-    // only the slot index, so scheduling never allocates.
-    const util::SimTime jittered = *arrival + medium_.draw_jitter();
-    const std::uint64_t epoch = epoch_;
-    const std::uint32_t slot = acquire_flight(frame, sender.mac());
-    sim_.schedule_at(jittered, [this, slot, epoch] {
-      const FlightFrame flight = take_flight(slot);
-      if (epoch != epoch_ || medium_.failed()) {
-        medium_.count_lost_in_flight();
-        return;
-      }
-      deliver_hub_frame(flight.frame, flight.sender);
-    });
-    return;
+    *arrival += medium_.draw_jitter();
   }
-  // FIFO stream (see the header): one armed wheel event per hub, each entry
-  // popping at the exact (time, rank) its per-frame event would have held.
-  stream_push(frame, sender.mac(), *arrival);
+  ring_push(frame, nullptr, sender.mac(), *arrival);
 }
 
 /// Hub fan-in: every other NIC hears the frame, but only the addressee's MAC
@@ -123,42 +81,52 @@ void Backplane::deliver_hub_frame(const Frame& frame, MacAddr sender) {
   }
 }
 
-void Backplane::stream_push(const Frame& frame, MacAddr sender,
-                            util::SimTime arrival) {
+void Backplane::ring_push(const Frame& frame, Nic* target, MacAddr sender,
+                          util::SimTime arrival) {
   const sim::EntityScope scope(sim_, entity_);
-  const bool was_idle = stream_head_ == stream_.size();
-  if (was_idle && !stream_.empty()) {
-    // Fully consumed: reclaim the ring in one go before appending.
-    stream_.clear();
-    stream_head_ = 0;
+  const bool idle = ring_head_ == ring_.size();
+  if (idle && !ring_.empty()) {
+    // Fully consumed: reclaim the ring in one go before adding.
+    ring_.clear();
+    ring_head_ = 0;
   }
-  // drs-lint: hotpath-purity-ok(amortized: delivery ring is cleared, not shrunk, when drained; capacity is reused)
-  stream_.push_back(
-      PendingDelivery{frame, sender, arrival.ns(), sim_.claim_event_rank()});
-  if (was_idle) stream_arm();
+  const std::size_t at = util::insert_sorted(
+      ring_, ring_head_,
+      PendingDelivery{frame, target, sender, arrival.ns(),
+                      sim_.claim_event_rank()},
+      [](const PendingDelivery& a, const PendingDelivery& b) {
+        return before(a, b);
+      });
+  if (at == ring_head_) {
+    if (!idle) ring_event_.cancel();  // armed at the old head
+    ring_arm();
+  }
 }
 
-void Backplane::stream_arm() {
-  const PendingDelivery& head = stream_[stream_head_];
-  stream_event_ = sim_.schedule_at_ranked(
-      util::SimTime::from_ns(head.arrival_ns), [this] { stream_fire(); },
+void Backplane::ring_arm() {
+  const PendingDelivery& head = ring_[ring_head_];
+  ring_event_ = sim_.schedule_at_ranked(
+      util::SimTime::from_ns(head.arrival_ns), [this] { ring_fire(); },
       head.rank);
 }
 
-void Backplane::stream_fire() {
-  // Move out and re-arm before delivering: delivery can re-enter
-  // transmit_hub(), growing the ring (and the push-if-idle logic must see a
-  // consistent armed state).
-  PendingDelivery entry = std::move(stream_[stream_head_]);
-  stream_[stream_head_] = PendingDelivery{};  // drop the payload reference
-  ++stream_head_;
-  if (stream_head_ < stream_.size()) stream_arm();
-  deliver_hub_frame(entry.frame, entry.sender);
+void Backplane::ring_fire() {
+  // Move out (which drops the ring's payload reference) and re-arm before
+  // delivering: delivery can re-enter transmit(), adding to the ring (and
+  // ring_push must see a consistent armed state).
+  PendingDelivery entry = std::move(ring_[ring_head_]);
+  ++ring_head_;
+  if (ring_head_ < ring_.size()) ring_arm();
+  if (entry.target != nullptr) {
+    entry.target->deliver(entry.frame);
+  } else {
+    deliver_hub_frame(entry.frame, entry.sender);
+  }
   // Bound the consumed prefix under sustained backlog, amortized O(1)/frame.
-  if (stream_head_ >= 4096 && stream_head_ * 2 >= stream_.size()) {
-    stream_.erase(stream_.begin(),
-                  stream_.begin() + static_cast<std::ptrdiff_t>(stream_head_));
-    stream_head_ = 0;
+  if (ring_head_ >= 4096 && ring_head_ * 2 >= ring_.size()) {
+    ring_.erase(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
+    ring_head_ = 0;
   }
 }
 
@@ -204,17 +172,7 @@ void Backplane::switch_deliver(Nic& receiver, const Frame& frame,
   rx_busy = egress_start + medium_.serialization_time(frame.wire_bytes());
   util::SimTime arrival = rx_busy + config().propagation_delay;
   if (config().jitter > util::Duration::zero()) arrival += medium_.draw_jitter();
-  const std::uint64_t epoch = epoch_;
-  Nic* target = &receiver;
-  const std::uint32_t slot = acquire_flight(frame, MacAddr{});
-  sim_.schedule_at(arrival, [this, slot, epoch, target] {
-    const FlightFrame flight = take_flight(slot);
-    if (epoch != epoch_ || medium_.failed()) {
-      medium_.count_lost_in_flight();
-      return;
-    }
-    target->deliver(flight.frame);
-  });
+  ring_push(frame, &receiver, MacAddr{}, arrival);
 }
 
 }  // namespace drs::net

@@ -15,21 +15,6 @@
 // bystanders' rx_filtered counters stop ticking. Broadcasts (and the
 // pathological duplicate-MAC case) still fan out to everyone.
 //
-// Delivery stream: hub FIFO serialization means arrivals are scheduled in
-// non-decreasing time order, so (when jitter is off) the hub keeps one
-// insertion-ordered ring of pending deliveries and a single armed wheel
-// event at the head's coordinates instead of one far-future wheel event per
-// frame. Each entry's queue rank is claimed at transmit — exactly where the
-// per-frame event used to be pushed — so every delivery still pops at the
-// precise (time, rank) coordinate the per-frame event would have occupied,
-// and same-instant interleaving with unrelated events is unchanged. Ranks
-// are claimed under the entity the backplane was built in (sim::EntityScope),
-// so a shared medium's deliveries order by its own counter, not by whichever
-// sender's entity happened to transmit. Under
-// saturation this keeps the event queue small (one event per hub) no matter
-// how deep the backlog runs. With jitter enabled arrivals are no longer
-// monotone and the per-frame path is used.
-//
 // kSwitch — every NIC has its own full-duplex port. A frame serializes into
 // the switch on the sender's ingress port, then serializes out of the
 // destination's egress port (store-and-forward); each port queues
@@ -38,9 +23,27 @@
 // instead of the hub's O(N^2) shared load — the bench_fig1 extension
 // quantifies what that buys the paper's Fig. 1.
 //
+// Delivery ring: every frame in flight, hub or switch, waits in one ring
+// sorted on (arrival, rank) behind a single armed wheel event at the head's
+// coordinates, instead of one far-future wheel event per frame. Each entry's
+// queue rank is claimed at transmit — exactly where a per-frame event would
+// be pushed — so every delivery pops at the precise (time, rank) coordinate
+// that event would have occupied, and same-instant interleaving with
+// unrelated events is unchanged. Ranks are claimed under the entity the
+// backplane was built in (sim::EntityScope), so a shared medium's
+// deliveries order by its own counter, not by whichever sender's entity
+// happened to transmit. A zero-jitter hub serializes FIFO, so its arrivals
+// come in (time, rank) order and every entry appends; a jittered arrival or
+// a switch frame to an idle egress port may land mid-ring, and one that
+// lands at the head re-arms the event there. The armed event therefore
+// always sits at the ring's minimum (time, rank), so Simulator::peek_next()
+// — and with it the probe sweep's inline sends — sees the earliest pending
+// delivery. Under saturation this keeps the event queue small (one event
+// per backplane) no matter how deep the backlog runs.
+//
 // Either way, the backplane is one of the 2 shared failure components of the
-// survivability model: when failed it drops everything in flight and
-// everything offered.
+// survivability model: when failed it drops everything offered, and
+// set_failed counts every frame still in the ring lost at once.
 //
 // Backplane::Medium holds the medium's state and the rules every offered
 // frame goes through: the failed flag, the shared transmitter's busy-until
@@ -136,8 +139,6 @@ class Backplane {
     /// and counts the `in_flight` deliveries it cuts off as lost.
     bool set_failed(bool failed, util::SimTime now, std::uint64_t in_flight);
 
-    /// One delivery found cut off when it came due (the per-frame paths).
-    void count_lost_in_flight() { ++counters_.lost_in_flight; }
     /// A uniform extra delay in [0, jitter]; only call with jitter on.
     util::Duration draw_jitter();
 
@@ -158,8 +159,8 @@ class Backplane {
   void attach(Nic& nic);
 
   bool failed() const { return medium_.failed(); }
-  /// Failing the backplane invalidates all in-flight deliveries; restoring it
-  /// starts from an idle medium.
+  /// Failing the backplane drops every in-flight delivery and counts it in
+  /// lost_in_flight at once; restoring it starts from an idle medium.
   void set_failed(bool failed);
 
   /// Serializes and broadcasts `frame` from `sender` to all other NICs.
@@ -171,9 +172,10 @@ class Backplane {
 
   const Counters& counters() const { return medium_.counters(); }
 
-  /// In-flight frame-pool capacity; stable once traffic peaks (asserted by
-  /// the zero-allocation instrumented test, see docs/PERFORMANCE.md).
-  std::size_t flight_slots() const { return flight_.size(); }
+  /// Delivery-ring capacity, the storage every in-flight frame occupies;
+  /// stable once traffic peaks (asserted by the zero-allocation
+  /// instrumented test, see docs/PERFORMANCE.md).
+  std::size_t flight_slots() const { return ring_.capacity(); }
 
   /// Shard-boundary capture (sharded fleet only, see docs/SHARDING.md): when
   /// set, transmit() hands every offered frame to the hook INSTEAD of driving
@@ -188,41 +190,36 @@ class Backplane {
   }
 
  private:
-  /// Pooled copy of a frame while it is in flight on the medium. Delivery
-  /// callbacks capture the slot index (EventCallback's inline capture is 48
-  /// bytes; a Frame alone is larger), and the slot is recycled at delivery.
-  struct FlightFrame {
-    Frame frame;
-    MacAddr sender{};
-  };
-
-  std::uint32_t acquire_flight(const Frame& frame, MacAddr sender);
-  FlightFrame take_flight(std::uint32_t slot);
-
-  /// One pending hub delivery in the FIFO stream (see the header comment).
+  /// One pending delivery in the ring (see the header comment).
   struct PendingDelivery {
     Frame frame;
-    MacAddr sender{};
+    Nic* target = nullptr;  // a switch egress port's NIC; null: hub fan-in
+    MacAddr sender{};       // hub fan-in skips the sender's own NIC
     std::int64_t arrival_ns = 0;
-    std::uint64_t rank = 0;  // claimed at transmit; the stream pops under it
+    std::uint64_t rank = 0;  // claimed at transmit; the ring pops under it
   };
+  static bool before(const PendingDelivery& a, const PendingDelivery& b) {
+    return a.arrival_ns < b.arrival_ns ||
+           (a.arrival_ns == b.arrival_ns && a.rank < b.rank);
+  }
 
   /// Hub fan-in at arrival time: MAC-index unicast or broadcast fan-out.
   void deliver_hub_frame(const Frame& frame, MacAddr sender);
-  /// Appends to the delivery ring, claiming the entry's rank, and arms the
-  /// stream if it was idle.
-  void stream_push(const Frame& frame, MacAddr sender, util::SimTime arrival);
-  void stream_arm();
+  /// Claims the frame's rank, adds it to the ring in (arrival, rank) order,
+  /// and re-arms the ring's event if it is the new head.
+  void ring_push(const Frame& frame, Nic* target, MacAddr sender,
+                 util::SimTime arrival);
+  void ring_arm();
   /// Delivers the head entry and re-arms at the next one.
-  void stream_fire();
+  void ring_fire();
 
   void transmit_hub(const Nic& sender, const Frame& frame);
   void transmit_switch(const Nic& sender, const Frame& frame);
-  /// Schedules egress serialization + delivery to one NIC (switch path).
+  /// Egress serialization out of one NIC's port, then into the ring.
   void switch_deliver(Nic& receiver, const Frame& frame, util::SimTime ingress_done);
 
   sim::Simulator& sim_;
-  sim::Entity entity_;  // the delivery stream's ranks are claimed under it
+  sim::Entity entity_;  // the delivery ring's ranks are claimed under it
   NetworkId id_;
   /// Set once two attached NICs share a MAC: unicast delivery then falls
   /// back to the full fan-out walk, since a hub would deliver to both.
@@ -234,21 +231,15 @@ class Backplane {
   /// Per-port busy-until times (switch mode), keyed by NIC MAC value.
   util::FlatMap<std::uint64_t, util::SimTime> ingress_busy_;
   util::FlatMap<std::uint64_t, util::SimTime> egress_busy_;
-  std::vector<FlightFrame> flight_;
-  std::vector<std::uint32_t> flight_free_;
-  /// Hub FIFO delivery ring (insertion = transmit = pop order); entries
-  /// before stream_head_ are already delivered. Failure drops the live
-  /// suffix eagerly (the per-frame path counted each loss at its own pop).
-  std::vector<PendingDelivery> stream_;
-  std::size_t stream_head_ = 0;
-  sim::EventHandle stream_event_;
-  /// Deliveries scheduled before the most recent failure are invalidated by
-  /// comparing against this epoch counter.
-  std::uint64_t epoch_ = 0;
+  /// Delivery ring, sorted on (arrival, rank); entries before ring_head_
+  /// are already delivered. Failure drops the live part eagerly.
+  std::vector<PendingDelivery> ring_;
+  std::size_t ring_head_ = 0;
+  sim::EventHandle ring_event_;
   BoundaryHook boundary_hook_;
 };
 
-// Defined here so that Backplane's per-frame path inlines the medium's rules.
+// Defined here so that Backplane's transmit path inlines the medium's rules.
 inline util::Duration Backplane::Medium::serialization_time(
     std::uint32_t wire_bytes) const {
   const double bytes =

@@ -47,9 +47,9 @@ struct PingOptions {
   std::uint32_t data_bytes = 0;
   /// When true (default) the service schedules a wheel event per probe that
   /// fires the timeout. When false the caller owns expiry: it must track the
-  /// deadline itself and call expire(seq) once it passes. The batched probe
-  /// sweep uses this to keep one timeout-scan event per daemon instead of one
-  /// wheel event (plus a cancel tombstone) per probe.
+  /// deadline itself and call expire(seq) once it passes. (The batched probe
+  /// sweep does not use this: it sends raw echoes with send_echo() and
+  /// expires them with expire_raw().)
   bool managed_timeout = true;
 };
 

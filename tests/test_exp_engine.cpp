@@ -69,6 +69,40 @@ TEST(ParamGrid, RejectsMalformedInput) {
   EXPECT_FALSE(exp::parse_grid("n=1;n=2", &error).has_value());
   EXPECT_FALSE(exp::parse_grid("n=5..2", &error).has_value());
   EXPECT_FALSE(exp::parse_grid("n=", &error).has_value());
+  // Numbers the axis types cannot hold.
+  EXPECT_FALSE(exp::parse_grid("n=99999999999999999999", &error).has_value());
+  EXPECT_FALSE(exp::parse_grid("n=2,-99999999999999999999", &error).has_value());
+  EXPECT_FALSE(exp::parse_grid("x=0.5,1e999", &error).has_value());
+  EXPECT_FALSE(exp::parse_grid("n=0..99999999999999999999", &error).has_value());
+  EXPECT_FALSE(exp::parse_grid("n=0..9:99999999999999999999", &error).has_value());
+  // Axes past one million values, one of them spanning all of int64.
+  EXPECT_FALSE(exp::parse_grid("n=0..1000000", &error).has_value());
+  EXPECT_FALSE(exp::parse_grid("n=7,1..1000000", &error).has_value());
+  EXPECT_FALSE(exp::parse_grid("n=-9223372036854775808..9223372036854775807",
+                               &error)
+                   .has_value());
+}
+
+TEST(ParamGrid, RangeEndingAtInt64MaxYieldsExactlyItsValues) {
+  std::string error;
+  const auto grid = exp::parse_grid(
+      "n=9223372036854775805..9223372036854775807;"
+      "m=9223372036854775800..9223372036854775807:5",
+      &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  ASSERT_EQ(grid->axes().size(), 2u);
+  EXPECT_EQ(grid->axes()[0].values,
+            (std::vector<exp::Value>{std::int64_t{9223372036854775805},
+                                     std::int64_t{9223372036854775806},
+                                     std::int64_t{9223372036854775807}}));
+  EXPECT_EQ(grid->axes()[1].values,
+            (std::vector<exp::Value>{std::int64_t{9223372036854775800},
+                                     std::int64_t{9223372036854775805}}));
+  // A space after a comma still parses.
+  const auto spaced = exp::parse_grid("n=2, 4", &error);
+  ASSERT_TRUE(spaced.has_value()) << error;
+  EXPECT_EQ(spaced->axes()[0].values,
+            (std::vector<exp::Value>{std::int64_t{2}, std::int64_t{4}}));
 }
 
 TEST(Spec, ConfigFingerprintCoversEveryKnob) {

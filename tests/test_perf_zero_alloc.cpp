@@ -1,6 +1,6 @@
 // Steady-state allocation audit: after warmup, the probe hot path must run
 // entirely out of recycled storage — no new arena chunks, no event-slot
-// growth, no flight-pool growth — while probes keep flowing. The counters
+// growth, no delivery-ring growth — while probes keep flowing. The counters
 // come from DrsSystem::collect_metrics, so this test also pins the metric
 // names docs/PERFORMANCE.md documents.
 #include <gtest/gtest.h>
@@ -71,6 +71,10 @@ TEST(ZeroAllocSteadyState, ProbeCyclesReuseWarmedUpStorage) {
   const AllocSnapshot warm = snapshot(system);
   ASSERT_GT(warm.probes_sent, 0);
   ASSERT_GT(warm.arena_chunks, 0);
+  // Every frame in flight sits in its backplane's delivery ring, so the
+  // gauges count real storage.
+  ASSERT_GT(warm.flight_slots_a, 0);
+  ASSERT_GT(warm.flight_slots_b, 0);
 
   // Steady state: 5 more seconds of probing must not grow anything.
   sim.run_for(util::Duration::seconds(5));
@@ -85,9 +89,9 @@ TEST(ZeroAllocSteadyState, ProbeCyclesReuseWarmedUpStorage) {
   EXPECT_EQ(steady.event_slots, warm.event_slots)
       << "the event queue grew its slot table after warmup";
   EXPECT_EQ(steady.flight_slots_a, warm.flight_slots_a)
-      << "backplane A grew its in-flight frame pool after warmup";
+      << "backplane A grew its delivery ring after warmup";
   EXPECT_EQ(steady.flight_slots_b, warm.flight_slots_b)
-      << "backplane B grew its in-flight frame pool after warmup";
+      << "backplane B grew its delivery ring after warmup";
 
   // The pool is being exercised, not bypassed: allocations keep happening
   // and (once warm) they are served from the free lists.
@@ -98,7 +102,7 @@ TEST(ZeroAllocSteadyState, ProbeCyclesReuseWarmedUpStorage) {
 TEST(ZeroAllocSteadyState, FleetScaleProbeFabricReusesWarmedUpStorage) {
   // The paper's full deployment shape — 27 clusters of 8, one simulator —
   // must hold the same steady-state guarantee as a single cluster: the
-  // geometry-derived reservations (event queue, flight pools, timeout
+  // geometry-derived reservations (event queue, delivery rings, timeout
   // records) reach their peak during warmup and never grow again.
   sim::Simulator sim;
   cluster::FleetConfig config;
@@ -124,6 +128,7 @@ TEST(ZeroAllocSteadyState, FleetScaleProbeFabricReusesWarmedUpStorage) {
   const AllocSnapshot warm = fleet_snapshot();
   ASSERT_GT(warm.probes_sent, 0);
   ASSERT_GT(warm.arena_chunks, 0);
+  ASSERT_GT(warm.flight_slots_a, 0);
 
   fleet.settle(util::Duration::seconds(5));
   const AllocSnapshot steady = fleet_snapshot();
@@ -137,7 +142,7 @@ TEST(ZeroAllocSteadyState, FleetScaleProbeFabricReusesWarmedUpStorage) {
   EXPECT_EQ(steady.event_slots, warm.event_slots)
       << "the event queue grew its slot table after fleet warmup";
   EXPECT_EQ(steady.flight_slots_a, warm.flight_slots_a)
-      << "a backplane grew its in-flight frame pool after fleet warmup";
+      << "a backplane grew its delivery ring after fleet warmup";
   fleet.stop();
 }
 
@@ -201,6 +206,7 @@ TEST(ZeroAllocSteadyState, ShardedFleetReusesWarmedUpStoragePerShard) {
   const FleetSnapshot warm = sharded_snapshot();
   ASSERT_GT(warm.total.probes_sent, 0);
   ASSERT_GT(warm.total.arena_chunks, 0);
+  ASSERT_GT(warm.total.flight_slots_a, 0);
   ASSERT_GT(warm.windows, 0);
 
   fleet.run_until(util::SimTime::zero() + util::Duration::seconds(5));
@@ -217,7 +223,7 @@ TEST(ZeroAllocSteadyState, ShardedFleetReusesWarmedUpStoragePerShard) {
   EXPECT_EQ(steady.total.event_slots, warm.total.event_slots)
       << "an event queue grew its slot table after sharded warmup";
   EXPECT_EQ(steady.total.flight_slots_a, warm.total.flight_slots_a)
-      << "a backplane grew its in-flight frame pool after sharded warmup";
+      << "a backplane grew its delivery ring after sharded warmup";
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(steady.shard[s].chunks, warm.shard[s].chunks) << "shard " << s;
     EXPECT_EQ(steady.shard[s].bytes, warm.shard[s].bytes) << "shard " << s;
