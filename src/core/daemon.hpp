@@ -56,10 +56,16 @@ class DrsDaemon;
 /// (time, rank) and one event armed at the earliest, under that cursor's
 /// rank. A firing runs that daemon's sweep step, then keeps running the next
 /// cursor inline while it is due at the same instant and precedes
-/// Simulator::peek_next()'s (time, key); otherwise it re-arms. So daemons
-/// that share a tick (a DrsSystem's, started together) cost one event per
-/// distinct spread offset, not one per daemon. Cursors of stopped or
-/// restarted daemons go stale in place and are skipped at the head.
+/// Simulator::peek_next()'s (time, key); otherwise it re-arms. The peek
+/// covers both the timing wheel and the armed heads of the simulator's
+/// sorted sources, so a frame delivery due between two cursors' ranks (a
+/// backplane ring's head, not a wheel event) still runs between them. So
+/// daemons that share a tick (a DrsSystem's, started together) cost one
+/// event per distinct spread offset, not one per daemon. Cursors of stopped
+/// or restarted daemons go stale in place and are skipped at the head.
+///
+/// Both kinds stay wheel events rather than sorted sources: moved onto
+/// sources, they made fleet27 slower (docs/PERFORMANCE.md §2b).
 ///
 /// Timeouts. Sweep probes have no per-probe timeout event. Instead the
 /// scheduler keeps one flat record per sent probe — deadline, covering
@@ -138,7 +144,8 @@ class ProbeScheduler {
   /// (replies and re-sends both retire it).
   bool live(const Record& r) const;
   /// Whether a cursor due now may run inside the current firing: it must
-  /// precede every pending event, as its own event would.
+  /// precede every pending event and armed source head, as its own event
+  /// would.
   bool precedes_queue(const Cursor& c) const;
   void fire_sends();
   void fire_timeouts();

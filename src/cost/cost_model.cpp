@@ -1,16 +1,41 @@
 #include "cost/cost_model.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/system.hpp"
 #include "net/network.hpp"
 
 namespace drs::cost {
 
+std::int64_t CostModel::node_limit() const {
+  // Largest n with n·(n−1) <= pairs, found from the square root and nudged
+  // onto the exact integer answer (n stays below 2^32, so n·(n+1) fits).
+  const std::uint64_t pairs =
+      std::numeric_limits<std::uint64_t>::max() / (2 * frame.frame_bits());
+  auto n = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(pairs))) + 1;
+  while (n > 1 && n * (n - 1) > pairs) --n;
+  while ((n + 1) * n <= pairs) ++n;
+  return static_cast<std::int64_t>(n);
+}
+
+void CostModel::check_nodes(std::int64_t nodes) const {
+  const std::int64_t limit = node_limit();
+  if (nodes >= 0 && nodes <= limit) return;
+  const std::string bound = std::to_string(limit);
+  throw std::invalid_argument(
+      "CostModel: n = " + std::to_string(nodes) + " is outside [0, " + bound +
+      "] (the " + bound + "-node limit: a monitoring cycle's " +
+      std::to_string(frame.frame_bits()) +
+      "-bit frames, 2n(n-1) of them, must fit a 64-bit count)");
+}
+
 double CostModel::response_time_seconds(std::int64_t nodes,
                                         double budget_fraction) const {
   assert(budget_fraction > 0.0 && budget_fraction <= 1.0);
-  if (nodes < 2) return 0.0;
   return static_cast<double>(cycle_bits(nodes)) /
          (budget_fraction * bits_per_second);
 }
@@ -34,6 +59,16 @@ double CostModel::utilization(std::int64_t nodes, util::Duration interval) const
 
 MeasuredCycle measure_cycle(std::int64_t nodes, util::Duration interval,
                             std::uint64_t cycles, const CostModel& model) {
+  // Checked before the narrowing below: 65538 would otherwise build a
+  // 2-node cluster.
+  if (nodes < 2 || nodes > std::int64_t{net::kMaxClusterNodes}) {
+    const std::string limit = std::to_string(net::kMaxClusterNodes);
+    throw std::invalid_argument(
+        "measure_cycle: n = " + std::to_string(nodes) + " is outside [2, " +
+        limit + "] (the " + limit +
+        "-node limit: the cluster addressing plan numbers at most 254 x 256 "
+        "nodes)");
+  }
   sim::Simulator simulator;
   net::ClusterNetwork::Config net_config;
   net_config.node_count = static_cast<std::uint16_t>(nodes);

@@ -10,6 +10,13 @@
 // The closed form is cross-checked by `measure_cycle` which runs the real
 // daemons on the packet-level simulator and reports the utilization and
 // probe completion they actually achieve.
+//
+// Domain. The model counts a whole cycle's bits in 64 bits, so it covers
+// clusters up to node_limit() (134,217,728 nodes with 64-byte frames);
+// every function taking a node count throws std::invalid_argument, naming
+// that limit, for a count outside [0, node_limit()] instead of wrapping.
+// measure_cycle builds a real cluster and rejects a count outside
+// [2, net::kMaxClusterNodes] the same way.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +37,25 @@ struct CostModel {
   /// frames, so response time is O(N).
   net::MediumKind medium = net::MediumKind::kHub;
 
+  /// Largest cluster the model covers: the whole cluster's bits per cycle,
+  /// 2·N·(N−1)·frame_bits, must fit 64 bits (see the file comment).
+  std::int64_t node_limit() const;
+  /// Throws std::invalid_argument, naming node_limit(), unless 0 <= nodes
+  /// <= node_limit().
+  void check_nodes(std::int64_t nodes) const;
+
   /// Echo frames per network per monitoring cycle (whole cluster).
   std::uint64_t cycle_frames(std::int64_t nodes) const {
+    check_nodes(nodes);
+    if (nodes < 2) return 0;
     return 2ull * static_cast<std::uint64_t>(nodes) *
            static_cast<std::uint64_t>(nodes - 1);
   }
 
   /// Echo frames per *port* per cycle on a switched network.
   std::uint64_t cycle_frames_per_port(std::int64_t nodes) const {
+    check_nodes(nodes);
+    if (nodes < 2) return 0;
     return 2ull * static_cast<std::uint64_t>(nodes - 1);
   }
 
@@ -65,7 +83,8 @@ struct CostModel {
 /// Packet-level cross-check: run a real N-node cluster with DRS probing at
 /// `interval` for `cycles` cycles; report the measured medium utilization
 /// and probe success (everything should complete when the budget implied by
-/// the interval is feasible).
+/// the interval is feasible). Throws std::invalid_argument, naming the
+/// limit, for `nodes` outside [2, net::kMaxClusterNodes].
 struct MeasuredCycle {
   double utilization_network_a = 0.0;
   double utilization_network_b = 0.0;

@@ -394,7 +394,8 @@ std::vector<Scenario> build_registry() {
        .uses_config = true,
        .run = run_fleet_smoke});
   add({.family = "fig1_response_time",
-       .version = "v1",
+       .version = "v2",  // v2: n past CostModel::node_limit() is rejected,
+                         // not wrapped (and not served from a v1 cache)
        .help = "Fig. 1 closed form: error-resolution time (s) for cluster "
                "size n at bandwidth budget; optional preamble/medium knobs",
        .required = {"n", "budget"},
@@ -406,7 +407,9 @@ std::vector<Scenario> build_registry() {
        .required = {"deadline", "budget"},
        .run = run_fig1_max_nodes});
   add({.family = "fig1_measured",
-       .version = "v2",  // v2: distinct cluster addresses past node 253
+       .version = "v3",  // v2: distinct cluster addresses past node 253;
+                         // v3: n past kMaxClusterNodes is rejected, not
+                         // narrowed to a small cluster
        .help = "Packet-level cross-check of the Fig. 1 closed form: live "
                "daemons probing for `cycles` cycles at `interval_ms`",
        .required = {"n"},

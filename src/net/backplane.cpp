@@ -21,7 +21,11 @@ util::Duration Backplane::Medium::draw_jitter() {
 }
 
 Backplane::Backplane(sim::Simulator& sim, NetworkId id, Config config)
-    : sim_(sim), entity_(sim.entity()), id_(id), medium_(config, id) {}
+    : sim_(sim),
+      entity_(sim.entity()),
+      id_(id),
+      medium_(config, id),
+      ring_source_(sim, [this] { ring_fire(); }) {}
 
 void Backplane::attach(Nic& nic) {
   attached_.push_back(&nic);
@@ -40,7 +44,9 @@ void Backplane::set_failed(bool failed) {
   egress_busy_.clear();
   ring_.clear();
   ring_head_ = 0;
-  ring_event_.cancel();
+  ring_tagged_ = 0;
+  ring_source_.set_tagged(false);
+  ring_source_.disarm();
 }
 
 void Backplane::transmit(const Nic& sender, const Frame& frame) {
@@ -84,38 +90,30 @@ void Backplane::deliver_hub_frame(const Frame& frame, MacAddr sender) {
 void Backplane::ring_push(const Frame& frame, Nic* target, MacAddr sender,
                           util::SimTime arrival) {
   const sim::EntityScope scope(sim_, entity_);
-  const bool idle = ring_head_ == ring_.size();
-  if (idle && !ring_.empty()) {
+  if (ring_head_ == ring_.size() && !ring_.empty()) {
     // Fully consumed: reclaim the ring in one go before adding.
     ring_.clear();
     ring_head_ = 0;
   }
+  const bool boundary = sim_.in_boundary_scope();
   const std::size_t at = util::insert_sorted(
       ring_, ring_head_,
       PendingDelivery{frame, target, sender, arrival.ns(),
-                      sim_.claim_event_rank()},
+                      sim_.claim_event_rank(), boundary},
       [](const PendingDelivery& a, const PendingDelivery& b) {
         return before(a, b);
       });
-  if (at == ring_head_) {
-    if (!idle) ring_event_.cancel();  // armed at the old head
-    ring_arm();
-  }
-}
-
-void Backplane::ring_arm() {
-  const PendingDelivery& head = ring_[ring_head_];
-  ring_event_ = sim_.schedule_at_ranked(
-      util::SimTime::from_ns(head.arrival_ns), [this] { ring_fire(); },
-      head.rank);
+  if (boundary && ring_tagged_++ == 0) ring_source_.set_tagged(true);
+  if (at == ring_head_) ring_arm();
 }
 
 void Backplane::ring_fire() {
-  // Move out (which drops the ring's payload reference) and re-arm before
-  // delivering: delivery can re-enter transmit(), adding to the ring (and
-  // ring_push must see a consistent armed state).
+  // Move out (which drops the ring's payload reference) and arm the next
+  // head before delivering: delivery can re-enter transmit(), adding to the
+  // ring, and ring_push must see the source armed at the live head.
   PendingDelivery entry = std::move(ring_[ring_head_]);
   ++ring_head_;
+  if (entry.boundary && --ring_tagged_ == 0) ring_source_.set_tagged(false);
   if (ring_head_ < ring_.size()) ring_arm();
   if (entry.target != nullptr) {
     entry.target->deliver(entry.frame);

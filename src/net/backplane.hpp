@@ -24,10 +24,11 @@
 // quantifies what that buys the paper's Fig. 1.
 //
 // Delivery ring: every frame in flight, hub or switch, waits in one ring
-// sorted on (arrival, rank) behind a single armed wheel event at the head's
-// coordinates, instead of one far-future wheel event per frame. Each entry's
-// queue rank is claimed at transmit — exactly where a per-frame event would
-// be pushed — so every delivery pops at the precise (time, rank) coordinate
+// sorted on (arrival, rank), and the ring is the backplane's
+// sim::SortedSource: the simulator holds only its head, outside the timing
+// wheel, and no delivery pushes or pops a wheel event. Each entry's queue
+// rank is claimed at transmit — exactly where a per-frame event would be
+// pushed — so every delivery fires at the precise (time, rank) coordinate
 // that event would have occupied, and same-instant interleaving with
 // unrelated events is unchanged. Ranks are claimed under the entity the
 // backplane was built in (sim::EntityScope), so a shared medium's
@@ -35,11 +36,15 @@
 // happened to transmit. A zero-jitter hub serializes FIFO, so its arrivals
 // come in (time, rank) order and every entry appends; a jittered arrival or
 // a switch frame to an idle egress port may land mid-ring, and one that
-// lands at the head re-arms the event there. The armed event therefore
-// always sits at the ring's minimum (time, rank), so Simulator::peek_next()
-// — and with it the probe sweep's inline sends — sees the earliest pending
-// delivery. Under saturation this keeps the event queue small (one event
-// per backplane) no matter how deep the backlog runs.
+// lands at the head moves the armed head there. The armed head is
+// therefore always the ring's minimum (time, rank), so
+// Simulator::peek_next() — and with it the probe sweep's inline sends —
+// sees the earliest pending delivery. Each entry also keeps the boundary
+// tag its transmit ran under and is delivered under it, and the source
+// reports whether it holds a tagged entry, so the sharded engine's window
+// bound sees tagged frames anywhere in the ring (docs/SHARDING.md). Under
+// saturation the simulator's pending work stays one head per backplane no
+// matter how deep the backlog runs.
 //
 // Either way, the backplane is one of the 2 shared failure components of the
 // survivability model: when failed it drops everything offered, and
@@ -197,6 +202,7 @@ class Backplane {
     MacAddr sender{};       // hub fan-in skips the sender's own NIC
     std::int64_t arrival_ns = 0;
     std::uint64_t rank = 0;  // claimed at transmit; the ring pops under it
+    bool boundary = false;   // transmitted under the boundary scope
   };
   static bool before(const PendingDelivery& a, const PendingDelivery& b) {
     return a.arrival_ns < b.arrival_ns ||
@@ -205,12 +211,17 @@ class Backplane {
 
   /// Hub fan-in at arrival time: MAC-index unicast or broadcast fan-out.
   void deliver_hub_frame(const Frame& frame, MacAddr sender);
-  /// Claims the frame's rank, adds it to the ring in (arrival, rank) order,
-  /// and re-arms the ring's event if it is the new head.
+  /// Claims the frame's rank, adds it to the ring in (arrival, rank) order
+  /// under the current boundary tag, and moves the armed head if it is the
+  /// new head.
   void ring_push(const Frame& frame, Nic* target, MacAddr sender,
                  util::SimTime arrival);
-  void ring_arm();
-  /// Delivers the head entry and re-arms at the next one.
+  void ring_arm() {
+    const PendingDelivery& head = ring_[ring_head_];
+    ring_source_.arm(head.arrival_ns, head.rank, head.boundary);
+  }
+  /// Delivers the head entry, whose armed head this firing consumed, and
+  /// arms the next one.
   void ring_fire();
 
   void transmit_hub(const Nic& sender, const Frame& frame);
@@ -235,8 +246,11 @@ class Backplane {
   /// are already delivered. Failure drops the live part eagerly.
   std::vector<PendingDelivery> ring_;
   std::size_t ring_head_ = 0;
-  sim::EventHandle ring_event_;
+  std::size_t ring_tagged_ = 0;  // live entries with the boundary tag
   BoundaryHook boundary_hook_;
+  /// Armed at the ring's head whenever the live part is nonempty; last, so
+  /// it unregisters before the ring it reads is destroyed.
+  sim::SortedSource ring_source_;
 };
 
 // Defined here so that Backplane's transmit path inlines the medium's rules.

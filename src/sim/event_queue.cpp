@@ -5,8 +5,6 @@
 #include <cassert>
 #include <limits>
 
-#include "obs/macros.hpp"
-
 namespace drs::sim {
 
 std::uint64_t EventQueue::next_key() {
@@ -190,15 +188,6 @@ EventId EventQueue::push_ranked(util::SimTime t, EventCallback fn,
   place(slot, s.time_ns, s.seq);
   if (boundary_scope_) heap_push(boundary_, Ready{s.time_ns, s.seq, slot});
   ++live_;
-  if (live_ >= high_water_next_) {
-    // Stamped with the pushed event's scheduled time: the queue has no
-    // notion of "now", and the scheduled time is deterministic.
-    DRS_TRACE_EVENT(tracer_, .at_ns = t.ns(),
-                    .kind = obs::TraceEventKind::kQueueHighWater,
-                    .a = static_cast<std::int64_t>(live_),
-                    .b = static_cast<std::int64_t>(high_water_next_));
-    high_water_next_ *= 2;
-  }
   return make_id(slot, s.gen);
 }
 
@@ -243,7 +232,7 @@ util::SimTime EventQueue::next_time() const {
   }
 }
 
-bool EventQueue::peek(std::int64_t& t_ns, std::uint64_t& key) const {
+bool EventQueue::peek_slow(std::int64_t& t_ns, std::uint64_t& key) const {
   // Same const_cast contract as next_time(): tombstone reclamation does not
   // change observable contents.
   if (live_ == 0) return false;

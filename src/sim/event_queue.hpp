@@ -44,10 +44,6 @@
 #include "util/inline_function.hpp"
 #include "util/time.hpp"
 
-namespace drs::obs {
-class Tracer;
-}
-
 namespace drs::sim {
 
 /// Inline-storage event callback: captures above 48 bytes fail to compile
@@ -120,8 +116,19 @@ class EventQueue {
 
   /// Time and key of the earliest live event without removing it (same
   /// tombstone reclamation as next_time). Returns false when empty. The
-  /// sharded engine orders its local head against foreign arrivals by it.
-  bool peek(std::int64_t& t_ns, std::uint64_t& key) const;
+  /// simulator merges the wheel with its sorted sources by it, once per
+  /// step, so a live ready top answers inline.
+  bool peek(std::int64_t& t_ns, std::uint64_t& key) const {
+    if (!ready_.empty()) {
+      const Ready& top = ready_.front();
+      if ((slots_[top.slot].gen & 1u) != 0) {
+        t_ns = top.time_ns;
+        key = top.seq;
+        return true;
+      }
+    }
+    return peek_slow(t_ns, key);
+  }
 
   /// Every push and rank claim, across all entities.
   std::uint64_t total_scheduled() const { return total_scheduled_; }
@@ -138,12 +145,6 @@ class EventQueue {
   /// Slot-table capacity; stable once the pending-event population peaks
   /// (the zero-allocation instrumented test asserts on this).
   std::size_t slot_count() const { return slots_.size(); }
-
-  /// Observability sink (usually forwarded by Simulator::set_tracer). The
-  /// queue emits queue_high_water events when the live-event count first
-  /// crosses a power-of-two threshold — O(log n) events per run, so tracing
-  /// the queue costs nothing measurable.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Boundary tagging for the sharded engine's adaptive lookahead. While the
   /// scope flag is set (Simulator raises it during setup segments that build
@@ -193,6 +194,7 @@ class EventQueue {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
+  bool peek_slow(std::int64_t& t_ns, std::uint64_t& key) const;
   std::uint64_t next_key();
   void add_entities(Entity last);
   std::uint32_t acquire_slot();
@@ -220,8 +222,6 @@ class EventQueue {
   std::vector<std::uint64_t> counters_ = std::vector<std::uint64_t>(1);
   Entity entity_ = 0;
   bool boundary_scope_ = false;
-  obs::Tracer* tracer_ = nullptr;
-  std::size_t high_water_next_ = 16;  // next power-of-two threshold to report
 };
 
 }  // namespace drs::sim

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace drs::cost {
 namespace {
 
@@ -117,6 +122,84 @@ TEST(CostModel, OverloadedIntervalLosesProbes) {
   const MeasuredCycle measured = measure_cycle(60, 4_ms, 25, model);
   EXPECT_GT(measured.probes_failed, 0u);
   EXPECT_GT(measured.utilization_network_a, 0.5);
+}
+
+// -- the model's domain --------------------------------------------------------
+
+/// Runs `call`, which must throw std::invalid_argument; returns its message.
+template <class Call>
+std::string rejection(Call call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "no std::invalid_argument";
+  return {};
+}
+
+TEST(CostModelDomain, LimitIsTheLargestClusterWhoseCycleBitsFit) {
+  CostModel model;
+  // 2^27 · (2^27 − 1) · 2 · 512 bits = 2^64 − 2^37 fits; one node more wraps.
+  EXPECT_EQ(model.node_limit(), std::int64_t{1} << 27);
+  const std::int64_t n = model.node_limit();
+  EXPECT_EQ(model.cycle_bits(n),
+            2 * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 512);
+  // Full 802.3 accounting: 672-bit frames leave room for fewer nodes.
+  model.frame.count_preamble_and_ifg = true;
+  const std::int64_t m = model.node_limit();
+  EXPECT_LT(m, n);
+  const auto pairs = std::numeric_limits<std::uint64_t>::max() / (2 * 672);
+  EXPECT_LE(static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(m - 1), pairs);
+  EXPECT_GT(static_cast<std::uint64_t>(m + 1) * static_cast<std::uint64_t>(m), pairs);
+}
+
+TEST(CostModelDomain, ResponseTimeFollowsTheCurveUpToTheLimit) {
+  CostModel model;
+  const std::int64_t n = model.node_limit();
+  const double curve = 2.0 * static_cast<double>(n) * static_cast<double>(n - 1) *
+                       512.0 / (0.1 * 100e6);
+  EXPECT_NEAR(model.response_time_seconds(n, 0.1), curve, curve * 1e-12);
+  // Below two nodes nothing is probed.
+  EXPECT_EQ(model.response_time_seconds(0, 0.1), 0.0);
+  EXPECT_EQ(model.response_time_seconds(1, 0.1), 0.0);
+}
+
+TEST(CostModelDomain, CountsOutsideTheDomainThrowNamingTheLimit) {
+  // Unchecked, the 64-bit cycle count wraps: n = 1e9 would read 9.43e11 s
+  // (the curve gives ~1.02e14 s) and n = INT64_MAX 0.0002 s.
+  for (const net::MediumKind medium :
+       {net::MediumKind::kHub, net::MediumKind::kSwitch}) {
+    CostModel model;
+    model.medium = medium;
+    for (const std::int64_t n :
+         {model.node_limit() + 1, std::int64_t{1'000'000'000},
+          std::numeric_limits<std::int64_t>::max(), std::int64_t{-1},
+          std::numeric_limits<std::int64_t>::min()}) {
+      SCOPED_TRACE(n);
+      const std::string message =
+          rejection([&] { model.response_time_seconds(n, 0.1); });
+      EXPECT_NE(message.find("134217728-node limit"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("n = " + std::to_string(n)), std::string::npos)
+          << message;
+      rejection([&] { model.utilization(n, 100_ms); });
+      rejection([&] { model.cycle_frames(n); });
+    }
+  }
+}
+
+TEST(CostModelDomain, MeasureCycleRejectsWhatItCannotBuild) {
+  // Narrowed to uint16_t, 65538 would build a 2-node cluster and measure
+  // its 14 probes.
+  CostModel model;
+  for (const std::int64_t n : {std::int64_t{65'538}, std::int64_t{65'025},
+                               std::int64_t{1}, std::int64_t{-3}}) {
+    SCOPED_TRACE(n);
+    const std::string message =
+        rejection([&] { measure_cycle(n, 100_ms, 1, model); });
+    EXPECT_NE(message.find("65024-node limit"), std::string::npos) << message;
+  }
 }
 
 }  // namespace

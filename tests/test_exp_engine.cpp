@@ -319,6 +319,39 @@ TEST(Engine, ReportsACellTheModelRejects) {
   }
 }
 
+TEST(Engine, Fig1FamiliesRejectClustersOutsideTheModel) {
+  // The closed form's 64-bit cycle count and the packet level's addressing
+  // plan each bound n; a cell past either is reported with its limit, the
+  // same at any thread count, like mc_estimate's 95-node limit.
+  exp::ExperimentSpec closed_form;
+  closed_form.family = "fig1_response_time";
+  closed_form.grid.ints("n", {90, 1'000'000'000}).doubles("budget", {0.1});
+  exp::ExperimentSpec measured;
+  measured.family = "fig1_measured";
+  measured.grid.ints("n", {65'538});
+  std::string closed_form_error;
+  std::string measured_error;
+  for (const unsigned threads : {1u, 4u}) {
+    exp::EngineOptions options;
+    options.threads = threads;
+    const auto a = exp::run_experiment(closed_form, options);
+    EXPECT_FALSE(a.ok()) << threads << " threads";
+    EXPECT_EQ(a.error.find("cell n=i:1000000000|"), 0u) << a.error;
+    EXPECT_NE(a.error.find("134217728-node limit"), std::string::npos) << a.error;
+    EXPECT_NEAR(a.output_double(0, "seconds"), 0.820224, 1e-6);
+    const auto b = exp::run_experiment(measured, options);
+    EXPECT_FALSE(b.ok()) << threads << " threads";
+    EXPECT_NE(b.error.find("65024-node limit"), std::string::npos) << b.error;
+    if (threads == 1) {
+      closed_form_error = a.error;
+      measured_error = b.error;
+    } else {
+      EXPECT_EQ(a.error, closed_form_error);
+      EXPECT_EQ(b.error, measured_error);
+    }
+  }
+}
+
 TEST(Engine, ConcurrentShardedWritersShareOneCacheSafely) {
   // Two engines race the same grid into the same cache directory on many
   // threads. Under DRS_SANITIZE=thread this is the sharded-writers race; the

@@ -1,11 +1,13 @@
 // The backplane's delivery ring beyond the FIFO hub: switch frames and
 // jittered hub frames that arrive out of send order, the re-arm when a new
-// frame becomes the head, and the at-once loss count when the medium fails.
+// frame becomes the head, the at-once loss count when the medium fails, and
+// the boundary tag each entry keeps wherever it sits in the ring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,6 +30,7 @@ struct Delivery {
   NodeId node;
   std::int64_t at_ns;
   std::uint64_t packet_id;
+  bool boundary = false;  // delivered under the boundary scope
   bool operator==(const Delivery&) const = default;
 };
 
@@ -37,7 +40,8 @@ struct LoggingSink final : FrameSink {
   sim::Simulator* sim = nullptr;
   std::vector<Delivery>* log = nullptr;
   void on_frame(NetworkId, const Frame& frame) override {
-    log->push_back({node, sim->now().ns(), frame.packet.id});
+    log->push_back(
+        {node, sim->now().ns(), frame.packet.id, sim->in_boundary_scope()});
   }
 };
 
@@ -82,6 +86,12 @@ class DeliveryRingTest : public ::testing::Test {
   void send(std::size_t from, std::size_t to, std::uint32_t payload,
             std::uint64_t id) {
     nics[from]->send(make_frame(nics[from]->mac(), nics[to]->mac(), payload, id));
+  }
+  /// send() under the boundary scope, as a gateway's traffic is.
+  void send_tagged(std::size_t from, std::size_t to, std::uint32_t payload,
+                   std::uint64_t id) {
+    const sim::BoundaryScope scope(sim);
+    send(from, to, payload, id);
   }
 
   sim::Simulator sim;
@@ -178,6 +188,46 @@ TEST_F(DeliveryRingTest, FailedJitteredHubCountsEveryFrameInFlightAtOnce) {
   EXPECT_EQ(lost_at_failure, 5u);
   EXPECT_EQ(backplane->counters().lost_in_flight, 5u);
   EXPECT_TRUE(log.empty());
+}
+
+// A tagged frame anywhere in the ring, not only at its head, keeps the
+// sharded engine's window bound at or before its arrival, and is delivered
+// under the boundary scope whatever the entries around it carry.
+
+TEST_F(DeliveryRingTest, TaggedHubFrameBehindAnUntaggedOneKeepsItsTag) {
+  build(Backplane::Config{});
+  // Both minimum frames serialize back to back on the zero-jitter hub, so
+  // the tagged one appends behind the untagged head.
+  send(0, 1, 0, 1);
+  send_tagged(2, 3, 0, 2);
+  const std::int64_t prop = Backplane::Config{}.propagation_delay.ns();
+  const std::int64_t tagged_arrival = 2 * kMinNs + prop;
+  EXPECT_LE(sim.next_boundary_ns(), tagged_arrival);
+  ASSERT_TRUE(sim.step());  // the untagged head
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_LE(sim.next_boundary_ns(), tagged_arrival);
+  sim.run();
+  const std::vector<Delivery> expected = {{1, kMinNs + prop, 1, false},
+                                          {3, tagged_arrival, 2, true}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.next_boundary_ns(), std::numeric_limits<std::int64_t>::max());
+}
+
+TEST_F(DeliveryRingTest, UntaggedSwitchFrameAtTheHeadLeavesTheTaggedOnesTag) {
+  build(switched());
+  // The tagged full-size frame arms the ring; the untagged minimum frame,
+  // sent after it to another port, becomes the head.
+  send_tagged(0, 1, kFullPayload, 1);
+  send(2, 3, 0, 2);
+  EXPECT_LE(sim.next_boundary_ns(), 2 * kFullNs);
+  ASSERT_TRUE(sim.step());  // the untagged head
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_LE(sim.next_boundary_ns(), 2 * kFullNs);
+  sim.run();
+  const std::vector<Delivery> expected = {{3, 2 * kMinNs, 2, false},
+                                          {1, 2 * kFullNs, 1, true}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.next_boundary_ns(), std::numeric_limits<std::int64_t>::max());
 }
 
 }  // namespace
