@@ -44,18 +44,6 @@ FleetMembers::FleetMembers(const FleetConfig& config, Placement place)
     });
   }
 
-  // One up-front reservation per simulator, sized by the clusters it hosts
-  // (clusters sharing a simulator are contiguous) plus the gateway mesh; the
-  // per-cluster reservations DrsSystem makes below are then no-ops, since
-  // queue reservation only grows.
-  for (net::ClusterId c = 0; c < k;) {
-    sim::Simulator& sim = clusters_[c]->simulator();
-    std::size_t hosted = 0;
-    for (; c < k && &clusters_[c]->simulator() == &sim; ++c) ++hosted;
-    sim.reserve_events(hosted * core::DrsSystem::recommended_event_reserve(n) +
-                       16u * hosted + 1024u);
-  }
-
   systems_.reserve(k);
   for (net::ClusterId c = 0; c < k; ++c) {
     place_(c, [&](ClusterSite site) {

@@ -57,14 +57,14 @@ class DrsDaemon;
 /// rank. A firing runs that daemon's sweep step, then keeps running the next
 /// cursor inline while it is due at the same instant and precedes
 /// Simulator::peek_next()'s (time, key); otherwise it re-arms. The peek
-/// covers both the timing wheel and the armed heads of the simulator's
+/// covers both the event queue and the armed heads of the simulator's
 /// sorted sources, so a frame delivery due between two cursors' ranks (a
-/// backplane ring's head, not a wheel event) still runs between them. So
+/// backplane ring's head, not a queue event) still runs between them. So
 /// daemons that share a tick (a DrsSystem's, started together) cost one
 /// event per distinct spread offset, not one per daemon. Cursors of stopped
 /// or restarted daemons go stale in place and are skipped at the head.
 ///
-/// Both kinds stay wheel events rather than sorted sources: moved onto
+/// Both kinds stay queue events rather than sorted sources: moved onto
 /// sources, they made fleet27 slower (docs/PERFORMANCE.md §2b).
 ///
 /// Timeouts. Sweep probes have no per-probe timeout event. Instead the

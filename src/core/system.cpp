@@ -5,16 +5,6 @@
 
 namespace drs::core {
 
-std::size_t DrsSystem::recommended_event_reserve(std::uint16_t node_count) {
-  const std::size_t n = node_count;
-  const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
-  // Only the cycle tick stays pending per daemon; the system's probe sends
-  // and probe timeouts are one scheduler event each. The rest is headroom
-  // for transient frame deliveries plus discovery timers and path-probe
-  // timeouts under faults.
-  return 16u * n + 4u * probes_per_node + 1024u;
-}
-
 DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
     : network_(network), scheduler_(network.simulator()) {
   if (const auto error = config.validate()) {
@@ -25,11 +15,11 @@ DrsSystem::DrsSystem(net::ClusterNetwork& network, DrsConfig config)
   daemons_.reserve(n);
   // Pre-size the tables every sweep probe touches, from the known monitoring
   // fan-out, so warmup runs without a single regrow (asserted by the
-  // zero-allocation test). The probe sweep keeps O(nodes) events pending.
-  // Sweep probes are raw echoes and never enter an IcmpService's
-  // outstanding table, so that table is not pre-sized.
+  // zero-allocation test). The event queue is not pre-sized: a system keeps
+  // about one timer per daemon pending, a peak the queue reaches in the
+  // first cycle. Sweep probes are raw echoes and never enter an
+  // IcmpService's outstanding table, so that table is not pre-sized.
   const std::size_t probes_per_node = 2u * (n > 0 ? n - 1u : 0u);
-  network_.simulator().reserve_events(recommended_event_reserve(n));
   // Each daemon holds at most one live cursor, and the ring drops its
   // consumed prefix once that reaches half its size. A timeout record lives
   // about one probe timeout past its send, so the record ring holds the

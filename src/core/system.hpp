@@ -16,14 +16,6 @@ class DrsSystem {
  public:
   DrsSystem(net::ClusterNetwork& network, DrsConfig config);
 
-  /// Event-queue slot demand for one cluster of `node_count` nodes. The
-  /// constructor reserves this for its own
-  /// cluster; a fleet driver sums it across k clusters (plus its gateway
-  /// overhead) and reserves once up front, so multi-cluster geometry — not
-  /// single-cluster math — sizes the shared queue. Queue reservation only
-  /// grows, so the later per-cluster calls are no-ops under a fleet.
-  static std::size_t recommended_event_reserve(std::uint16_t node_count);
-
   void start();
   void stop();
 

@@ -25,8 +25,8 @@
 //
 // Delivery ring: every frame in flight, hub or switch, waits in one ring
 // sorted on (arrival, rank), and the ring is the backplane's
-// sim::SortedSource: the simulator holds only its head, outside the timing
-// wheel, and no delivery pushes or pops a wheel event. Each entry's queue
+// sim::SortedSource: the simulator holds only its head, outside the event
+// queue, and no delivery pushes or pops a queue event. Each entry's queue
 // rank is claimed at transmit — exactly where a per-frame event would be
 // pushed — so every delivery fires at the precise (time, rank) coordinate
 // that event would have occupied, and same-instant interleaving with

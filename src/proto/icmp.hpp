@@ -45,7 +45,7 @@ struct PingOptions {
   /// assumed on-link). Unset: normal routing.
   std::optional<net::NetworkId> via;
   std::uint32_t data_bytes = 0;
-  /// When true (default) the service schedules a wheel event per probe that
+  /// When true (default) the service schedules a queue event per probe that
   /// fires the timeout. When false the caller owns expiry: it must track the
   /// deadline itself and call expire(seq) once it passes. (The batched probe
   /// sweep does not use this: it sends raw echoes with send_echo() and

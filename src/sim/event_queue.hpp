@@ -1,20 +1,19 @@
-// Pending-event set for the discrete-event engine.
+// Pending-event set for the discrete-event engine: one binary min-heap over
+// (time, key), with a generation-counted slot table behind it.
 //
-// A hierarchical timing wheel (6 levels x 64 buckets, level-0 granule
-// 1024 ns) with a small (time, seq) min-heap in front of it and an overflow
-// calendar heap behind it:
-//
-//   push   places the event in the coarsest-fitting wheel bucket — O(1).
-//          Events earlier than the already-collected horizon go straight to
-//          the ready heap; events beyond the wheel's ~19 h coverage go to the
-//          overflow heap and are re-placed as the horizon advances.
-//   pop    drains the earliest level-0 bucket into the ready heap (cascading
-//          coarser buckets down as their windows arrive) and pops the heap.
-//          The heap only ever holds one 1024 ns window plus stragglers, so
-//          its depth is tiny compared to a global binary heap.
+//   push   appends a (time, key, slot) entry and sifts it up — O(log n).
+//   pop    drops cancelled entries off the top, then pops the earliest live
+//          one — O(log n).
 //   cancel flips a generation bit in the slot table — O(1), no hashing. The
-//          physical bucket entry stays behind as a tombstone and is freed
-//          when its window is collected.
+//          heap entry stays behind as a tombstone; its slot is freed when
+//          the tombstone reaches the top.
+//
+// Only timers live here: each daemon's cycle tick, the probe sweep's send
+// and timeout events, discovery and relay-route timers. Frame deliveries,
+// almost all of a run's events, are sorted sources the Simulator merges
+// beside the queue (sim/simulator.hpp), so the heap stays small: its slot
+// table peaks at 92 entries in Fig. 1's N = 90 anchor cluster and at 324 in
+// the 27-cluster fleet (docs/PERFORMANCE.md §1).
 //
 // Ordering is (time, key), where the 64-bit key is fixed when the event is
 // scheduled: (entity, per-entity counter), entity in the high 18 bits. An
@@ -23,18 +22,19 @@
 // claim draws the next value of the current entity's counter. Same-time
 // events of one entity therefore run FIFO, and entities order by id. A queue
 // that never switches entity runs entirely in entity 0, where the key is the
-// plain push sequence number: the old binary heap's contract, so protocol
-// races (e.g. two ROUTE_OFFERs in the same tick) resolve identically on every
-// run and golden traces are byte-stable (test_sim_queue_property pins the
-// order against a reference model). Because a key depends only on its
-// entity's own history, sharded engines that give each entity's events to
-// one shard compute identical keys locally (see sim/sharded.hpp).
+// plain push sequence number, so protocol races (e.g. two ROUTE_OFFERs in
+// the same tick) resolve identically on every run and golden traces are
+// byte-stable (test_sim_queue_property pins the order against a reference
+// model). Because a key depends only on its entity's own history, sharded
+// engines that give each entity's events to one shard compute identical
+// keys locally (see sim/sharded.hpp).
 //
 // Event state lives in a generation-counted slot table indexed by the low
 // half of the EventId; the high half carries the slot's generation, so
 // is_pending/cancel are two array reads and stale ids can never alias a
 // recycled slot. Callbacks are util::InlineFunction — scheduling an event
-// performs no heap allocation (see docs/PERFORMANCE.md).
+// performs no heap allocation once the slot table and heap have reached
+// their peak (see docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstddef>
@@ -114,20 +114,15 @@ class EventQueue {
   /// Removes and returns the earliest live event. Precondition: !empty().
   Popped pop();
 
-  /// Time and key of the earliest live event without removing it (same
-  /// tombstone reclamation as next_time). Returns false when empty. The
-  /// simulator merges the wheel with its sorted sources by it, once per
-  /// step, so a live ready top answers inline.
+  /// Time and key of the earliest live event without removing it. Returns
+  /// false when empty. The simulator merges the queue with its sorted
+  /// sources by it, once per step.
   bool peek(std::int64_t& t_ns, std::uint64_t& key) const {
-    if (!ready_.empty()) {
-      const Ready& top = ready_.front();
-      if ((slots_[top.slot].gen & 1u) != 0) {
-        t_ns = top.time_ns;
-        key = top.seq;
-        return true;
-      }
-    }
-    return peek_slow(t_ns, key);
+    drop_dead_tops();
+    if (heap_.empty()) return false;
+    t_ns = heap_.front().time_ns;
+    key = heap_.front().seq;
+    return true;
   }
 
   /// Every push and rank claim, across all entities.
@@ -137,13 +132,9 @@ class EventQueue {
   /// kInvalidEventId is never pending.
   bool is_pending(EventId id) const;
 
-  /// Pre-sizes the slot table and ready heap for `n` concurrently pending
-  /// events so warmup does not regrow them (DrsSystem passes its known
-  /// probe-schedule size).
-  void reserve(std::size_t n);
-
-  /// Slot-table capacity; stable once the pending-event population peaks
-  /// (the zero-allocation instrumented test asserts on this).
+  /// Slot-table size: the peak of pending events plus tombstones not yet
+  /// freed, stable once that peaks (the zero-allocation test asserts on
+  /// this).
   std::size_t slot_count() const { return slots_.size(); }
 
   /// Boundary tagging for the sharded engine's adaptive lookahead. While the
@@ -152,30 +143,21 @@ class EventQueue {
   /// and while executing a foreign delivery), every push is tagged and
   /// entered into a side min-heap, so next_boundary_ns() can answer "when is
   /// the earliest event that could emit cross-shard traffic?" without
-  /// scanning the wheel. Tags propagate transitively: a tagged parent's
+  /// scanning the queue. Tags propagate transitively: a tagged parent's
   /// children are tagged. Legacy single-queue runs never raise the scope and
   /// pay one predictable branch per push.
   void set_boundary_scope(bool on) { boundary_scope_ = on; }
   bool boundary_scope() const { return boundary_scope_; }
 
   /// Earliest live boundary-tagged event's time, or INT64_MAX when none.
-  /// Lazily drops stale heap entries (executed/cancelled/recycled slots),
-  /// same const contract as next_time().
+  /// Lazily drops stale side-heap entries (executed/cancelled/recycled
+  /// slots), which changes nothing observable, hence const.
   std::int64_t next_boundary_ns() const;
 
  private:
-  static constexpr int kLevels = 6;
-  static constexpr int kBucketBits = 6;  // 64 buckets per level
-  static constexpr int kBuckets = 1 << kBucketBits;
-  static constexpr int kGranuleShift = 10;  // level-0 bucket spans 1024 ns
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  static constexpr int shift_for(int level) {
-    return kGranuleShift + kBucketBits * level;
-  }
-
   struct Slot {
-    std::int64_t time_ns = 0;
     std::uint64_t seq = 0;       // (entity, counter) key; breaks same-time ties
     std::uint32_t gen = 0;       // odd = live, even = dead; bumps on each flip
     std::uint32_t next_free = kNoSlot;
@@ -184,7 +166,7 @@ class EventQueue {
   };
 
   /// Ordering key + slot index, copied flat so heap sifts touch no slots.
-  struct Ready {
+  struct Entry {
     std::int64_t time_ns;
     std::uint64_t seq;
     std::uint32_t slot;
@@ -194,27 +176,27 @@ class EventQueue {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  bool peek_slow(std::int64_t& t_ns, std::uint64_t& key) const;
+  /// Frees the slots of cancelled events at the top of the heap, so its
+  /// front is the earliest live event. Tombstones are not observable, so
+  /// every reader may drop them, const or not.
+  void drop_dead_tops() const {
+    while (!heap_.empty() && (slots_[heap_.front().slot].gen & 1u) == 0) {
+      const_cast<EventQueue*>(this)->drop_top();
+    }
+  }
+  void drop_top();
   std::uint64_t next_key();
   void add_entities(Entity last);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void place(std::uint32_t slot, std::int64_t t, std::uint64_t seq);
-  void collect();
-  void drain_overflow();
-  void heap_push(std::vector<Ready>& heap, Ready entry);
-  Ready heap_pop(std::vector<Ready>& heap);
+  void heap_push(std::vector<Entry>& heap, Entry entry);
+  Entry heap_pop(std::vector<Entry>& heap);
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
 
-  std::vector<Ready> ready_;       // min-heap over (time, seq); all < horizon_
-  std::vector<Ready> overflow_;    // min-heap; beyond the wheel's coverage
-  std::vector<Ready> boundary_;    // min-heap over live boundary-tagged events
-  std::vector<std::uint32_t> buckets_[kLevels][kBuckets];
-  std::uint64_t occupied_[kLevels] = {};  // bit b set iff buckets_[l][b] nonempty
-  std::int64_t horizon_ = 0;  // wheel/overflow entries are all >= horizon_
-  std::size_t wheel_count_ = 0;  // physical entries in buckets (incl. tombstones)
+  std::vector<Entry> heap_;      // min-heap over (time, seq), tombstones too
+  std::vector<Entry> boundary_;  // min-heap over live boundary-tagged events
 
   std::size_t live_ = 0;
   std::uint64_t total_scheduled_ = 0;

@@ -1,7 +1,7 @@
 // Sharded discrete-event execution with conservative time-window sync.
 //
 // A ShardedEngine runs S independent Simulators (one per shard, each with its
-// own timing-wheel EventQueue, arena and tracer ring) in lockstep windows of
+// own EventQueue, arena and tracer ring) in lockstep windows of
 // at least `lookahead` nanoseconds. The lookahead is the minimum cross-shard
 // latency (for the fleet: the relay backplane's propagation delay), so an
 // event executing anywhere inside window [W, W+L) can only affect another

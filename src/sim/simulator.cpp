@@ -56,16 +56,16 @@ bool Simulator::is_pending(EventId id) const {
 
 util::SimTime Simulator::next_event_time() const {
   settle();
-  const util::SimTime wheel = queue_.next_time();
-  if (armed_ == 0 || heads_[0].t_ns >= wheel.ns()) return wheel;
+  const util::SimTime queued = queue_.next_time();
+  if (armed_ == 0 || heads_[0].t_ns >= queued.ns()) return queued;
   return util::SimTime::from_ns(heads_[0].t_ns);
 }
 
 bool Simulator::peek_next(std::int64_t& t_ns, std::uint64_t& key) const {
   settle();
-  const bool wheel = queue_.peek(t_ns, key);
-  if (armed_ == 0) return wheel;
-  if (!wheel || before(heads_[0], Head{t_ns, key})) {
+  const bool queued = queue_.peek(t_ns, key);
+  if (armed_ == 0) return queued;
+  if (!queued || before(heads_[0], Head{t_ns, key})) {
     t_ns = heads_[0].t_ns;
     key = heads_[0].key;
   }
@@ -88,8 +88,8 @@ bool Simulator::execute_next(std::int64_t deadline_ns) {
   settle();  // only when called from inside a firing
   std::int64_t t_ns = 0;
   std::uint64_t key = 0;
-  const bool wheel = queue_.peek(t_ns, key);
-  if (armed_ != 0 && (!wheel || before(heads_[0], Head{t_ns, key}))) {
+  const bool queued = queue_.peek(t_ns, key);
+  if (armed_ != 0 && (!queued || before(heads_[0], Head{t_ns, key}))) {
     const Head head = heads_[0];
     if (head.t_ns > deadline_ns) return false;
     // Consumed before it fires: the owner's re-arm replaces it in place,
@@ -102,7 +102,7 @@ bool Simulator::execute_next(std::int64_t deadline_ns) {
     head.source->fire_();
     settle();
   } else {
-    if (!wheel || t_ns > deadline_ns) return false;
+    if (!queued || t_ns > deadline_ns) return false;
     auto ev = queue_.pop();
     assert(ev.time >= now_);
     now_ = ev.time;

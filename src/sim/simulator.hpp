@@ -15,13 +15,13 @@
 //
 // Sorted sources. An owner that already keeps its pending work sorted on
 // (time, key), such as net::Backplane's delivery ring, registers a
-// SortedSource and arms only its head; it does not push one wheel event per
+// SortedSource and arms only its head; it does not push one queue event per
 // item. The simulator keeps the armed heads in a small 4-ary heap next to
-// the wheel, with (time, key) stored inline, and step(), run_until(),
+// the event queue, with (time, key) stored inline, and step(), run_until(),
 // step_until(), peek_next(), next_event_time() and idle() all see whichever
-// comes first, the wheel's head or the earliest armed head. Keys come from
-// claim_event_rank(), so a source head orders against wheel events exactly
-// as the one wheel event per item it stands for would. A firing consumes
+// comes first, the queue's head or the earliest armed head. Keys come from
+// claim_event_rank(), so a source head orders against queue events exactly
+// as the one queue event per item it stands for would. A firing consumes
 // its head: the owner arms its next head from inside the firing (or leaves
 // the source disarmed), and a head re-armed that way replaces the consumed
 // one in place, one sift through the heap instead of a pop and a push.
@@ -110,9 +110,7 @@ class Simulator {
   util::Arena& arena() { return *arena_; }
   const util::Arena& arena() const { return *arena_; }
 
-  /// Pre-sizes the event queue for `n` concurrently pending events.
-  void reserve_events(std::size_t n) { queue_.reserve(n); }
-  /// Event-slot capacity (stable once the pending population peaks).
+  /// Event-slot table size (stable once the pending population peaks).
   std::size_t event_slots() const { return queue_.slot_count(); }
   std::uint64_t scheduled_events() const { return queue_.total_scheduled(); }
 
@@ -159,9 +157,9 @@ class Simulator {
     return now_;
   }
 
-  /// No wheel event pending and no source armed.
+  /// No queue event pending and no source armed.
   bool idle() const { return queue_.empty() && live_heads() == 0; }
-  /// Pending wheel events plus armed source heads.
+  /// Pending queue events plus armed source heads.
   std::size_t pending_events() const { return queue_.size() + live_heads(); }
   /// Observation hook: time of the earliest pending event or armed head,
   /// SimTime::max() when idle. Lets external callers (the chaos campaign's
@@ -252,7 +250,7 @@ class Simulator {
   void enter_entity_of(std::uint64_t key) {
     if (entity_of(key) != queue_.entity()) queue_.set_entity(entity_of(key));
   }
-  /// Executes the earliest of the wheel's head and the earliest armed head
+  /// Executes the earliest of the queue's head and the earliest armed head
   /// if it is due no later than `deadline_ns`; returns whether one ran.
   /// step(), run_until() and step_until() all execute through it.
   bool execute_next(std::int64_t deadline_ns);
@@ -392,8 +390,8 @@ class BoundaryScope {
 };
 
 /// Reports the allocator pressure of `sims`, summed, under the names every
-/// topology shares: sim.event_slots (wheel slots) and sim.pending_events
-/// (wheel events plus armed source heads) (gauges),
+/// topology shares: sim.event_slots (event-queue slots) and
+/// sim.pending_events (queue events plus armed source heads) (gauges),
 /// sim.scheduled_events and sim.executed_events (counters), and the arena's
 /// chunks, bytes_reserved, allocations, freelist_hits, oversize and resets.
 /// A single-queue run passes its one simulator, a sharded run every shard's.

@@ -9,7 +9,7 @@
 // run's counters, and its failover latencies. The full traces total about
 // 12 MB, too much to check in; a digest still fails on any byte of drift.
 // The file was generated while the per-peer scheduler the sweep replaced
-// (one wheel event per probe send, one managed timeout per probe) still
+// (one queue event per probe send, one managed timeout per probe) still
 // existed, and both schedulers reproduced it line for line.
 //
 // Two deliberate exclusions, both sim-layer observability rather than

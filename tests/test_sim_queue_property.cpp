@@ -1,18 +1,18 @@
-// Differential property test: the hierarchical-timing-wheel EventQueue must
-// be observationally identical to a plain sorted-vector reference model under
+// Differential property test: the heap-ordered EventQueue must be
+// observationally identical to a plain sorted-vector reference model under
 // randomized push/claim/cancel/pop workloads with random entity switches —
 // same pop order (time, then the (entity, per-entity counter) key), same
 // keys, same size, same total_scheduled. Claimed ranks are attached later
-// with push_ranked, as the probe sweep does. The time distribution
-// deliberately exercises every placement path: dense near-term times (level
-// 0 buckets), same-timestamp bursts (key ties), mid-range times (coarser
-// levels that cascade), far-future times (the overflow heap), and times at
-// or below the advancing horizon (direct-to-ready pushes).
+// with push_ranked, as the probe sweep does. Push times mix five classes:
+// dense near-term times, same-timestamp bursts (key ties), mid-range times,
+// far-future times that stay buried under everything else, and times at the
+// latest popped instant. Cancels leave tombstones at every depth, which pop
+// must skip when they surface.
 //
 // The second half runs the same reference one level up, against a
 // Simulator with sorted sources: each source keeps its own items sorted on
 // (time, key), every item under a rank claimed when it was added, and the
-// reference holds every item as one plain event. Wheel pushes, cancels and
+// reference holds every item as one plain event. Queue pushes, cancels and
 // rank claims interleave with items that become a new head (a re-arm at an
 // earlier head), whole sources dropped (a disarm, as a failed backplane
 // drops its ring), sources destroyed and registered again, and firings
@@ -107,18 +107,18 @@ Entity draw_entity(util::Rng& rng) {
   return roll == 5 ? kMaxEntity : static_cast<Entity>(roll);
 }
 
-/// Draws a push time relative to the latest popped time so the workload
-/// keeps straddling the wheel horizon as it advances.
+/// Draws a push time relative to the latest popped time, so pushes keep
+/// landing both at the heap's top and deep below it as time advances.
 std::int64_t draw_time(util::Rng& rng, std::int64_t watermark) {
   switch (rng.next_below(8)) {
     case 0:  // same-time burst: FIFO tie-order coverage
       return watermark + 1000;
-    case 1:  // at or before the horizon: direct-to-ready path
+    case 1:  // at the latest popped time: becomes the top at once
       return watermark;
-    case 2:  // far future: overflow heap (beyond the wheel's ~2^46 ns span)
+    case 2:  // far future (~2^47 ns out): stays buried under later pushes
       return watermark + (std::int64_t{1} << 47) +
              static_cast<std::int64_t>(rng.next_below(1u << 20));
-    case 3:  // mid-range: coarse levels that must cascade down
+    case 3:  // mid-range: up to ~17 s out
       return watermark + static_cast<std::int64_t>(
                              rng.next_below(std::uint64_t{1} << 34));
     default:  // dense near-term traffic
@@ -209,7 +209,7 @@ struct Ring {
   std::unique_ptr<SortedSource> source;
 };
 
-/// Keys are unique across wheel events and source items alike, so both the
+/// Keys are unique across queue events and source items alike, so both the
 /// reference and the execution log identify everything by its key.
 class SourceDifferential {
  public:

@@ -297,7 +297,7 @@ class ListSource {
   SortedSource source_;
 };
 
-TEST(SortedSource, RunStepAndPeekReachAHeadWhenTheWheelIsEmpty) {
+TEST(SortedSource, RunStepAndPeekReachAHeadWhenTheQueueIsEmpty) {
   const SimTime first = SimTime::zero() + 2_ms;
   const SimTime second = SimTime::zero() + 5_ms;
   {
